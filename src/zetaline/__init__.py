@@ -47,9 +47,7 @@ from .quadrature import (
     bsy_integral,
     cross_moment_closed_form,
     cross_moment_wow,
-    ell_quadrature_oracle,
     identity_coffey,
-    identity_cross,
     identity_hnorm,
     integrate_mu,
     log_integral_disk,

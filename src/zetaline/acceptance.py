@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mpc, mpf, workdps
+from mpmath import mp, mpc, mpf, workdps
 
 from . import coefficients as C
 from . import ergodic as E
@@ -25,9 +25,10 @@ from . import series as S
 from . import zeta as Z
 from .precision import PrecisionCtx
 
-TARGET_HNORM = "0.2606614015275682"
-TARGET_COFFEY = "1.2606614015275682"
-TARGET_PHI_L2 = "0.8188918652016985"
+TARGET_HNORM = C.PARSEVAL_SQ_CEILING
+with workdps(40):
+    TARGET_COFFEY = str(1 + mpf(TARGET_HNORM))
+    TARGET_PHI_L2 = str(mp.pi * mpf(TARGET_HNORM))
 
 MASTER_DIGITS = 120
 MASTER_NMAX = 400

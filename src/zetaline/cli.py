@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from mpmath import mpf, workdps
 
@@ -37,57 +36,19 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options shared by the subcommands.
-
-    Numeric fields must be positive and the cache directory writable; seed
-    runs always execute in fixed order so reruns stay byte-identical no
-    matter the worker count.
-    """
-
-    digits: int = 50
-    n_max: int = 30
-    k_max: int = 100
-    sigma0: tuple = ()
-    quad_tol: float = 1e-6
-    T_cutoff: float = 10_000.0
-    zeros_path: str | None = None
-    cache_dir: str | None = None
-    output_format: str = "json"
-    workers: int = 1
-
-    def validate(self) -> "RunConfig":
-        for name in ("digits", "n_max", "k_max", "workers"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"RunConfig.{name} must be positive")
-        if self.quad_tol <= 0 or self.T_cutoff <= 0:
-            raise ValueError("tolerances and cutoffs must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        from .cache import cache_dir
-
-        target = self.cache_dir or str(cache_dir())
-        if not os.access(target, os.W_OK):
-            raise ValueError(f"cache directory {target} is not writable")
-        return self
-
-
 def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _table_for(n_max: int, digits: int, sigma=None, power=None):
     ctx = PrecisionCtx(digits)
-    gam = zeta_mod.stieltjes(max(n_max, 2), ctx)
     if sigma is not None:
-        need = _line_table_depth(sigma, n_max, ctx)
-        gam = zeta_mod.stieltjes(need, ctx)
+        gam = zeta_mod.stieltjes(_line_table_depth(sigma, n_max, ctx), ctx)
         return coeffs_mod.coeffs_line(sigma, -max(n_max, 1), n_max, gam, ctx)
     if power is not None:
         lam = zeta_mod.laurent_power_coeffs(power, n_max + power, ctx)
         return coeffs_mod.coeffs_power(power, -power, n_max, lam, ctx)
-    return coeffs_mod.coeffs_critical(n_max, gam, ctx)
+    return coeffs_mod.coeffs_critical(n_max, zeta_mod.stieltjes(max(n_max, 2), ctx), ctx)
 
 
 def _line_table_depth(sigma, n_max: int, ctx: PrecisionCtx) -> int:
@@ -160,18 +121,20 @@ def cmd_parseval(args) -> int:
 
 
 def cmd_quad(args) -> int:
+    from .acceptance import TARGET_COFFEY, TARGET_HNORM, TARGET_PHI_L2
+
     name = args.identity
     if name == "coffey":
         r = quad_mod.identity_coffey()
-        target = "1.2606614015275682"
+        target = hreal_to_str(TARGET_COFFEY, 16)
     elif name == "hnorm":
         r = quad_mod.identity_hnorm()
-        target = "0.2606614015275682"
+        target = hreal_to_str(TARGET_HNORM, 16)
     elif name == "cross":
         if args.a is None or args.b is None:
             sys.stderr.write("quad cross requires --a and --b\n")
             return EXIT_USAGE
-        r = quad_mod.identity_cross(mpf(args.a), mpf(args.b))
+        r = quad_mod.cross_line_quadrature(mpf(args.a), mpf(args.b))
         if mpf(args.b) == mpf("0.5"):
             target = hreal_to_str(quad_mod.cross_moment_wow(mpf(args.a), PrecisionCtx(25)), 16)
         else:
@@ -189,7 +152,7 @@ def cmd_quad(args) -> int:
         target = "0"
     elif name == "phi-l2":
         r = quad_mod.phi_l2_halfline()
-        target = "0.8188918652016985"
+        target = hreal_to_str(TARGET_PHI_L2, 16)
     else:
         return EXIT_USAGE
     with workdps(30):
@@ -229,7 +192,11 @@ def cmd_ergodic(args) -> int:
     if not observable.startswith("em:"):
         sys.stderr.write("observable must look like em:INDEX\n")
         return EXIT_USAGE
-    RunConfig(workers=getattr(args, "workers", 1)).validate()
+    from .cache import cache_dir
+
+    cache = cache_dir()
+    if not os.access(cache, os.W_OK):
+        raise ValueError(f"cache directory {cache} is not writable")
     m = int(observable[3:])
     table = _table_for(max(8, abs(m)), 66)
     runs = []
@@ -312,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--g", type=str, required=True, help="observable, e.g. em:-5")
     pg.add_argument("--iters", type=int, default=200_000)
     pg.add_argument("--seeds", type=int, default=20)
-    pg.add_argument("--workers", type=int, default=1,
-                    help="seed batching hint; execution order stays fixed")
     pg.set_defaults(fn=cmd_ergodic)
 
     pv = sub.add_parser("verify-all", help="run the acceptance suite")

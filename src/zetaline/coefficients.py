@@ -60,7 +60,7 @@ __all__ = [
 
 #: Decimal value of log(2 pi) - gamma_0 - 1, the Parseval ceiling for
 #: sum_{n>=0} ell_n^2 (used as an upper-bound invariant, 40 digits).
-PARSEVAL_SQ_CEILING = "0.2606614015275682079371868661220003514700"
+PARSEVAL_SQ_CEILING = "0.2606614015078126229541473827288328486806"
 
 
 class InsufficientPrecisionError(ArithmeticError):

@@ -11,13 +11,18 @@ Three engines share the work:
 
 * ``integrate_mu``: multiprecision adaptive panels, for bounded or gently
   growing integrands and the orthonormality checks;
-* a deformed-tail line integrator for the coefficient moments: the tail
-  integrals over |t| > T are evaluated exactly as integrals along the rays
-  t = +-T - iy (the integrand is analytic in the lower half t-plane away
-  from the imaginary axis and decays there), so no oscillatory truncation
-  error enters at all;
-* a vectorized machine-precision engine for the heavy identity integrals
-  over [0, ~1e5], with singularity subtraction at critical-line zeros.
+* a deformed-tail line integrator for the coefficient moments and the cross
+  moment, all on one grid of zeta-product values: the tail integrals over
+  |t| > T are evaluated exactly as integrals along the rays t = +-T - iy
+  (the integrand is analytic in the lower half t-plane away from the
+  imaginary axis and decays there), so no oscillatory truncation error
+  enters at all;
+* a 35-digit head on [0, T1] plus a vectorized machine-precision far region
+  on [T1, T2] for the heavy identity integrals, with singularity subtraction
+  at critical-line zeros.  The two mean squares share one assembly
+  (``phi_l2_halfline`` is pi times ``identity_hnorm``), and the log|h_b|
+  kernel integrals share another (``log_integral_disk`` is Re log Q(1) of
+  ``outer_function``, whose kernel is identically 1 at u = 1).
 
 Truncation bounds for the mean-square identities use the classical growth
 of the second moment of zeta (density log(t/2pi) + 2 gamma0); they are
@@ -27,8 +32,10 @@ reported separately in ``trunc_bound`` and never folded into ``est_error``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,13 +51,11 @@ __all__ = [
     "ToleranceNotMetError",
     "integrate_mu",
     "moment_oracle",
-    "ell_quadrature_oracle",
     "cross_line_quadrature",
     "cross_moment_closed_form",
     "cross_moment_wow",
     "identity_coffey",
     "identity_hnorm",
-    "identity_cross",
     "log_integral_disk",
     "bsy_integral",
     "phi_l2_halfline",
@@ -225,10 +230,18 @@ _UMAP_PANELS = ((0.0, 0.1), (0.1, 0.22), (0.22, 0.36), (0.36, 0.5),
 
 
 @lru_cache(maxsize=16)
-def _moment_grid(sigma0_str: str, power: int, T: float, n_osc: int, wp: int):
-    """Shared zeta^power values on the head segment and the +T ray."""
+def _moment_grid(sigmas: tuple, T: float, n_osc: int, wp: int):
+    """Shared values of prod_j zeta(sigma_j + it) on the head segment and the +T ray.
+
+    ``sigmas`` lists the abscissae (as strings) with multiplicity:
+    (sigma0,) * power for a coefficient moment, (a, b) for the cross moment.
+    Each distinct abscissa is evaluated once and raised to its multiplicity.
+    """
     with workdps(wp):
-        sigma0 = mpf(sigma0_str)
+        def zprod(shift):
+            return reduce(mul, (_zeta_em_raw(mpf(sig) + shift, wp) ** k
+                                for sig, k in Counter(sigmas).items()))
+
         xs, ws = _gl_mp(12, wp)
         head = []
         for a, b in zip(*(lambda e: (e[:-1], e[1:]))(_head_edges(T, n_osc))):
@@ -236,7 +249,7 @@ def _moment_grid(sigma0_str: str, power: int, T: float, n_osc: int, wp: int):
             mid, hw = (a + b) / 2, (b - a) / 2
             for x, w in zip(xs, ws):
                 head.append((mid + hw * x, hw * w))
-        zhead = tuple(_zeta_em_raw(mpc(sigma0, t), wp) ** power for t, _ in head)
+        zhead = tuple(zprod(mpc(0, t)) for t, _ in head)
         ray = []
         redges = _ray_edges(T, n_osc, 6 * T)
         for a, b in zip(redges[:-1], redges[1:]):
@@ -251,28 +264,17 @@ def _moment_grid(sigma0_str: str, power: int, T: float, n_osc: int, wp: int):
             for x, w in zip(xs, ws):
                 u = mid + hw * x
                 ray.append((6 * T / u, hw * w * 6 * T / u ** 2))
-        zray = tuple(
-            _zeta_em_raw(mpc(sigma0) + y + 1j * mpf(T), wp) ** power for y, _ in ray
-        )
+        zray = tuple(zprod(y + 1j * mpf(T)) for y, _ in ray)
         return tuple(head), zhead, tuple(ray), zray
 
 
-def moment_oracle(
-    ns: Sequence[int],
-    ctx: PrecisionCtx,
-    sigma0="0.5",
-    power: int = 1,
-    T: float = _HEAD_T,
-) -> dict:
-    """Quadrature values of  int zeta(sigma0+it)^power conj(e_n) dmu  per n.
+def _grid_moments(ns, sigmas: tuple, wp: int, T: float) -> tuple:
+    """int prod_j zeta(sigma_j+it) conj(e_n) dmu for each n, on the shared grid.
 
-    Completely independent of the residue-derived coefficient formulas: the
-    only inputs are pointwise zeta values on the line and on the two tail
-    rays.  Accuracy is limited by panel resolution, a few digits below wp.
+    Returns ({n: value}, nodes).
     """
     n_osc = max(12, max(abs(int(n)) for n in ns))
-    wp = ctx.working(12)
-    head, zhead, ray, zray = _moment_grid(str(mpf(sigma0)), power, float(T), n_osc, wp)
+    head, zhead, ray, zray = _moment_grid(sigmas, float(T), n_osc, wp)
     out = {}
     with workdps(wp):
         half = mpf("0.5")
@@ -289,79 +291,36 @@ def moment_oracle(
                 en = ((half + 1j * t) / (half - 1j * t)) ** n
                 accA += w * zv * en / (mpf("0.25") + t * t)
             out[n] = +(head_val + 2 * (accA / (2 * mp.pi)).imag)
-    return out
+    return out, len(head) + len(ray)
 
 
-def ell_quadrature_oracle(n: int, family, ctx: PrecisionCtx) -> mpf:
-    """Single-coefficient oracle; ``family`` is 'critical', ('line', sigma0),
-    or ('power', k)."""
-    if family == "critical":
-        return moment_oracle([n], ctx)[n]
-    kind, arg = family
-    if kind == "line":
-        return moment_oracle([n], ctx, sigma0=arg)[n]
-    if kind == "power":
-        return moment_oracle([n], ctx, power=int(arg))[n]
-    raise ValueError(f"unknown family {family!r}")
+def moment_oracle(
+    ns: Sequence[int],
+    ctx: PrecisionCtx,
+    sigma0="0.5",
+    power: int = 1,
+    T: float = _HEAD_T,
+) -> dict:
+    """Quadrature values of  int zeta(sigma0+it)^power conj(e_n) dmu  per n.
+
+    Completely independent of the residue-derived coefficient formulas: the
+    only inputs are pointwise zeta values on the line and on the two tail
+    rays.  Accuracy is limited by panel resolution, a few digits below wp.
+    """
+    return _grid_moments(ns, (str(mpf(sigma0)),) * power, ctx.working(12), T)[0]
 
 
-@lru_cache(maxsize=16)
-def _cross_grid(a_str: str, b_str: str, T: float, wp: int):
-    with workdps(wp):
-        a, b = mpf(a_str), mpf(b_str)
-        xs, ws = _gl_mp(12, wp)
-        hedges = _head_edges(T, 12)
-        head = []
-        for lo, hi in zip(hedges[:-1], hedges[1:]):
-            lo, hi = mpf(lo), mpf(hi)
-            mid, hw = (lo + hi) / 2, (hi - lo) / 2
-            for x, w in zip(xs, ws):
-                head.append((mid + hw * x, hw * w))
-        zhead = tuple(
-            _zeta_em_raw(mpc(a, t), wp) * _zeta_em_raw(mpc(b, t), wp) for t, _ in head
-        )
-        ray = []
-        redges = _ray_edges(T, 12, 6 * T)
-        for lo, hi in zip(redges[:-1], redges[1:]):
-            lo, hi = mpf(lo), mpf(hi)
-            mid, hw = (lo + hi) / 2, (hi - lo) / 2
-            for x, w in zip(xs, ws):
-                ray.append((mid + hw * x, hw * w))
-        for pa, pb in _UMAP_PANELS:
-            pa, pb = mpf(pa), mpf(pb)
-            mid, hw = (pa + pb) / 2, (pb - pa) / 2
-            for x, w in zip(xs, ws):
-                u = mid + hw * x
-                ray.append((6 * T / u, hw * w * 6 * T / u ** 2))
-        zray = tuple(
-            _zeta_em_raw(mpc(a) + y + 1j * mpf(T), wp)
-            * _zeta_em_raw(mpc(b) + y + 1j * mpf(T), wp)
-            for y, _ in ray
-        )
-        return tuple(head), zhead, tuple(ray), zray
-
-
-def cross_line_quadrature(a, b, ctx: PrecisionCtx, T: float = _HEAD_T) -> QuadratureResult:
-    """int zeta(a+it) zeta(b+it) dmu(t) by the deformed-tail line integral."""
-    wp = ctx.working(12)
-    head, zhead, ray, zray = _cross_grid(str(mpf(a)), str(mpf(b)), float(T), wp)
-    with workdps(wp):
-        acc = mpf(0)
-        for (t, w), zv in zip(head, zhead):
-            acc += w * zv.real / (mpf("0.25") + t * t)
-        head_val = 2 * acc / (2 * mp.pi)
-        accA = mpc(0)
-        Tm = mpf(T)
-        for (y, w), zv in zip(ray, zray):
-            t = Tm - 1j * y
-            accA += w * zv / (mpf("0.25") + t * t)
-        value = +(head_val + 2 * (accA / (2 * mp.pi)).imag)
+def cross_line_quadrature(a, b, ctx: PrecisionCtx | None = None,
+                          T: float = _HEAD_T) -> QuadratureResult:
+    """int zeta(a+it) zeta(b+it) dmu(t): the n = 0 moment of the product."""
+    ctx = ctx or PrecisionCtx(25)
+    vals, nodes = _grid_moments([0], (str(mpf(a)), str(mpf(b))), ctx.working(12), T)
     return QuadratureResult(
-        value=value,
+        value=vals[0],
         est_error=10.0 ** (-(ctx.digits - 6)),
         trunc_bound=0.0,
-        nodes_used=len(head) + len(ray),
-        theta_panels=(len(head) + len(ray)) // 12,
+        nodes_used=nodes,
+        theta_panels=nodes // 12,
         notes={"route": "deformed-tail line integral"},
     )
 
@@ -455,7 +414,7 @@ def cross_moment_wow(sigma, ctx: PrecisionCtx):
 
 def _native_adaptive(f_vec, a: float, b: float, base_width, rel_tol: float,
                      abs_floor: float = 1e-13):
-    """Adaptive panel quadrature of a vectorized real integrand on [a, b].
+    """Adaptive panel quadrature of a vectorized real or complex integrand on [a, b].
 
     Each generation of panels is evaluated in one batched call (coarse 12-node
     rule against its two 12-node halves); a panel is accepted when the
@@ -469,7 +428,7 @@ def _native_adaptive(f_vec, a: float, b: float, base_width, rel_tol: float,
         edges.append(min(b, t + base_width(t)))
     los = np.array(edges[:-1])
     his = np.array(edges[1:])
-    total, est, nodes = 0.0, 0.0, 0
+    total, est, nodes = 0.0, 0.0, 0  # total turns complex with the integrand
     depth = 0
     while len(los):
         mids, hws = 0.5 * (los + his), 0.5 * (his - los)
@@ -490,7 +449,7 @@ def _native_adaptive(f_vec, a: float, b: float, base_width, rel_tol: float,
         corr = np.abs(fine - coarse)
         ok = (corr <= rel_tol * np.abs(fine) + abs_floor * (his - los)) \
             | (depth >= 26) | (his - los < 1e-8)
-        total += float(fine[ok].sum())
+        total += fine[ok].sum()
         est += float(corr[ok].sum())
         bad = ~ok
         mid_bad = 0.5 * (los[bad] + his[bad])
@@ -613,10 +572,27 @@ def identity_hnorm(ctx: PrecisionCtx | None = None, T1=60.0, T2=6.0e4) -> Quadra
     return _identity_mean_square(f_nat, f_mp, ctx, T1, T2, extra_tail=1.0)
 
 
-def identity_cross(a, b, ctx: PrecisionCtx | None = None) -> QuadratureResult:
-    """int zeta(a+it) zeta(b+it) dmu by quadrature (deformed-tail route)."""
+def phi_l2_halfline(T1: float = 60.0, T2: float = 6.0e4,
+                    ctx: PrecisionCtx | None = None) -> QuadratureResult:
+    """int_0^inf |phi(1/2+it)|^2 dt = pi (log 2pi - gamma0 - 1) ~ 0.818896.
+
+    Plain Lebesgue half-line integral (not against mu).  phi comes from the
+    identity route phi(s) = (s/(s-1) - zeta(s))/s, so |phi(1/2+it)|^2 =
+    |zeta - s/(s-1)|^2 / (1/4 + t^2) is 2 pi times the identity_hnorm
+    integrand against mu; value, error and tail bound are pi times its own.
+    """
     ctx = ctx or PrecisionCtx(25)
-    return cross_line_quadrature(a, b, ctx)
+    r = identity_hnorm(ctx, T1, T2)
+    with workdps(ctx.working()):
+        value = +(mp.pi * r.value)
+    return QuadratureResult(
+        value=value,
+        est_error=math.pi * r.est_error,
+        trunc_bound=math.pi * r.trunc_bound,
+        nodes_used=r.nodes_used,
+        theta_panels=0,
+        notes={"integrand_at_0": float(np.abs(_h_boundary_native(np.array([0.0])))[0] ** 2 / 0.25)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -627,48 +603,75 @@ def _log_h_native(t: np.ndarray) -> np.ndarray:
     return np.log(np.abs(_h_boundary_native(t)))
 
 
-def log_integral_disk(ctx: PrecisionCtx | None = None, tol=1e-5, T1=60.0, T2=2.0e4) -> QuadratureResult:
-    """(1/2pi) int_{Re s=1/2} log|zeta(s) - s/(s-1)| |ds|/|s|^2.
+def _kernel(z, u):
+    """Disk Herglotz kernel K(z, u) = ((z-1)u + 1)/((z+1)u - 1), mp or numpy."""
+    return ((z - 1) * u + 1) / ((z + 1) * u - 1)
 
-    Equals log(1 - gamma0) plus the (nonnegative) sum of log(1/|w|) over the
-    disk zeros w of the generating function; the returned notes report that
-    excess rather than assuming it away.
+
+def _log_h_kernel_integral(u, ctx: PrecisionCtx, T1: float, T2: float) -> tuple:
+    """int_{|t|<=T2} K(z(t), u) log|h_b(t)| dmu(t), z(t) = (1/2-it)/(1/2+it).
+
+    log|h_b| is even in t, so each t > 0 carries the mean of the kernel at
+    z(t) and at its conjugate and the half-line integral is doubled: mp head
+    on [0, T1], one native pass on [T1, T2].  Returns (value, est, nodes).
     """
-    ctx = ctx or PrecisionCtx(25)
     wp = ctx.working()
+    with workdps(wp):
+        u = mpc(u)
 
-    def f_mp(t):
-        s = mpc(mpf("0.5"), t)
-        return mp.log(abs(_zeta_em_raw(s, wp) - s / (s - 1))) / (
-            2 * mp.pi * (mpf("0.25") + t * t)
-        )
+        def f_mp(t):
+            s = mpc(mpf("0.5"), t)
+            z = (mpf("0.5") - 1j * t) / (mpf("0.5") + 1j * t)
+            k = (_kernel(z, u) + _kernel(mp.conj(z), u)) / 2
+            lg = mp.log(abs(_zeta_em_raw(s, wp) - s / (s - 1)))
+            return k * lg / (2 * mp.pi * (mpf("0.25") + t * t))
 
-    head, head_est, head_nodes = _mp_head_line(f_mp, T1, wp, width=0.5)
+        head, head_est, head_nodes = _mp_head_line(f_mp, T1, wp, width=0.5)
+    uc = complex(u)
+
+    def f_nat(t):
+        z = (0.5 - 1j * t) / (0.5 + 1j * t)
+        k = (_kernel(z, uc) + _kernel(z.conj(), uc)) / 2
+        return k * _log_h_native(t) * _mu_density(t)
+
     far, far_est, far_nodes = _native_adaptive(
-        lambda t: _log_h_native(t) * _mu_density(t),
-        T1, T2,
+        f_nat, T1, T2,
         lambda t: _osc_width(t, periods=1.5, cap=2.0),
         1e-6,
         abs_floor=1e-12,
     )
+    with workdps(wp):
+        value = +(2 * (head + mpc(far)))
+    return value, float(2 * (head_est + far_est)), head_nodes + far_nodes
+
+
+def log_integral_disk(ctx: PrecisionCtx | None = None, T1=60.0, T2=2.0e4) -> QuadratureResult:
+    """(1/2pi) int_{Re s=1/2} log|zeta(s) - s/(s-1)| |ds|/|s|^2.
+
+    Equals log(1 - gamma0) plus the (nonnegative) sum of log(1/|w|) over the
+    disk zeros w of the generating function; the returned notes report that
+    excess rather than assuming it away.  This is Re log Q(1) of
+    :func:`outer_function`, since K(z, 1) = 1.
+    """
+    ctx = ctx or PrecisionCtx(25)
+    expo, est, nodes = _log_h_kernel_integral(1, ctx, T1, T2)
     # tail: mu mass 1/(pi T2) times the slowly growing mean of |log|h||
     trunc = (0.5 * math.log(math.log(T2)) + 1.5) / (math.pi * T2)
-    with workdps(wp):
-        value = +(2 * (mpf(head.real) + mpf(far)))
-        g0 = stieltjes(0, PrecisionCtx(30)).gammas[0]
-        excess = +(value - mp.log(1 - g0))
-    return QuadratureResult(
-        value=value,
-        est_error=float(2 * (head_est + far_est)),
-        trunc_bound=float(trunc),
-        nodes_used=head_nodes + far_nodes,
-        theta_panels=0,
-        notes={
-            "lower_bound_log1mgamma0": float(mp.log(1 - g0)),
-            "jensen_ceiling": float(mp.log(mpf(PARSEVAL_SQ_CEILING)) / 2),
-            "blaschke_excess": float(excess),
-        },
-    )
+    with workdps(ctx.working()):
+        value = +expo.real
+        floor = mp.log(1 - mp.euler)
+        return QuadratureResult(
+            value=value,
+            est_error=est,
+            trunc_bound=float(trunc),
+            nodes_used=nodes,
+            theta_panels=0,
+            notes={
+                "lower_bound_log1mgamma0": float(floor),
+                "jensen_ceiling": float(mp.log(mpf(PARSEVAL_SQ_CEILING)) / 2),
+                "blaschke_excess": float(value - floor),
+            },
+        )
 
 
 def _log_zeta_singular_sum(ordinates: np.ndarray, lo: float, hi: float, h: float,
@@ -708,7 +711,6 @@ def _log_zeta_singular_sum(ordinates: np.ndarray, lo: float, hi: float, h: float
 def bsy_integral(
     T_cutoff: float,
     zero_ordinates: Optional[Sequence[float]] = None,
-    tol=1e-4,
     ctx: PrecisionCtx | None = None,
     T1: float = 30.0,
     singular_halfwidth: float = 0.08,
@@ -797,47 +799,7 @@ def bsy_integral(
     )
 
 
-def phi_l2_halfline(tol=1e-4, T1: float = 60.0, T2: float = 6.0e4,
-                    ctx: PrecisionCtx | None = None) -> QuadratureResult:
-    """int_0^inf |phi(1/2+it)|^2 dt = pi (log 2pi - gamma0 - 1) ~ 0.818896.
-
-    Plain Lebesgue half-line integral (not against mu).  phi comes from the
-    identity route phi(s) = (s/(s-1) - zeta(s))/s, so |phi(1/2+it)|^2 =
-    |zeta - s/(s-1)|^2 / (1/4 + t^2) and the integrand decays like
-    (second-moment density)/t^2.
-    """
-    ctx = ctx or PrecisionCtx(25)
-    wp = ctx.working()
-
-    def f_mp(t):
-        s = mpc(mpf("0.5"), t)
-        hb = _zeta_em_raw(s, wp) - s / (s - 1)
-        return (hb * mp.conj(hb)).real / (mpf("0.25") + t * t)
-
-    head_val, head_est, head_nodes = _mp_head_line(f_mp, T1, wp)
-
-    def f_nat(t):
-        return np.abs(_h_boundary_native(t)) ** 2 / (0.25 + t * t)
-
-    far, far_est, far_nodes = _native_adaptive(
-        f_nat, T1, T2,
-        _osc_width,
-        3e-7,
-    )
-    trunc = (math.log(T2 / TWO_PI) + 2 * GAMMA0_F + 2.0) / T2
-    with workdps(wp):
-        value = +(mpf(head_val.real) + mpf(far))
-    return QuadratureResult(
-        value=value,
-        est_error=float(head_est + far_est),
-        trunc_bound=float(trunc),
-        nodes_used=head_nodes + far_nodes,
-        theta_panels=0,
-        notes={"integrand_at_0": float(f_nat(np.array([0.0]))[0])},
-    )
-
-
-def outer_function(u, tol=1e-4, ctx: PrecisionCtx | None = None,
+def outer_function(u, ctx: PrecisionCtx | None = None,
                    T1: float = 60.0, T2: float = 2.0e4) -> mpc:
     """The outer factor Q(u), Re u > 1/2, of zeta(s) - s/(s-1).
 
@@ -847,52 +809,7 @@ def outer_function(u, tol=1e-4, ctx: PrecisionCtx | None = None,
     boundary modulus; Q(1) ties to log_integral_disk.
     """
     ctx = ctx or PrecisionCtx(25)
-    wp = ctx.working()
-    with workdps(wp):
-        u = mpc(u)
-        if u.real <= mpf("0.5"):
+    with workdps(ctx.working()):
+        if mpc(u).real <= mpf("0.5"):
             raise ValueError("outer function defined for Re u > 1/2")
-
-        def f_mp(t):
-            # both boundary half-lines at once: log|h_b| is even in t, the
-            # kernel is evaluated at z(t) and its conjugate
-            s = mpc(mpf("0.5"), t)
-            z = (mpf("0.5") - 1j * t) / (mpf("0.5") + 1j * t)
-            k1 = ((z - 1) * u + 1) / ((z + 1) * u - 1)
-            zc = mp.conj(z)
-            k2 = ((zc - 1) * u + 1) / ((zc + 1) * u - 1)
-            lg = mp.log(abs(_zeta_em_raw(s, wp) - s / (s - 1)))
-            return (k1 + k2) * lg / (2 * mp.pi * (mpf("0.25") + t * t))
-
-        head_val, head_est, head_nodes = _mp_head_line(f_mp, T1, wp, width=0.5)
-
-    uc = complex(u)
-
-    def f_nat_re(t):
-        z = (0.5 - 1j * t) / (0.5 + 1j * t)
-        k = ((z - 1) * uc + 1) / ((z + 1) * uc - 1)
-        return (k * _log_h_native(t)).real * _mu_density(t)
-
-    def f_nat_re_neg(t):
-        z = (0.5 + 1j * t) / (0.5 - 1j * t)
-        k = ((z - 1) * uc + 1) / ((z + 1) * uc - 1)
-        return (k * _log_h_native(t)).real * _mu_density(t)
-
-    def f_nat_im(t):
-        z = (0.5 - 1j * t) / (0.5 + 1j * t)
-        k = ((z - 1) * uc + 1) / ((z + 1) * uc - 1)
-        return (k * _log_h_native(t)).imag * _mu_density(t)
-
-    def f_nat_im_neg(t):
-        z = (0.5 + 1j * t) / (0.5 - 1j * t)
-        k = ((z - 1) * uc + 1) / ((z + 1) * uc - 1)
-        return (k * _log_h_native(t)).imag * _mu_density(t)
-
-    wfn = lambda t: _osc_width(t, periods=1.5, cap=2.0)
-    re_p, _, _ = _native_adaptive(f_nat_re, T1, T2, wfn, 1e-6, abs_floor=1e-12)
-    re_m, _, _ = _native_adaptive(f_nat_re_neg, T1, T2, wfn, 1e-6, abs_floor=1e-12)
-    im_p, _, _ = _native_adaptive(f_nat_im, T1, T2, wfn, 1e-6, abs_floor=1e-12)
-    im_m, _, _ = _native_adaptive(f_nat_im_neg, T1, T2, wfn, 1e-6, abs_floor=1e-12)
-    with workdps(wp):
-        expo = mpc(head_val) + mpc(re_p + re_m, im_p + im_m)
-        return +mp.exp(expo)
+        return +mp.exp(_log_h_kernel_integral(u, ctx, T1, T2)[0])

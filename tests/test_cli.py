@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from zetaline import cli
 from zetaline.cli import main
 
 
@@ -66,6 +67,17 @@ def test_precision_error_exit_code(capsys):
     assert main(["coeffs", "--nmax", "100", "--digits", "61"]) == 3
 
 
+def test_power_table_builds_no_stieltjes_table(capsys, monkeypatch):
+    """Only the branches that read Stieltjes constants build a table of them."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("coeffs --power built a Stieltjes table")
+
+    monkeypatch.setattr(cli.zeta_mod, "stieltjes", no_table)
+    code, out = run_cli(["coeffs", "--power", "2", "--nmax", "8", "--digits", "62"], capsys)
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["values"]][:3] == [-2, -1, 0]
+
+
 def test_quad_bsy_small(capsys):
     code, out = run_cli(["quad", "bsy", "--tcut", "300"], capsys)
     assert code == 0
@@ -89,6 +101,12 @@ def test_ergodic_subcommand_small(capsys):
     assert '"prediction_re"' in out
     assert '"median_final_re"' in out
     assert '"skip_rate"' in out
+
+
+def test_ergodic_refuses_unwritable_cache(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(["ergodic", "--g", "em:1", "--iters", "100", "--seeds", "1"]) == 2
+    assert "not writable" in capsys.readouterr().err
 
 
 def test_console_entrypoint_help():

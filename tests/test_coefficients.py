@@ -180,6 +180,13 @@ def test_decay_diagnostics(crit):
     assert math.isfinite(diag.alpha_fit)
 
 
+def test_parseval_ceiling_matches_closed_form():
+    """The ceiling is log 2pi - gamma_0 - 1 to all 40 stored digits."""
+    with workdps(60):
+        exact = mp.log(2 * mp.pi) - mp.euler - 1
+        assert abs(mpf(PARSEVAL_SQ_CEILING) - exact) < mpf("1e-39")
+
+
 def test_table_serialization_roundtrip(crit):
     import json
 

@@ -1,5 +1,7 @@
+import numpy as np
 from mpmath import mp, mpc, mpf, workdps
 
+from zetaline import quadrature
 from zetaline.coefficients import PARSEVAL_SQ_CEILING, coeffs_critical, coeffs_line
 from zetaline.precision import PrecisionCtx
 from zetaline.quadrature import (
@@ -135,6 +137,26 @@ def test_log_disk_window_quick():
     v = float(r.value)
     assert r.notes["lower_bound_log1mgamma0"] - 1e-3 <= v <= r.notes["jensen_ceiling"] + 1e-3
     assert r.notes["blaschke_excess"] >= -1e-3
+
+
+def test_log_disk_needs_no_stieltjes_table(monkeypatch):
+    """gamma_0 in the notes is Euler's constant; no contour table is built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("log_integral_disk built a Stieltjes table")
+
+    monkeypatch.setattr(quadrature, "stieltjes", no_table)
+    r = log_integral_disk(T1=1.0, T2=600.0)
+    with workdps(40):
+        assert abs(mpf(repr(r.notes["lower_bound_log1mgamma0"])) - mp.log(1 - mp.euler)) < mpf("1e-15")
+    assert r.notes["blaschke_excess"] >= -1e-3
+
+
+def test_native_adaptive_complex_integrand():
+    """The imaginary part of a complex integrand is integrated, not dropped."""
+    value, est, _ = quadrature._native_adaptive(
+        lambda t: np.exp(1j * t), 0.0, 10.0, lambda t: 1.0, 1e-12)
+    assert abs(value - (np.exp(10j) - 1) / 1j) < 1e-12
+    assert est < 1e-10
 
 
 def test_bsy_small_cutoff():
