@@ -43,20 +43,12 @@ def _print_json(payload) -> None:
 def _table_for(n_max: int, digits: int, sigma=None, power=None):
     ctx = PrecisionCtx(digits)
     if sigma is not None:
-        gam = zeta_mod.stieltjes(_line_table_depth(sigma, n_max, ctx), ctx)
+        gam = zeta_mod.stieltjes(coeffs_mod.line_table_depth(sigma, n_max, ctx), ctx)
         return coeffs_mod.coeffs_line(sigma, -max(n_max, 1), n_max, gam, ctx)
     if power is not None:
         lam = zeta_mod.laurent_power_coeffs(power, n_max + power, ctx)
         return coeffs_mod.coeffs_power(power, -power, n_max, lam, ctx)
     return coeffs_mod.coeffs_critical(n_max, zeta_mod.stieltjes(max(n_max, 2), ctx), ctx)
-
-
-def _line_table_depth(sigma, n_max: int, ctx: PrecisionCtx) -> int:
-    import math
-
-    x = float(mpf(sigma) - mpf("0.5"))
-    ratio = x / math.pi
-    return n_max + int((ctx.digits + 10) * math.log(10) / -math.log(ratio)) + 4
 
 
 def cmd_stieltjes(args) -> int:

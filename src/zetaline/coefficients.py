@@ -1,24 +1,29 @@
 """Coefficient families of zeta against the Cauchy-measure Fourier basis.
 
-Three families, all ultimately built from exact binomials and the Stieltjes /
-Laurent tables of :mod:`zetaline.zeta`:
+Every family is a binomial transform of the Taylor coefficients
+a_k = (-1)**k gamma_k / k! of zeta(s) - 1/(s-1) at s = 1, read from
+``StieltjesTable.taylor``.  For n >= 1 each family is
 
-* ``critical``: the boundary family for the line Re s = 1/2.  Entry -1 is
-  exactly -1, entry 0 is gamma_0 - 1, and for n >= 1
+      (-1)**n sum_{k=1}^{n} C(n-1, k-1) b_k
 
-      ell_n = (-1)**n sum_{k=1}^{n} C(n-1, k-1) (-1)**k gamma_k / k!
+for its own sequence b_k:
 
-* ``line(sigma0)``: the family for Re s = sigma0 > 1/2, sigma0 != 1.  For
-  1/2 < sigma0 < 1 the positive-index entries are binomial sums of the Taylor
-  coefficients of zeta(s) - 1/(s-1) at sigma0 + 1/2 (algebraically identical
-  to the k-th-derivative form with its pole correction, but free of the
-  cancellation between the two), the negative indices follow the closed
-  geometric form from the pole at 3/2 - sigma0, and entry 0 is
-  zeta(sigma0+1/2) - 1/(sigma0-1/2) - 1/(3/2-sigma0).  For sigma0 > 1 there
-  is no pole correction and the negative indices vanish.
+* ``critical``: the boundary family for the line Re s = 1/2, with b_k = a_k.
+  Entry -1 is exactly -1 and entry 0 is a_0 - 1 = gamma_0 - 1.
 
-* ``power(k)``: the family for zeta**k on the critical line, from the
-  lambda_{m,k} table; zero for n < -k.
+* ``line(sigma0)``: the family for Re s = sigma0 > 1/2, sigma0 != 1.  b_k is
+  the k-th Taylor coefficient of zeta(s) - 1/(s-1) at sigma0 + 1/2, a series
+  in the a_j (algebraically identical to the k-th-derivative form with its
+  pole correction, but free of the cancellation between the two); for
+  sigma0 > 1 the pole term (-1)**k / (sigma0 - 1/2)**(k+1) is added back.
+  For 1/2 < sigma0 < 1 the negative indices follow the closed geometric form
+  from the pole at 3/2 - sigma0, and entry 0 is
+  zeta(sigma0+1/2) - 1/(sigma0-1/2) - 1/(3/2-sigma0).  For sigma0 > 1 the
+  negative indices vanish.
+
+* ``power(k)``: the family for zeta**k on the critical line, with
+  b_j = lambda_{j+k,k} / (j+k)! from the series powers of
+  :func:`zetaline.zeta.laurent_power_coeffs`; zero for n < -k.
 
 The positive-index binomial sums cancel catastrophically: terms reach about
 1.3183**n while the results shrink, so construction demands the documented
@@ -35,14 +40,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpc, mpf, workdps
 
 from .precision import PrecisionCtx, binom_exact, hreal_to_str
-from .zeta import (
-    LaurentTable,
-    StieltjesTable,
-    stieltjes,
-    zeta_derivative,
-    zeta_em,
-    zeta_minus_pole,
-)
+from .zeta import LaurentTable, StieltjesTable, zeta_derivative, zeta_em
 
 __all__ = [
     "CoeffTable",
@@ -51,6 +49,7 @@ __all__ = [
     "coeffs_critical",
     "coeffs_line",
     "coeffs_power",
+    "line_table_depth",
     "binom_transform",
     "binom_inverse",
     "decay_diagnostics",
@@ -137,46 +136,63 @@ def _reserve_check(n_max: int, ctx: PrecisionCtx):
         )
 
 
+def _binomial_sums(b: Sequence, n_lo: int, n_max: int, ctx: PrecisionCtx) -> list:
+    """(-1)^n sum_{k=1}^{n} C(n-1, k-1) b_k for n = n_lo..n_max, k ascending."""
+    vals = []
+    with workdps(ctx.working(15)):
+        for n in range(n_lo, n_max + 1):
+            acc = mpf(0)
+            for k in range(1, n + 1):
+                acc += binom_exact(n - 1, k - 1) * b[k]
+            vals.append(+(acc * (-1) ** n))
+    return vals
+
+
 def coeffs_critical(n_max: int, gammas: StieltjesTable, ctx: PrecisionCtx) -> CoeffTable:
     """The critical-line family for n = -1..n_max."""
     _reserve_check(n_max, ctx)
     if gammas.k_max < n_max:
         raise InsufficientTableError(f"need gamma_k through k={n_max}, table has {gammas.k_max}")
-    wp = ctx.working(15)
-    with workdps(wp):
-        a = [gammas.gammas[k] * (-1) ** k / mp.factorial(k) for k in range(n_max + 1)]
+    a = gammas.taylor
+    with workdps(ctx.working(15)):
         vals = [mpf(-1), a[0] - 1]
-        for n in range(1, n_max + 1):
-            acc = mpf(0)
-            for k in range(1, n + 1):
-                acc += binom_exact(n - 1, k - 1) * a[k]
-            vals.append(+(acc * (-1) ** n))
+    vals += _binomial_sums(a, 1, n_max, ctx)
     return CoeffTable(
         family="critical", n_min=-1, n_max=n_max, values=tuple(vals), digits=ctx.digits
     )
 
 
+def line_table_depth(sigma0, n_max: int, ctx: PrecisionCtx) -> int:
+    """Deepest gamma_j the line family at sigma0 reads for entries up to n_max.
+
+    The Taylor series of zeta(s) - 1/(s-1) about s = 1, re-expanded at
+    sigma0 + 1/2, converges geometrically with ratio (sigma0 - 1/2)/pi (the
+    Berndt bound); the depth carries it below 10**-(digits + 10).
+    """
+    with workdps(ctx.working(15)):
+        ratio = float((mpf(sigma0) - mpf("0.5")) / mp.pi)
+    if ratio >= 0.9:
+        raise InsufficientTableError(
+            f"gamma-series for derivatives diverges too slowly at sigma0={sigma0}"
+        )
+    return n_max + int((ctx.digits + 10) * math.log(10) / -math.log(ratio)) + 2
+
+
 def _line_taylor_coeffs(sigma0, k_top: int, gammas: StieltjesTable, ctx: PrecisionCtx) -> list:
     """Taylor coefficients c_k of zeta(s) - 1/(s-1) at s = sigma0 + 1/2.
 
-    c_k = sum_{j>=k} C(j,k) (-1)^j gamma_j / j! (sigma0 - 1/2)^{j-k}; the
-    Berndt bound makes the series geometric with ratio (sigma0 - 1/2)/pi.
+    c_k = sum_{j>=k} C(j,k) a_j (sigma0 - 1/2)^{j-k}, with a_j read from the
+    table's ``taylor`` through :func:`line_table_depth`.
     """
-    wp = ctx.working(15)
-    with workdps(wp):
+    j_need = line_table_depth(sigma0, k_top, ctx)
+    if gammas.k_max < j_need:
+        raise InsufficientTableError(
+            f"line family at sigma0={sigma0} needs gamma table k_max >= {j_need}, "
+            f"got {gammas.k_max}"
+        )
+    a = gammas.taylor
+    with workdps(ctx.working(15)):
         x = mpf(sigma0) - mpf("0.5")
-        ratio = float(x / mp.pi)
-        if ratio >= 0.9:
-            raise InsufficientTableError(
-                f"gamma-series for derivatives diverges too slowly at sigma0={sigma0}"
-            )
-        j_need = k_top + int((ctx.digits + 10) * math.log(10) / -math.log(ratio)) + 2
-        if gammas.k_max < j_need:
-            raise InsufficientTableError(
-                f"line family at sigma0={sigma0} needs gamma table k_max >= {j_need}, "
-                f"got {gammas.k_max}"
-            )
-        a = [gammas.gammas[j] * (-1) ** j / mp.factorial(j) for j in range(j_need + 1)]
         cs = []
         for k in range(k_top + 1):
             acc = mpf(0)
@@ -204,8 +220,7 @@ def coeffs_line(
         raise ValueError("sigma0 = 1 excluded: t -> zeta(1+it) is not square-integrable")
     if n_max >= 1:
         _reserve_check(n_max, ctx)
-    wp = ctx.working(15)
-    with workdps(wp):
+    with workdps(ctx.working(15)):
         half = mpf("0.5")
         x = sigma0 - half
         cs = _line_taylor_coeffs(sigma0, max(n_max, 0), gammas, ctx) if n_max >= 1 else []
@@ -222,14 +237,9 @@ def coeffs_line(
                 vals.append(+z_val.real)
             else:
                 vals.append(+(z_val.real - 1 / x - 1 / (mpf("1.5") - sigma0)))
-        for n in range(max(n_min, 1), n_max + 1):
-            acc = mpf(0)
-            for k in range(1, n + 1):
-                term = cs[k]
-                if sigma0 > 1:
-                    term = term + (-1) ** k / x ** (k + 1)
-                acc += binom_exact(n - 1, k - 1) * term
-            vals.append(+(acc * (-1) ** n))
+        if sigma0 > 1:
+            cs = [c + (-1) ** k / x ** (k + 1) for k, c in enumerate(cs)]
+    vals += _binomial_sums(cs, max(n_min, 1), n_max, ctx)
     return CoeffTable(
         family="line",
         n_min=n_min,
@@ -285,8 +295,7 @@ def coeffs_power(
         raise InsufficientTableError(
             f"need lambda_(m,{k}) through m={n_max + k}, table has {lambdas.m_max}"
         )
-    wp = ctx.working(15)
-    with workdps(wp):
+    with workdps(ctx.working(15)):
         lam = [lambdas.lambdas[m] / mp.factorial(m) for m in range(lambdas.m_max + 1)]
         vals = []
         for n in range(n_min, min(n_max, 0) + 1):
@@ -297,11 +306,7 @@ def coeffs_power(
             for j in range(0, k + n + 1):
                 acc += binom_exact(k - j, -n) * (-1) ** j * lam[j]
             vals.append(+(acc * (-1) ** k))
-        for n in range(max(n_min, 1), n_max + 1):
-            acc = mpf(0)
-            for j in range(1, n + 1):
-                acc += binom_exact(n - 1, j - 1) * lam[j + k]
-            vals.append(+(acc * (-1) ** n))
+    vals += _binomial_sums(lam[k:], max(n_min, 1), n_max, ctx)
     return CoeffTable(
         family="power", n_min=n_min, n_max=n_max, values=tuple(vals),
         digits=ctx.digits, k=k,

@@ -274,12 +274,10 @@ def line_comparison_csv(ts, N: int, coeffs: CoeffTable, ctx: PrecisionCtx | None
 
     Z_N is the boundary partial sum gamma0 - 1/(1/2 - it) + sum_{n<=N} ell_n e_n.
     """
-    from .zeta import stieltjes, zeta_em
-
     ctx = ctx or PrecisionCtx(30)
-    gamma0 = stieltjes(2, ctx).gammas[0]
     lines = ["t,zeta_re,zeta_im,partial_re,partial_im,abs_error"]
     with workdps(ctx.working()):
+        gamma0 = +mp.euler
         for t in ts:
             t = mpf(t)
             zv = zeta_em(mpc(mpf("0.5"), t), ctx)

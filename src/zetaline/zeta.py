@@ -7,8 +7,12 @@ Everything here reduces to two workhorses:
   order; and
 * trapezoid contour extraction of Taylor coefficients of the entire function
   g(s) = zeta(s) - 1/(s-1) on the circle |s - 1| = 3, which yields the
-  Stieltjes constants gamma_k = (-1)^k k! [g]_k and, applied to powers of
-  (s-1) zeta(s), the coefficient family lambda_{m,k}.
+  Stieltjes constants gamma_k = (-1)^k k! [g]_k.
+
+Every other table is derived from that one: ``StieltjesTable.taylor`` holds
+the Taylor coefficients a_k = (-1)^k gamma_k / k! of g at s = 1, and the
+lambda_{m,k} family is m! [u^m] (1 + u sum_j a_j u^j)^k, computed by exact
+series multiplication.
 
 The radius-3 circle reaches Re s = -2, left of the public evaluation region,
 so the contour uses the raw Euler-Maclaurin path (valid far left of the strip
@@ -21,8 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from mpmath import mp, mpc, mpf, workdps
@@ -38,7 +41,6 @@ __all__ = [
     "ZetaPoleError",
     "RegionError",
     "ContourError",
-    "StieltjesMethod",
     "StieltjesTable",
     "LaurentTable",
     "zeta_em",
@@ -158,12 +160,11 @@ def zeta_minus_pole(s, ctx: PrecisionCtx) -> mpc:
         s = mpc(s)
         if abs(s - 1) < mpf("0.05"):
             k_top = max(24, ctx.digits // 2 + 6)  # terms gain ~1.8 digits each
-            table = stieltjes(k_top, PrecisionCtx(max(ctx.digits, 30)))
+            taylor = stieltjes(k_top, PrecisionCtx(max(ctx.digits, 30))).taylor
             u = s - 1
             acc = mpc(0)
             for k in range(k_top, -1, -1):
-                term = table.gammas[k] * (-1) ** k / mp.factorial(k)
-                acc = acc * u + term
+                acc = acc * u + taylor[k]
             return +acc
         if s.real <= -1:
             raise RegionError(f"zeta_minus_pole implements Re s > -1 only, got {s}")
@@ -226,18 +227,12 @@ def _stieltjes_nodes(k_max: int, wp: int) -> int:
     return M + (M % 2)
 
 
-class StieltjesMethod(str, Enum):
-    CONTOUR = "contour"
-    LIMIT_ACCEL = "limit-accel"
-
-
 @dataclass(frozen=True)
 class StieltjesTable:
-    """gamma_0 .. gamma_{k_max} with method and accuracy metadata."""
+    """gamma_0 .. gamma_{k_max} from the contour, with accuracy metadata."""
 
     k_max: int
     gammas: tuple
-    method: StieltjesMethod
     digits: int
     est_errors: tuple = ()
 
@@ -249,11 +244,20 @@ class StieltjesTable:
             if not berndt_bound_holds(self.gammas[k], k):
                 raise ValueError(f"Berndt bound violated at k = {k}")
 
+    @cached_property
+    def taylor(self) -> tuple:
+        """a_k = (-1)^k gamma_k / k!: Taylor coefficients of zeta(s) - 1/(s-1) at 1.
+
+        Rounded at digits + 15, the precision the coefficient sums run at.
+        """
+        with workdps(PrecisionCtx(self.digits).working(15)):
+            return tuple(g * (-1) ** k / mp.factorial(k) for k, g in enumerate(self.gammas))
+
     def to_json(self) -> str:
         payload = {
             "schema_version": 1,
             "digits": self.digits,
-            "method": self.method.value,
+            "method": "contour",
             "values": [
                 {"k": k, "gamma": hreal_to_str(g, self.digits)}
                 for k, g in enumerate(self.gammas)
@@ -282,7 +286,6 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
         return StieltjesTable(
             k_max=k_max,
             gammas=tuple(cached),
-            method=StieltjesMethod.CONTOUR,
             digits=digits,
             est_errors=tuple(err_cached),
         )
@@ -302,7 +305,6 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     table = StieltjesTable(
         k_max=k_max,
         gammas=tuple(gammas),
-        method=StieltjesMethod.CONTOUR,
         digits=digits,
         est_errors=tuple(errs),
     )
@@ -437,32 +439,21 @@ class LaurentTable:
             return self.lambdas[m] / mp.factorial(m)
 
 
-@lru_cache(maxsize=32)
-def _laurent_cached(k: int, m_max: int, digits: int) -> LaurentTable:
-    from . import cache as _cache
-
-    key = f"laurent_p{k}_m{m_max}_d{digits}"
-    cached = _cache.load_values(key, digits)
-    if cached is not None and len(cached) == m_max + 1:
-        return LaurentTable(k=k, m_max=m_max, lambdas=tuple(cached), digits=digits)
-    wp = digits + max(10, int(math.ceil(0.05 * m_max)) + 10) + 2 * k
-    M = _stieltjes_nodes(m_max, wp)
-    m2 = 2 * M
-    grid = _circle_grid(m2, wp + 10)
-    with workdps(wp + 10):
-        fvals = []
-        for j, zv in enumerate(grid):
-            u = 3 * mp.expjpi(mpf(2 * j) / m2)  # s - 1 on the circle
-            fvals.append((u * zv) ** k)
-        coeffs = _extract_taylor(tuple(fvals), m2, 1, m_max, wp + 10)
-        lambdas = tuple(+(c * mp.factorial(m)) for m, c in enumerate(coeffs))
-    table = LaurentTable(k=k, m_max=m_max, lambdas=lambdas, digits=digits)
-    _cache.store_values(key, digits, table.lambdas)
-    return table
-
-
 def laurent_power_coeffs(k: int, m_max: int, ctx: PrecisionCtx) -> LaurentTable:
-    """Taylor data of (s-1)^k zeta(s)^k at s = 1 by the same contour method."""
+    """Taylor data of (s-1)^k zeta(s)^k at s = 1, from the Stieltjes table.
+
+    (s-1) zeta(s) = 1 + u sum_j a_j u^j with u = s - 1, so lambda_{m,k} is
+    m! times the u^m coefficient of that series raised to the k-th power.
+    """
     if k < 1:
         raise ValueError("power k must be >= 1")
-    return _laurent_cached(k, m_max, ctx.digits)
+    taylor = stieltjes(m_max, ctx).taylor
+    with workdps(ctx.working(15)):
+        base = (mpf(1),) + taylor[:m_max]
+        power = base
+        for _ in range(k - 1):
+            power = tuple(
+                mp.fsum(power[j] * base[m - j] for j in range(m + 1)) for m in range(m_max + 1)
+            )
+        lambdas = tuple(+(c * mp.factorial(m)) for m, c in enumerate(power))
+    return LaurentTable(k=k, m_max=m_max, lambdas=lambdas, digits=ctx.digits)

@@ -1,9 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
-from zetaline import cli
+import pytest
+
+from zetaline import cache, cli
 from zetaline.cli import main
+from zetaline.coefficients import InsufficientTableError, coeffs_line
+from zetaline.precision import PrecisionCtx
 
 
 def run_cli(args, capsys):
@@ -67,15 +72,48 @@ def test_precision_error_exit_code(capsys):
     assert main(["coeffs", "--nmax", "100", "--digits", "61"]) == 3
 
 
-def test_power_table_builds_no_stieltjes_table(capsys, monkeypatch):
-    """Only the branches that read Stieltjes constants build a table of them."""
-    def no_table(*args, **kwargs):
-        raise AssertionError("coeffs --power built a Stieltjes table")
+def test_power_table_reads_one_stieltjes_table(capsys, monkeypatch):
+    """The power family is derived from one Stieltjes table; no second table is stored."""
+    calls, stored = [], []
+    real_stieltjes, real_store = cli.zeta_mod.stieltjes, cache.store_values
 
-    monkeypatch.setattr(cli.zeta_mod, "stieltjes", no_table)
+    def recording_stieltjes(k_max, ctx):
+        calls.append((k_max, ctx.digits))
+        return real_stieltjes(k_max, ctx)
+
+    def recording_store(key, digits, values):
+        stored.append(key)
+        real_store(key, digits, values)
+
+    monkeypatch.setattr(cli.zeta_mod, "stieltjes", recording_stieltjes)
+    monkeypatch.setattr(cache, "store_values", recording_store)
     code, out = run_cli(["coeffs", "--power", "2", "--nmax", "8", "--digits", "62"], capsys)
     assert code == 0
     assert [row["n"] for row in json.loads(out)["values"]][:3] == [-2, -1, 0]
+    assert calls == [(10, 62)]
+    assert not [key for key in stored if key.startswith("laurent_")]
+
+
+def test_sigma_table_depth_is_what_coeffs_line_checks(capsys, monkeypatch):
+    """coeffs --sigma asks for exactly the shallowest table coeffs_line accepts."""
+    ctx = PrecisionCtx(66)
+    deep = cli.zeta_mod.stieltjes(130, ctx)
+    asked = []
+
+    def truncated(k_max):
+        return replace(deep, k_max=k_max, gammas=deep.gammas[: k_max + 1],
+                       est_errors=deep.est_errors[: k_max + 1])
+
+    def recording_stieltjes(k_max, ctx):
+        asked.append(k_max)
+        return truncated(k_max)
+
+    monkeypatch.setattr(cli.zeta_mod, "stieltjes", recording_stieltjes)
+    code, _ = run_cli(["coeffs", "--sigma", "0.75", "--nmax", "10", "--digits", "66"], capsys)
+    assert code == 0
+    assert len(asked) == 1
+    with pytest.raises(InsufficientTableError):
+        coeffs_line("0.75", -10, 10, truncated(asked[0] - 1), ctx)
 
 
 def test_quad_bsy_small(capsys):

@@ -9,12 +9,14 @@ from zetaline.series import (
     cs_bound_check,
     cs_tail_bound,
     eval_h,
+    line_comparison_csv,
     partial_sum_fN,
     phi,
     phi_integral_oracle,
     polylog,
     zeta_via_series,
 )
+from zetaline import zeta as zeta_mod
 from zetaline.zeta import ZetaPoleError, stieltjes, zeta_em
 from zetaline.coefficients import coeffs_critical
 
@@ -218,3 +220,17 @@ def test_boundary_partial_sums_improve(crit):
                 zn = gamma0 - 1 / (mpf("0.5") - 1j * tt) + acc
                 errs.append(abs(zn - target))
             assert errs[-1] < errs[0]
+
+
+def test_line_comparison_needs_no_stieltjes_table(crit, monkeypatch):
+    """gamma_0 in Z_N is Euler's constant; no contour table is built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("line_comparison_csv built a Stieltjes table")
+
+    monkeypatch.setattr(zeta_mod, "stieltjes", no_table)
+    rows = line_comparison_csv([0], 10, crit, PrecisionCtx(30)).splitlines()
+    assert rows[0] == "t,zeta_re,zeta_im,partial_re,partial_im,abs_error"
+    with workdps(40):
+        # e_n(0) = 1, so Z_N(0) = gamma_0 - 2 + sum_{n<=N} ell_n
+        expect = mp.euler - 2 + mp.fsum(crit.value(n) for n in range(1, 11))
+    assert abs(float(rows[1].split(",")[3]) - float(expect)) < 1e-14

@@ -168,3 +168,13 @@ def test_laurent_leading_is_one_for_k3():
     lam = laurent_power_coeffs(3, 6, PrecisionCtx(30))
     with workdps(40):
         assert abs(lam.lambdas[0] - 1) < mpf("1e-24")
+
+
+def test_laurent_k3_against_mpmath_taylor():
+    """Independent of the Stieltjes table: mpmath's own zeta and Cauchy quadrature."""
+    lam = laurent_power_coeffs(3, 6, PrecisionCtx(30))
+    with workdps(25):
+        ref = mp.taylor(lambda s: ((s - 1) * mp.zeta(s)) ** 3, 1, 6, method="quad", radius=1)
+    with workdps(40):
+        for m in range(7):
+            assert abs(lam.coeff(m) - ref[m]) < mpf("1e-24")
