@@ -296,7 +296,7 @@ def coeffs_power(
             f"need lambda_(m,{k}) through m={n_max + k}, table has {lambdas.m_max}"
         )
     with workdps(ctx.working(15)):
-        lam = [lambdas.lambdas[m] / mp.factorial(m) for m in range(lambdas.m_max + 1)]
+        lam = lambdas.taylor
         vals = []
         for n in range(n_min, min(n_max, 0) + 1):
             if n < -k:

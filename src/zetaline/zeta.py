@@ -9,10 +9,15 @@ Everything here reduces to two workhorses:
   g(s) = zeta(s) - 1/(s-1) on the circle |s - 1| = 3, which yields the
   Stieltjes constants gamma_k = (-1)^k k! [g]_k.
 
+The contour doubles its node count M, from max(64, 4 k_max), until the M-
+and 2M-node coefficients agree to 10^-wp on the circle's scale (see
+``stieltjes``).  g is entire, so a few hundred nodes suffice where the
+a-priori Berndt bound asks for thousands; that bound only caps the doubling.
+
 Every other table is derived from that one: ``StieltjesTable.taylor`` holds
-the Taylor coefficients a_k = (-1)^k gamma_k / k! of g at s = 1, and the
-lambda_{m,k} family is m! [u^m] (1 + u sum_j a_j u^j)^k, computed by exact
-series multiplication.
+the Taylor coefficients a_k = (-1)^k gamma_k / k! of g at s = 1, and
+``LaurentTable.taylor`` holds [u^m] (1 + u sum_j a_j u^j)^k, computed by
+exact series multiplication; lambda_{m,k} is m! times that.
 
 The radius-3 circle reaches Re s = -2, left of the public evaluation region,
 so the contour uses the raw Euler-Maclaurin path (valid far left of the strip
@@ -26,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 from mpmath import mp, mpc, mpf, workdps
 
@@ -176,55 +180,50 @@ def zeta_minus_pole(s, ctx: PrecisionCtx) -> mpc:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _circle_grid(m2: int, wp: int) -> tuple:
-    """zeta evaluated at s_j = 1 + 3 exp(2 pi i j / m2), j = 0..m2-1.
-
-    Conjugate symmetry halves the work; the grid at 2M nodes contains the
-    M-node grid, so doubling-based error estimates reuse every evaluation.
-    """
+def _unit_roots(m: int, wp: int) -> tuple:
     with workdps(wp):
-        half = m2 // 2
-        evals = [None] * m2
-        for j in range(half + 1):
-            s = 1 + 3 * mp.expjpi(mpf(2 * j) / m2)
-            evals[j] = _zeta_em_raw(s, wp)
-        for j in range(half + 1, m2):
-            evals[j] = mp.conj(evals[m2 - j])
-        return tuple(evals)
+        return tuple(mp.expjpi(mpf(2 * j) / m) for j in range(m))
 
 
 @lru_cache(maxsize=8)
-def _unit_roots(m2: int, wp: int) -> tuple:
+def _circle_grid(m: int, wp: int) -> tuple:
+    """zeta evaluated at s_j = 1 + 3 w_j, w_j = exp(2 pi i j / m), j = 0..m-1.
+
+    Conjugate symmetry halves the work, and a doubled grid (m >= 128, 4 | m)
+    takes its even nodes from the m/2-node grid: only the odd ones are new.
+    """
+    roots = _unit_roots(m, wp)
     with workdps(wp):
-        return tuple(mp.expjpi(mpf(2 * j) / m2) for j in range(m2))
+        half = m // 2
+        evals = [None] * m
+        if m % 4 == 0 and m >= 128:
+            evals[::2] = _circle_grid(half, wp)
+            new = range(1, half, 2)
+        else:
+            new = range(half + 1)
+        for j in new:
+            evals[j] = _zeta_em_raw(1 + 3 * roots[j], wp)
+        for j in range(half + 1, m):
+            evals[j] = mp.conj(evals[m - j])
+        return tuple(evals)
 
 
-def _extract_taylor(fvals: Sequence, m2: int, step: int, k_max: int, wp: int) -> list:
-    """Trapezoid Taylor coefficients a_k = (1/(M R^k)) sum_j f_j w^{-jk}, R=3.
+def _contour_taylor(m: int, k_max: int, wp: int) -> list:
+    """a_k = (1/(m 3^k)) sum_j g(s_j) w_j^-k for g = zeta - 1/(s-1), k <= k_max.
 
-    ``fvals`` live on the 2M grid; ``step`` selects every step-th node.
+    The m-node (m even) trapezoid rule on the circle of _circle_grid.
     Conjugate-pair folding keeps the result exactly real-symmetric.
     """
+    roots = _unit_roots(m, wp)
     with workdps(wp):
-        M = m2 // step
-        roots = _unit_roots(m2, wp)
-        R = mpf(3)
+        g = [z - 1 / (3 * w) for z, w in zip(_circle_grid(m, wp), roots)]
         out = []
-        f_half = fvals[(M // 2) * step]  # node at angle pi (M is always even)
         for k in range(k_max + 1):
-            acc = (fvals[0] + f_half if k % 2 == 0 else fvals[0] - f_half).real
-            for j in range(1, M // 2):
-                w = roots[(-j * k * step) % m2]
-                acc += 2 * (fvals[j * step] * w).real
-            out.append(acc / (M * R ** k))
+            acc = (g[0] + g[m // 2] if k % 2 == 0 else g[0] - g[m // 2]).real
+            for j in range(1, m // 2):
+                acc += 2 * (g[j] * roots[(-j * k) % m]).real
+            out.append(acc / (m * mpf(3) ** k))
         return out
-
-
-def _stieltjes_nodes(k_max: int, wp: int) -> int:
-    """Node count: aliasing (3/pi)^M below 10^-wp, floor max(64, 4 k_max)."""
-    m_alias = int((wp + 5) * math.log(10) / math.log(math.pi / 3.0)) + 1
-    M = max(64, 4 * k_max, m_alias)
-    return M + (M % 2)
 
 
 @dataclass(frozen=True)
@@ -280,46 +279,43 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     if wp > 50_000:
         raise PrecisionUnachievableError(f"stieltjes working precision {wp} too large")
     key = f"stieltjes_k{k_max}_d{digits}"
-    cached = _cache.load_values(key, digits)
-    err_cached = _cache.load_values(key + "_err", digits) if cached else None
-    if cached is not None and err_cached is not None and len(cached) == k_max + 1:
-        return StieltjesTable(
-            k_max=k_max,
-            gammas=tuple(cached),
-            digits=digits,
-            est_errors=tuple(err_cached),
-        )
-    M = _stieltjes_nodes(k_max, wp)
-    m2 = 2 * M
-    grid = _circle_grid(m2, wp + 10)
+    gammas = _cache.load_values(key, digits)
+    errs = _cache.load_values(key + "_err", digits) if gammas else None
+    if gammas and errs and len(gammas) == len(errs) == k_max + 1:
+        return StieltjesTable(k_max, tuple(gammas), digits, tuple(errs))
+    # Berndt, |a_n| <= 4 / (n pi^n), puts the aliasing of n_berndt nodes below
+    # 10^-(wp+5) a priori: once the fine grid has that many, stop doubling.
+    n_berndt = int((wp + 5) * math.log(10) / math.log(math.pi / 3.0)) + 1
+    M = max(64, 4 * k_max)
+    coarse = _contour_taylor(M, k_max, wp + 10)
+    while True:
+        fine = _contour_taylor(2 * M, k_max, wp + 10)
+        with workdps(wp + 10):
+            gap = max(abs(f - c) * 3 ** k for k, (f, c) in enumerate(zip(fine, coarse)))
+        if gap <= mpf(10) ** -wp or 2 * M >= n_berndt:
+            break
+        M, coarse = 2 * M, fine
     with workdps(wp + 10):
-        gvals = tuple(g - 1 / (3 * mp.expjpi(mpf(2 * j) / m2)) for j, g in enumerate(grid))
-        coarse = _extract_taylor(gvals, m2, 2, k_max, wp + 10)
-        fine = _extract_taylor(gvals, m2, 1, k_max, wp + 10)
-        gammas, errs = [], []
-        for k in range(k_max + 1):
-            gk = fine[k] * mp.factorial(k) * (-1) ** k
-            gk_c = coarse[k] * mp.factorial(k) * (-1) ** k
-            gammas.append(+gk)
-            errs.append(+abs(gk - gk_c))
-    table = StieltjesTable(
-        k_max=k_max,
-        gammas=tuple(gammas),
-        digits=digits,
-        est_errors=tuple(errs),
-    )
-    _cache.store_values(key, digits, table.gammas)
-    _cache.store_values(key + "_err", digits, table.est_errors)
+        scale = [(-1) ** k * mp.factorial(k) for k in range(k_max + 1)]  # gamma_k / a_k
+        gammas = tuple(+(f * x) for f, x in zip(fine, scale))
+        errs = tuple(+abs(f * x - c * x) for f, c, x in zip(fine, coarse, scale))
+    table = StieltjesTable(k_max, gammas, digits, errs)
+    _cache.store_values(key, digits, gammas)
+    _cache.store_values(key + "_err", digits, errs)
     return table
 
 
 def stieltjes(k_max: int, ctx: PrecisionCtx) -> StieltjesTable:
     """Stieltjes constants gamma_0..gamma_{k_max} by contour extraction.
 
-    Taylor coefficients of zeta(s) - 1/(s-1) are read off a trapezoid rule on
-    |s - 1| = 3; node-count doubling supplies the per-constant error estimate
-    (``est_errors``).  Working precision is widened by ceil(0.05 k_max) + 10
-    digits to absorb the (pi/3)^k extraction loss.
+    Taylor coefficients a_k of zeta(s) - 1/(s-1) are read off a trapezoid
+    rule on |s - 1| = 3 with M coarse and 2M fine nodes of one grid.  M starts
+    at max(64, 4 k_max) and doubles, evaluating zeta only at the new nodes,
+    until max_k 3^k |a_k(M) - a_k(2M)| <= 10^-wp, or until the 2M nodes meet
+    the a-priori Berndt aliasing bound (3/pi)^(2M) < 10^-(wp+5).  The values
+    are the fine ones, and ``est_errors`` holds |gamma_k(2M) - gamma_k(M)|.
+    The working precision wp is digits + max(10, ceil(0.05 k_max) + 10), to
+    absorb the (pi/3)^k extraction loss.
     """
     if k_max > 400:
         raise PrecisionUnachievableError("stieltjes supports k_max <= 400")
@@ -417,33 +413,38 @@ def zeta_derivative(s0, k: int, ctx: PrecisionCtx, radius=None, nodes: int | Non
 
 @dataclass(frozen=True)
 class LaurentTable:
-    """lambda_{0,k} .. lambda_{m_max,k}: the expansion of (s-1)^k zeta^k near 1.
+    """Taylor coefficients c_0 .. c_{m_max} of (s-1)^k zeta(s)^k at s = 1.
 
-    Entries satisfy lambda_{0,k} = 1 and, for k = 1,
-    lambda_{m,1}/m! = (-1)**(m-1) gamma_{m-1}/(m-1)!.
+    lambda_{m,k} = m! c_m.  Entries satisfy c_0 = 1 and, for k = 1,
+    c_m = (-1)**(m-1) gamma_{m-1}/(m-1)!.
     """
 
     k: int
     m_max: int
-    lambdas: tuple
+    taylor: tuple
     digits: int
 
     def __post_init__(self):
         with workdps(30):
-            if abs(self.lambdas[0] - 1) > mpf(10) ** (-(self.digits - 10)):
-                raise ValueError(f"lambda_(0,{self.k}) = {self.lambdas[0]} != 1")
+            if abs(self.taylor[0] - 1) > mpf(10) ** (-(self.digits - 10)):
+                raise ValueError(f"lambda_(0,{self.k}) = {self.taylor[0]} != 1")
+
+    @cached_property
+    def lambdas(self) -> tuple:
+        """lambda_{m,k} = m! c_m, rounded at digits + 15."""
+        with workdps(PrecisionCtx(self.digits).working(15)):
+            return tuple(+(c * mp.factorial(m)) for m, c in enumerate(self.taylor))
 
     def coeff(self, m: int):
         """lambda_{m,k} / m! (the raw Taylor coefficient)."""
-        with workdps(self.digits + 10):
-            return self.lambdas[m] / mp.factorial(m)
+        return self.taylor[m]
 
 
 def laurent_power_coeffs(k: int, m_max: int, ctx: PrecisionCtx) -> LaurentTable:
     """Taylor data of (s-1)^k zeta(s)^k at s = 1, from the Stieltjes table.
 
-    (s-1) zeta(s) = 1 + u sum_j a_j u^j with u = s - 1, so lambda_{m,k} is
-    m! times the u^m coefficient of that series raised to the k-th power.
+    (s-1) zeta(s) = 1 + u sum_j a_j u^j with u = s - 1, so c_m is the u^m
+    coefficient of that series raised to the k-th power.
     """
     if k < 1:
         raise ValueError("power k must be >= 1")
@@ -455,5 +456,4 @@ def laurent_power_coeffs(k: int, m_max: int, ctx: PrecisionCtx) -> LaurentTable:
             power = tuple(
                 mp.fsum(power[j] * base[m - j] for j in range(m + 1)) for m in range(m_max + 1)
             )
-        lambdas = tuple(+(c * mp.factorial(m)) for m, c in enumerate(power))
-    return LaurentTable(k=k, m_max=m_max, lambdas=lambdas, digits=ctx.digits)
+    return LaurentTable(k=k, m_max=m_max, taylor=power, digits=ctx.digits)

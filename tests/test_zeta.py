@@ -1,6 +1,8 @@
 import pytest
 from mpmath import mp, mpc, mpf, workdps
 
+from zetaline import cache
+from zetaline import zeta as zeta_mod
 from zetaline.precision import PrecisionCtx
 from zetaline.zeta import (
     LaurentTable,
@@ -135,6 +137,50 @@ def test_stieltjes_table_serializes():
     table = stieltjes(5, PrecisionCtx(30))
     payload = table.to_json()
     assert '"schema_version"' in payload and '"gamma"' in payload
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch):
+    """An empty table cache, with the in-process table and grid caches cleared."""
+    monkeypatch.setenv("ZETALINE_CACHE_DIR", str(tmp_path))
+    zeta_mod._stieltjes_cached.cache_clear()
+    zeta_mod._circle_grid.cache_clear()
+    yield tmp_path
+    zeta_mod._stieltjes_cached.cache_clear()
+    zeta_mod._circle_grid.cache_clear()
+
+
+def test_cold_contour_against_mpmath_with_few_evaluations(cold_cache, monkeypatch):
+    """Node doubling sizes the k=20, 63-digit contour at 161 zeta evaluations.
+
+    The Berndt-bound sizing spent 3,947; the constants must still match
+    mpmath's independent quadrature to 10^-60 relative.
+    """
+    raw = zeta_mod._zeta_em_raw
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_zeta_em_raw", counted)
+    table = stieltjes(20, PrecisionCtx(63))
+    assert len(calls) <= 161
+    with workdps(75):
+        for k in (0, 1, 5, 10, 20):
+            ref = mp.stieltjes(k)
+            assert abs(table.gammas[k] - ref) <= mpf(10) ** -60 * abs(ref)
+
+
+def test_truncated_error_entry_is_recomputed(cold_cache):
+    ctx = PrecisionCtx(30)
+    key = "stieltjes_k6_d30_err"
+    full = stieltjes(6, ctx)
+    cache.store_values(key, 30, full.est_errors[:3])
+    zeta_mod._stieltjes_cached.cache_clear()
+    again = stieltjes(6, ctx)
+    assert len(again.est_errors) == 7
+    assert len(cache.load_values(key, 30)) == 7
 
 
 def test_laurent_k1_matches_gamma_closed_form():
