@@ -9,7 +9,7 @@ identities verified against independent quadrature, and Boole-map ergodic
 averages.
 """
 
-from .precision import PrecisionCtx, binom_exact, elem, hreal_to_str, str_to_hreal
+from .precision import PrecisionCtx, binom_exact, hreal_to_str, str_to_hreal
 from .zeta import (
     LaurentTable,
     RegionError,
@@ -24,8 +24,6 @@ from .zeta import (
 )
 from .coefficients import (
     CoeffTable,
-    binom_inverse,
-    binom_transform,
     coeffs_critical,
     coeffs_line,
     coeffs_power,
@@ -39,7 +37,6 @@ from .series import (
     eval_h,
     partial_sum_fN,
     phi,
-    polylog,
     zeta_via_series,
 )
 from .quadrature import (

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpc, mpf, workdps
 
 from .precision import PrecisionCtx, binom_exact, hreal_to_str
-from .zeta import LaurentTable, StieltjesTable, zeta_derivative, zeta_em
+from .zeta import LaurentTable, StieltjesTable, _g_taylor, zeta_em
 
 __all__ = [
     "CoeffTable",
@@ -50,8 +50,6 @@ __all__ = [
     "coeffs_line",
     "coeffs_power",
     "line_table_depth",
-    "binom_transform",
-    "binom_inverse",
     "decay_diagnostics",
     "DecayDiagnostics",
     "PARSEVAL_SQ_CEILING",
@@ -251,25 +249,25 @@ def coeffs_line(
 
 
 def line_coeff_via_derivatives(sigma0, n: int, ctx: PrecisionCtx) -> mpf:
-    """Positive-index line coefficient by direct contour derivatives of zeta.
+    """Positive-index line coefficient by contour derivatives at sigma0 + 1/2.
 
-    The textbook route: (-1)^n sum_k C(n-1,k-1) (zeta^(k)(sigma0+1/2)/k! -
-    (-1)^k/(sigma0-1/2)^{k+1}).  Slower and cancellation-prone; kept as the
-    independent cross-check of the gamma-series route.
+    The textbook route (-1)^n sum_k C(n-1,k-1) b_k, with every b_k, k <= n,
+    read from one grid of the trapezoid engine as the Taylor coefficient of
+    zeta(s) - 1/(s-1), plus the pole term (-1)^k / (sigma0-1/2)^(k+1) for
+    sigma0 >= 1.  Kept as the independent cross-check of the gamma-series route.
     """
     if n < 1:
         raise ValueError("derivative route is for n >= 1")
     wp = ctx.working(15)
     with workdps(wp):
         sigma0 = mpf(sigma0)
-        half = mpf("0.5")
-        x = sigma0 - half
+        x = sigma0 - mpf("0.5")
+        a = _g_taylor(sigma0 + mpf("0.5"), n, PrecisionCtx(ctx.digits + 2 * n))
         acc = mpf(0)
         for k in range(1, n + 1):
-            dk = zeta_derivative(sigma0 + half, k, PrecisionCtx(ctx.digits + 2 * n))
-            term = dk.real / mp.factorial(k)
-            if sigma0 < 1:
-                term -= (-1) ** k / x ** (k + 1)
+            term = a[k]
+            if sigma0 >= 1:
+                term += (-1) ** k / x ** (k + 1)
             acc += binom_exact(n - 1, k - 1) * term
         return +(acc * (-1) ** n)
 
@@ -311,26 +309,6 @@ def coeffs_power(
         family="power", n_min=n_min, n_max=n_max, values=tuple(vals),
         digits=ctx.digits, k=k,
     )
-
-
-# ---------------------------------------------------------------------------
-# Binomial transform
-# ---------------------------------------------------------------------------
-
-def binom_transform(a: Sequence) -> list:
-    """b_n = sum_k C(n,k) (-1)^{n-k} a_k, with exact binomials."""
-    return [
-        sum(binom_exact(n, k) * (-1) ** (n - k) * a[k] for k in range(n + 1))
-        for n in range(len(a))
-    ]
-
-
-def binom_inverse(b: Sequence) -> list:
-    """a_n = sum_k C(n,k) b_k: inverse of :func:`binom_transform`."""
-    return [
-        sum(binom_exact(n, k) * b[k] for k in range(n + 1))
-        for n in range(len(b))
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Precision contract and elementary arithmetic shared by every other module.
+"""Precision contract, exact arithmetic and serialization shared by every module.
 
 All high-precision values are mpmath ``mpf``/``mpc`` numbers; a
 :class:`PrecisionCtx` pins the number of significant decimal digits a
@@ -21,28 +21,19 @@ from mpmath import mp, mpc, mpf, workdps
 
 __all__ = [
     "PrecisionCtx",
-    "DomainError",
     "PrecisionUnachievableError",
-    "elem",
     "binom_exact",
     "hreal_to_str",
-    "hcomplex_to_str",
     "str_to_hreal",
     "bernoulli_fraction",
 ]
 
-HReal = mpf
-HComplex = mpc
 Number = Union[mpf, mpc, int, float]
 
 #: Hard ceiling on internal working precision (decimal digits).  Operations
 #: that would have to widen beyond this raise PrecisionUnachievableError
 #: instead of silently returning garbage.
 MAX_WORKING_DIGITS = 100_000
-
-
-class DomainError(ValueError):
-    """Argument outside an operation's mathematical domain (log(0), ...)."""
 
 
 class PrecisionUnachievableError(ArithmeticError):
@@ -70,32 +61,6 @@ class PrecisionCtx:
                 f"working precision {wd} exceeds ceiling {MAX_WORKING_DIGITS}"
             )
         return wd
-
-
-_ELEM_FNS = ("exp", "log", "atan", "sin", "cos", "sqrt", "pow")
-
-
-def elem(fn_name: str, x: Number, ctx: PrecisionCtx, y: Number | None = None):
-    """Elementary function evaluation at context precision.
-
-    fn_name is one of exp, log, atan, sin, cos, sqrt, pow (pow takes the
-    exponent as ``y``).  log and sqrt use the principal branch with the cut on
-    the negative real axis.  Results are correct to ctx.digits - 2 digits.
-    """
-    if fn_name not in _ELEM_FNS:
-        raise ValueError(f"unknown elementary function {fn_name!r}")
-    with workdps(ctx.working(5)):
-        if fn_name == "pow":
-            if y is None:
-                raise ValueError("pow requires a second argument")
-            return +mpmath.power(x, y)
-        if fn_name == "log" and x == 0:
-            raise DomainError("log(0) is undefined")
-        if fn_name == "sqrt" and (not isinstance(x, mpc)) and mpf(x) < 0:
-            # stay on the principal branch but keep real inputs real-typed
-            return +mpc(0, mp.sqrt(-mpf(x)))
-        fn = getattr(mp, fn_name)
-        return +fn(x)
 
 
 def binom_exact(n: int, k: int) -> int:
@@ -149,12 +114,6 @@ def hreal_to_str(x: Number, digits: int) -> str:
 def str_to_hreal(s: str, digits: int) -> mpf:
     with workdps(digits + 15):
         return mpf(s)
-
-
-def hcomplex_to_str(z: Number, digits: int) -> str:
-    with workdps(digits + 15):
-        z = mpc(z)
-        return f"{hreal_to_str(z.real, digits)} {hreal_to_str(z.imag, digits)}j"
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from mpmath import mp, mpc, mpf, workdps
 from . import fastzeta, zeros
 from .coefficients import PARSEVAL_SQ_CEILING, CoeffTable
 from .precision import PrecisionCtx
-from .zeta import _zeta_em_raw, stieltjes, zeta_em
+from .zeta import _g_taylor, _zeta_em_raw, stieltjes, zeta_em
 
 __all__ = [
     "QuadratureResult",
@@ -390,22 +390,23 @@ def cross_moment_wow(sigma, ctx: PrecisionCtx):
 
     The derivative term is the n = +-1 basis pairing; deriving the value by
     residues (or expanding the coefficient bilinear form) shows it must be
-    present, and the quadrature route confirms it numerically.  At
+    present, and the quadrature route confirms it numerically.  zeta and zeta'
+    at sigma+1/2 are the first two Taylor coefficients of one contour.  At
     sigma = 1/2 the formula degenerates to (gamma0-1)^2 - 2 gamma1.
     """
-    from .zeta import zeta_derivative
-
     with workdps(ctx.working()):
         sigma = mpf(sigma)
         if not mpf("0.5") <= sigma < 1:
             raise ValueError("sigma in [1/2, 1) required")
-        g = stieltjes(2, PrecisionCtx(max(30, ctx.digits)))
         if sigma == mpf("0.5"):
-            return +((g.gammas[0] - 1) ** 2 - 2 * g.gammas[1])
-        zp = zeta_derivative(sigma + mpf("0.5"), 1, ctx).real
-        zv = zeta_em(sigma + mpf("0.5"), ctx).real
+            g1 = stieltjes(2, PrecisionCtx(max(30, ctx.digits))).gammas[1]
+            return +((mp.euler - 1) ** 2 - 2 * g1)
+        x = sigma - mpf("0.5")
+        a = _g_taylor(sigma + mpf("0.5"), 1, ctx)
+        zv = a[0] + 1 / x
+        zp = a[1] - 1 / x ** 2
         zr = zeta_em(mpf("1.5") - sigma, ctx).real
-        return +((g.gammas[0] - 1) * zv + zp - zr / ((sigma - mpf("0.5")) * (mpf("1.5") - sigma)))
+        return +((mp.euler - 1) * zv + zp - zr / (x * (mpf("1.5") - sigma)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "cayley",
     "cayley_inv",
     "EvalInfo",
-    "TailBoundUnreachable",
     "eval_h",
     "zeta_via_series",
     "partial_sum_fN",
@@ -38,13 +37,8 @@ __all__ = [
     "phi",
     "phi_integral_oracle",
     "cs_bound_check",
-    "polylog",
     "line_comparison_csv",
 ]
-
-
-class TailBoundUnreachable(ArithmeticError):
-    """No truncation point meets the tolerance with the available table."""
 
 
 def basis_e(n: int, t, ctx: PrecisionCtx) -> mpc:
@@ -292,36 +286,3 @@ def line_comparison_csv(ts, N: int, coeffs: CoeffTable, ctx: PrecisionCtx | None
             )
     return "\n".join(lines) + "\n"
 
-
-def polylog(alpha, z, tol, ctx: PrecisionCtx | None = None) -> mpc:
-    """Li_alpha(z) = sum_{n>=1} z^n / n^alpha for |z| < 1.
-
-    Truncated when the geometric tail bound |z|^{N+1} / ((1-|z|) N^alpha)
-    falls below tol.
-    """
-    ctx = ctx or PrecisionCtx(30)
-    with workdps(ctx.working()):
-        alpha = mpf(alpha)
-        z = mpc(z)
-        r = abs(z)
-        if r >= 1:
-            raise ValueError("polylog series route needs |z| < 1")
-        if z == 0:
-            return mpc(0)
-        tol = mpf(tol)
-        log_r = mp.log(r)
-        N = 1
-        while N < 10_000_000:
-            bound = r ** (N + 1) / ((1 - r) * mpf(N) ** alpha)
-            if bound < tol:
-                break
-            # jump ahead: r^N shrinks by log_r per step
-            N = max(N + 1, int(N * 1.3))
-        else:
-            raise TailBoundUnreachable(f"polylog tail will not reach {tol} at |z|={r}")
-        acc = mpc(0)
-        zp = mpc(1)
-        for n in range(1, N + 1):
-            zp *= z
-            acc += zp / mpf(n) ** alpha
-        return +acc

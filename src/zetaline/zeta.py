@@ -5,22 +5,24 @@ Everything here reduces to two workhorses:
 * an Euler-Maclaurin evaluator for zeta(s), with the trapezoid cutoff chosen
   from the working precision and |Im s|, and Bernoulli corrections to matching
   order; and
-* trapezoid contour extraction of Taylor coefficients of the entire function
-  g(s) = zeta(s) - 1/(s-1) on the circle |s - 1| = 3, which yields the
-  Stieltjes constants gamma_k = (-1)^k k! [g]_k.
+* one trapezoid engine for the Taylor coefficients a_k of the entire function
+  g(s) = zeta(s) - 1/(s-1) at a real centre c, read off the circle |s - c| = r
+  (``_taylor_on_circle``).  It doubles its node count until the coarse and
+  fine coefficients agree to 10^-wp on the circle's scale, evaluating zeta
+  only at the new nodes, and conjugate symmetry halves each evaluation pass.
 
-The contour doubles its node count M, from max(64, 4 k_max), until the M-
-and 2M-node coefficients agree to 10^-wp on the circle's scale (see
-``stieltjes``).  g is entire, so a few hundred nodes suffice where the
-a-priori Berndt bound asks for thousands; that bound only caps the doubling.
+``stieltjes`` is its c = 1, r = 3 case, gamma_k = (-1)^k k! a_k.
+``zeta_derivative``, ``coefficients.line_coeff_via_derivatives`` and
+``quadrature.cross_moment_wow`` read it at c = s0 off the pole, adding back
+the pole's own Taylor terms (-1)^k / (s0-1)^(k+1) where zeta's are wanted.
 
-Every other table is derived from that one: ``StieltjesTable.taylor`` holds
-the Taylor coefficients a_k = (-1)^k gamma_k / k! of g at s = 1, and
-``LaurentTable.taylor`` holds [u^m] (1 + u sum_j a_j u^j)^k, computed by
-exact series multiplication; lambda_{m,k} is m! times that.
+Every other table is derived from the Stieltjes one: ``StieltjesTable.taylor``
+holds the a_k at s = 1, and ``LaurentTable.taylor`` holds
+[u^m] (1 + u sum_j a_j u^j)^k, computed by exact series multiplication;
+lambda_{m,k} is m! times that.
 
 The radius-3 circle reaches Re s = -2, left of the public evaluation region,
-so the contour uses the raw Euler-Maclaurin path (valid far left of the strip
+so the engine uses the raw Euler-Maclaurin path (valid far left of the strip
 for the correction orders used here) while the public ``zeta_em`` keeps the
 advertised Re s > -1 gate.
 """
@@ -66,7 +68,7 @@ class RegionError(ValueError):
 
 
 class ContourError(ArithmeticError):
-    """A differentiation contour touches the pole or leaves the region."""
+    """A differentiation contour hits the pole, leaves the region or fails to converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,44 +188,66 @@ def _unit_roots(m: int, wp: int) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _circle_grid(m: int, wp: int) -> tuple:
-    """zeta evaluated at s_j = 1 + 3 w_j, w_j = exp(2 pi i j / m), j = 0..m-1.
+def _circle_grid(c, r, m: int, wp: int) -> tuple:
+    """zeta evaluated at s_j = c + r w_j, w_j = exp(2 pi i j / m), j = 0..m-1.
 
-    Conjugate symmetry halves the work, and a doubled grid (m >= 128, 4 | m)
-    takes its even nodes from the m/2-node grid: only the odd ones are new.
+    The centre c is real, so conjugate symmetry halves the work, and a doubled
+    grid (m >= 128, 4 | m) takes its even nodes from the m/2-node grid: only
+    the odd ones are new.
     """
     roots = _unit_roots(m, wp)
     with workdps(wp):
         half = m // 2
         evals = [None] * m
         if m % 4 == 0 and m >= 128:
-            evals[::2] = _circle_grid(half, wp)
+            evals[::2] = _circle_grid(c, r, half, wp)
             new = range(1, half, 2)
         else:
             new = range(half + 1)
         for j in new:
-            evals[j] = _zeta_em_raw(1 + 3 * roots[j], wp)
+            evals[j] = _zeta_em_raw(c + r * roots[j], wp)
         for j in range(half + 1, m):
             evals[j] = mp.conj(evals[m - j])
         return tuple(evals)
 
 
-def _contour_taylor(m: int, k_max: int, wp: int) -> list:
-    """a_k = (1/(m 3^k)) sum_j g(s_j) w_j^-k for g = zeta - 1/(s-1), k <= k_max.
+def _contour_taylor(c, r, m: int, k_max: int, wp: int) -> list:
+    """a_k = (1/(m r^k)) sum_j g(s_j) w_j^-k for g = zeta - 1/(s-1), k <= k_max.
 
     The m-node (m even) trapezoid rule on the circle of _circle_grid.
     Conjugate-pair folding keeps the result exactly real-symmetric.
     """
     roots = _unit_roots(m, wp)
     with workdps(wp):
-        g = [z - 1 / (3 * w) for z, w in zip(_circle_grid(m, wp), roots)]
+        g = [z - 1 / ((c - 1) + r * w) for z, w in zip(_circle_grid(c, r, m, wp), roots)]
         out = []
         for k in range(k_max + 1):
             acc = (g[0] + g[m // 2] if k % 2 == 0 else g[0] - g[m // 2]).real
             for j in range(1, m // 2):
                 acc += 2 * (g[j] * roots[(-j * k) % m]).real
-            out.append(acc / (m * mpf(3) ** k))
+            out.append(acc / (m * mpf(r) ** k))
         return out
+
+
+def _taylor_on_circle(c, r, k_max: int, wp: int, m_cap: int):
+    """Taylor coefficients a_0..a_{k_max} of g = zeta - 1/(s-1) at the real c.
+
+    The one trapezoid engine: M coarse and 2M fine nodes of one nested grid
+    on |s - c| = r, at working precision wp + 10.  M starts at
+    max(64, 4 k_max) and doubles, evaluating zeta only at the new nodes, until
+    max_k r^k |a_k(M) - a_k(2M)| <= 10^-wp or the fine grid reaches m_cap
+    nodes.  Returns (fine, coarse, met), where met says the first stop held.
+    """
+    M = max(64, 4 * k_max)
+    coarse = _contour_taylor(c, r, M, k_max, wp + 10)
+    while True:
+        fine = _contour_taylor(c, r, 2 * M, k_max, wp + 10)
+        with workdps(wp + 10):
+            gap = max(abs(f - a) * r ** k for k, (f, a) in enumerate(zip(fine, coarse)))
+            met = gap <= mpf(10) ** -wp
+        if met or 2 * M >= m_cap:
+            return fine, coarse, met
+        M, coarse = 2 * M, fine
 
 
 @dataclass(frozen=True)
@@ -286,15 +310,7 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     # Berndt, |a_n| <= 4 / (n pi^n), puts the aliasing of n_berndt nodes below
     # 10^-(wp+5) a priori: once the fine grid has that many, stop doubling.
     n_berndt = int((wp + 5) * math.log(10) / math.log(math.pi / 3.0)) + 1
-    M = max(64, 4 * k_max)
-    coarse = _contour_taylor(M, k_max, wp + 10)
-    while True:
-        fine = _contour_taylor(2 * M, k_max, wp + 10)
-        with workdps(wp + 10):
-            gap = max(abs(f - c) * 3 ** k for k, (f, c) in enumerate(zip(fine, coarse)))
-        if gap <= mpf(10) ** -wp or 2 * M >= n_berndt:
-            break
-        M, coarse = 2 * M, fine
+    fine, coarse, _ = _taylor_on_circle(1, 3, k_max, wp, n_berndt)
     with workdps(wp + 10):
         scale = [(-1) ** k * mp.factorial(k) for k in range(k_max + 1)]  # gamma_k / a_k
         gammas = tuple(+(f * x) for f, x in zip(fine, scale))
@@ -308,9 +324,8 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
 def stieltjes(k_max: int, ctx: PrecisionCtx) -> StieltjesTable:
     """Stieltjes constants gamma_0..gamma_{k_max} by contour extraction.
 
-    Taylor coefficients a_k of zeta(s) - 1/(s-1) are read off a trapezoid
-    rule on |s - 1| = 3 with M coarse and 2M fine nodes of one grid.  M starts
-    at max(64, 4 k_max) and doubles, evaluating zeta only at the new nodes,
+    gamma_k = (-1)^k k! a_k, with the a_k from the trapezoid engine on
+    |s - 1| = 3: M coarse and 2M fine nodes, M doubling from max(64, 4 k_max)
     until max_k 3^k |a_k(M) - a_k(2M)| <= 10^-wp, or until the 2M nodes meet
     the a-priori Berndt aliasing bound (3/pi)^(2M) < 10^-(wp+5).  The values
     are the fine ones, and ``est_errors`` holds |gamma_k(2M) - gamma_k(M)|.
@@ -369,21 +384,15 @@ def stieltjes_limit_oracle(k_max: int, ctx: PrecisionCtx, n_terms: int = 10_000)
 # Derivatives and the lambda_{m,k} family
 # ---------------------------------------------------------------------------
 
-def zeta_derivative(s0, k: int, ctx: PrecisionCtx, radius=None, nodes: int | None = None) -> mpc:
-    """k-th derivative of zeta at s0 by trapezoid contour differentiation.
+def _g_taylor(s0, k_max: int, ctx: PrecisionCtx, radius=None) -> list:
+    """a_0..a_{k_max} of g = zeta - 1/(s-1) at the real s0 (see zeta_derivative).
 
-    The circle |s - s0| = radius must exclude s = 1 and stay in Re s > -1;
-    the default radius is half the headroom to both constraints.  Relative
-    error <= 10**(5 - digits); working precision widens by k log10(1/radius)
-    to absorb the radius**-k amplification.
+    The working precision widens by k_max log10(1/radius) to absorb the
+    radius**-k amplification.
     """
-    if k == 0:
-        return zeta_em(s0, ctx)
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
     with workdps(ctx.working()):
-        s0 = mpc(s0)
-        headroom = min(abs(s0 - 1), s0.real + 1)
+        s0 = mpf(s0)
+        headroom = min(abs(s0 - 1), s0 + 1)
         if radius is None:
             radius = min(headroom / 2, mpf(2))
         radius = mpf(radius)
@@ -391,24 +400,32 @@ def zeta_derivative(s0, k: int, ctx: PrecisionCtx, radius=None, nodes: int | Non
             raise ContourError(
                 f"contour of radius {radius} around {s0} hits the pole or leaves Re s > -1"
             )
-    amp = int(k * math.log10(1.0 / float(radius))) + 1 if radius < 1 else 0
-    wp = ctx.working() + amp + 10
-    M = nodes or max(64, 8 * k)
-    M += M % 2
-    with workdps(wp):
-        prev = None
-        for _ in range(6):
-            acc = mpc(0)
-            for j in range(M):
-                w = mp.expjpi(mpf(2 * j) / M)
-                fv = _zeta_em_raw(s0 + radius * w, wp)
-                acc += fv * mp.expjpi(mpf(-2 * j * k) / M)
-            val = acc * mp.factorial(k) / (M * radius ** k)
-            if prev is not None and abs(val - prev) <= mpf(10) ** (-(ctx.digits + 2)) * (1 + abs(val)):
-                return +val
-            prev = val
-            M *= 2
-        return +prev
+    amp = int(k_max * math.log10(1.0 / float(radius))) + 1 if radius < 1 else 0
+    fine, _, met = _taylor_on_circle(s0, radius, k_max, ctx.working() + amp, 2048)
+    if not met:
+        raise ContourError(f"contour around {s0} not converged at 2048 nodes")
+    return fine
+
+
+def zeta_derivative(s0, k: int, ctx: PrecisionCtx, radius=None) -> mpc:
+    """k-th derivative of zeta at the real point s0 by contour differentiation.
+
+    zeta^(k)(s0) = k! (a_k + (-1)^k / (s0-1)^(k+1)), with a_k the Taylor
+    coefficient of zeta - 1/(s-1) from the trapezoid engine on |s - s0| =
+    radius.  The circle must exclude s = 1 and stay in Re s > -1; the default
+    radius is half the headroom to both constraints, at most 2.  Relative
+    error <= 10**(5 - digits); ContourError when 2,048 nodes do not converge.
+    It never reads the Stieltjes table, so it is an independent cross-check.
+    """
+    if k < 0:
+        raise ValueError("derivative order must be >= 0")
+    if mpc(s0).imag:
+        raise ValueError(f"zeta_derivative needs a real s0, got {s0}")
+    if k == 0:
+        return zeta_em(s0, ctx)
+    a = _g_taylor(s0, k, ctx, radius)
+    with workdps(ctx.working()):
+        return mpc(mp.factorial(k) * (a[k] + (-1) ** k / (mpf(s0) - 1) ** (k + 1)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,4 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
 from zetaline.coefficients import (
@@ -10,8 +6,6 @@ from zetaline.coefficients import (
     CoeffTable,
     InsufficientPrecisionError,
     InsufficientTableError,
-    binom_inverse,
-    binom_transform,
     coeffs_critical,
     coeffs_line,
     coeffs_power,
@@ -142,18 +136,6 @@ def test_power_k2_negative_branch():
     with workdps(70):
         # n = -2 keeps only j = 0: C(2,2) lambda_{0,2} = 1
         assert abs(pw.value(-2) - 1) < mpf("1e-50")
-
-
-def test_binom_transform_basics():
-    ones = [Fraction(1)] * 8
-    b = binom_transform(ones)
-    assert b[0] == 1 and all(x == 0 for x in b[1:])
-
-
-@given(st.lists(st.fractions(min_value=-5, max_value=5), min_size=1, max_size=20))
-@settings(max_examples=40, deadline=None)
-def test_binom_roundtrip_property(seq):
-    assert binom_inverse(binom_transform(seq)) == seq
 
 
 def test_gamma_from_coeffs_inverse_identity(gammas, crit):

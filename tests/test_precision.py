@@ -1,14 +1,12 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, workdps
+from mpmath import mpf
 
 from zetaline.precision import (
-    DomainError,
     PrecisionCtx,
     bernoulli_fraction,
     binom_exact,
-    elem,
     hreal_to_str,
     str_to_hreal,
 )
@@ -18,38 +16,6 @@ def test_ctx_rejects_low_digits():
     with pytest.raises(ValueError):
         PrecisionCtx(14)
     assert PrecisionCtx(15).digits == 15
-
-
-def test_elem_identities():
-    ctx = PrecisionCtx(30)
-    assert elem("exp", 0, ctx) == 1
-    assert elem("log", 1, ctx) == 0
-    with workdps(40):
-        # asymptote of arctangent: approaches pi/2 with the exact 1/x gap
-        gap = elem("atan", mpf("1e9"), ctx) - mp.pi / 2
-        assert abs(gap) < mpf("1.01e-9")
-        assert abs(gap + elem("atan", mpf("1e-9"), ctx)) < mpf(10) ** (-ctx.digits + 2)
-
-
-def test_elem_log_zero_raises():
-    with pytest.raises(DomainError):
-        elem("log", 0, PrecisionCtx(20))
-
-
-def test_elem_pow():
-    ctx = PrecisionCtx(25)
-    with workdps(35):
-        assert abs(elem("pow", 2, ctx, y=10) - 1024) < mpf("1e-20")
-
-
-@given(st.floats(min_value=-10, max_value=10).filter(lambda x: abs(x) > 1e-6))
-@settings(max_examples=60, deadline=None)
-def test_exp_log_roundtrip_property(x):
-    ctx = PrecisionCtx(30)
-    with workdps(45):
-        ex = elem("exp", mpf(repr(x)), ctx)
-        back = elem("exp", elem("log", ex, ctx), ctx)
-        assert abs(back - ex) / ex <= mpf(10) ** (3 - ctx.digits)
 
 
 def test_binom_trivial():

@@ -13,7 +13,6 @@ from zetaline.series import (
     partial_sum_fN,
     phi,
     phi_integral_oracle,
-    polylog,
     zeta_via_series,
 )
 from zetaline import zeta as zeta_mod
@@ -187,16 +186,6 @@ def test_cs_bound_examples(crit):
     with workdps(40):
         assert abs(r["rhs"] - mpf("0.6849")) < mpf("1e-3")
     assert cs_bound_check(mpc(10, 100), crit, ctx)["holds"]
-
-
-def test_polylog_values():
-    ctx = PrecisionCtx(30)
-    with workdps(40):
-        assert polylog(1, 0, 1e-20, ctx) == 0
-        assert abs(polylog(1, mpf("0.5"), mpf("1e-20"), ctx) - mp.log(2)) < mpf("1e-19")
-        a = polylog(mpf("0.5"), mpf("0.9"), mpf("1e-12"), ctx)
-        b = polylog(mpf("0.5"), mpf("0.9"), mpf("1e-15"), ctx)
-        assert abs(a - b) < mpf("2e-12")
 
 
 def test_boundary_partial_sums_improve(crit):

@@ -3,8 +3,11 @@ from mpmath import mp, mpc, mpf, workdps
 
 from zetaline import cache
 from zetaline import zeta as zeta_mod
+from zetaline.coefficients import line_coeff_via_derivatives
 from zetaline.precision import PrecisionCtx
+from zetaline.quadrature import cross_moment_wow
 from zetaline.zeta import (
+    ContourError,
     LaurentTable,
     RegionError,
     ZetaPoleError,
@@ -224,3 +227,64 @@ def test_laurent_k3_against_mpmath_taylor():
     with workdps(40):
         for m in range(7):
             assert abs(lam.coeff(m) - ref[m]) < mpf("1e-24")
+
+
+@pytest.mark.parametrize("s0, k", [(2, 1), ("1.25", 2), ("1.75", 3)])
+def test_derivative_against_mpmath_zeta(s0, k):
+    """The contour derivative against mpmath's own zeta derivative routine."""
+    ctx = PrecisionCtx(30)
+    d = zeta_derivative(mpf(s0), k, ctx)
+    with workdps(50):
+        ref = mp.zeta(mpf(s0), 1, k)
+        assert abs(d - ref) <= mpf(10) ** (5 - ctx.digits) * abs(ref)
+
+
+def test_derivative_needs_real_centre_and_convergence(monkeypatch):
+    ctx = PrecisionCtx(30)
+    with pytest.raises(ValueError):
+        zeta_derivative(mpc(2, 1), 1, ctx)
+    # a grid of noise never converges: the engine refuses at 2,048 nodes
+    noise = iter(range(1, 10**6))
+    monkeypatch.setattr(zeta_mod, "_zeta_em_raw", lambda s, wp: mpc(next(noise) % 7))
+    zeta_mod._circle_grid.cache_clear()
+    try:
+        with pytest.raises(ContourError, match="2048"):
+            zeta_derivative(3, 1, ctx)
+    finally:
+        zeta_mod._circle_grid.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        pytest.param(lambda: zeta_derivative(2, 1, PrecisionCtx(30)), 129, id="zeta_derivative"),
+        pytest.param(
+            lambda: line_coeff_via_derivatives(mpf("0.75"), 3, PrecisionCtx(30)),
+            129,
+            id="line_coeff_via_derivatives",
+        ),
+        pytest.param(
+            lambda: cross_moment_wow(mpf("0.75"), PrecisionCtx(30)), 131, id="cross_moment_wow"
+        ),
+    ],
+)
+def test_taylor_callers_share_one_nested_grid(call, bound, monkeypatch):
+    """All orders come from one conjugate-folded grid, doubled at most once.
+
+    A loop per order that re-evaluates every node at each doubling needs
+    448, 1,344 and 450 evaluations for these calls.
+    """
+    raw = zeta_mod._zeta_em_raw
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_zeta_em_raw", counted)
+    zeta_mod._circle_grid.cache_clear()
+    try:
+        call()
+    finally:
+        zeta_mod._circle_grid.cache_clear()
+    assert len(calls) <= bound
