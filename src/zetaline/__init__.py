@@ -46,7 +46,6 @@ from .quadrature import (
     cross_moment_wow,
     identity_coffey,
     identity_hnorm,
-    integrate_mu,
     log_integral_disk,
     moment_oracle,
     outer_function,

@@ -2,8 +2,9 @@
 
 Values are serialized as decimal strings carrying the full working precision,
 so a cache hit is numerically identical to a cold computation.  Writes are
-atomic (temp file + rename); the key embeds the schema version, the method
-and the digits, so stale entries are simply never looked up.
+atomic (temp file + rename).  The key, ``stieltjes_k{K}_d{D}``, does not
+carry the schema version; each entry records its schema version and digits,
+and a mismatch of either is caught on load, reported as stale and recomputed.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ def cmd_stieltjes(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    digits = args.digits or (60 + (3 * args.nmax + 19) // 20)
+    digits = args.digits or coeffs_mod.reserve_digits(args.nmax)
     table = _table_for(args.nmax, digits, sigma=args.sigma, power=args.power)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
@@ -80,7 +80,7 @@ def cmd_eval(args) -> int:
         v = zeta_mod.zeta_em(s, ctx)
         out["zeta_em"] = [hreal_to_str(v.real, digits), hreal_to_str(v.imag, digits)]
     if args.method in ("series", "both"):
-        table = _table_for(args.nmax, max(66, 60 + (3 * args.nmax + 19) // 20))
+        table = _table_for(args.nmax, max(66, coeffs_mod.reserve_digits(args.nmax)))
         v2 = series_mod.zeta_via_series(s, table, mpf(10) ** (-digits + 4), ctx)
         out["zeta_series"] = [hreal_to_str(v2.real, digits), hreal_to_str(v2.imag, digits)]
     if args.method == "both":
@@ -94,7 +94,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_parseval(args) -> int:
-    digits = max(66, 60 + (3 * args.nmax + 19) // 20)
+    digits = max(66, coeffs_mod.reserve_digits(args.nmax))
     table = _table_for(args.nmax, digits)
     diag = coeffs_mod.decay_diagnostics(table)
     q = quad_mod.identity_hnorm()
@@ -168,7 +168,7 @@ def cmd_quad(args) -> int:
 def cmd_roots(args) -> int:
     from . import roots as roots_mod
 
-    digits = max(66, 60 + (3 * args.nmax + 19) // 20)
+    digits = max(66, coeffs_mod.reserve_digits(args.nmax))
     table = _table_for(args.nmax, digits)
     radii = tuple(float(r) for r in args.radii.split(","))
     report = roots_mod.roots_fN(args.nmax, table, PrecisionCtx(digits), probe_radii=radii)
@@ -190,7 +190,8 @@ def cmd_ergodic(args) -> int:
     if not os.access(cache, os.W_OK):
         raise ValueError(f"cache directory {cache} is not writable")
     m = int(observable[3:])
-    table = _table_for(max(8, abs(m)), 66)
+    n_max = max(8, abs(m))
+    table = _table_for(n_max, max(66, coeffs_mod.reserve_digits(n_max)))
     runs = []
     for seed in range(args.seeds):
         x0 = float(ergodic_mod.cauchy_half_sample(np.random.default_rng(1000 + seed), 1)[0])

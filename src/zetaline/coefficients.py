@@ -50,6 +50,7 @@ __all__ = [
     "coeffs_line",
     "coeffs_power",
     "line_table_depth",
+    "reserve_digits",
     "decay_diagnostics",
     "DecayDiagnostics",
     "PARSEVAL_SQ_CEILING",
@@ -126,8 +127,13 @@ class CoeffTable:
         return "\n".join(lines) + "\n"
 
 
+def reserve_digits(n_max: int) -> int:
+    """The cancellation reserve for a table through n_max: 60 + ceil(0.15 n_max) digits."""
+    return 60 + (3 * n_max + 19) // 20
+
+
 def _reserve_check(n_max: int, ctx: PrecisionCtx):
-    need = 60 + math.ceil(0.15 * n_max)
+    need = reserve_digits(n_max)
     if ctx.digits < need:
         raise InsufficientPrecisionError(
             f"n_max={n_max} requires digits >= {need} (cancellation reserve), got {ctx.digits}"
@@ -327,7 +333,6 @@ class DecayDiagnostics:
     alpha_fit: float
     abs_partial_sums: tuple
     sq_partial_sums: tuple
-    n_start: int = 0
 
 
 def decay_diagnostics(table: CoeffTable) -> DecayDiagnostics:

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 HEIGHT_CAP = 1.0e8
+_ORBIT_CHUNK = 50_000  # orbit points per batched zeta evaluation
 PRECISION_NOTE = "machine precision (module-level exemption from the mpf contract)"
 
 
@@ -180,7 +181,6 @@ def birkhoff_average(
     coeffs: CoeffTable,
     checkpoints: Sequence[int] = (),
     seed: int = 0,
-    chunk: int = 50_000,
 ) -> ErgodicRun:
     """Running Cesaro means of zeta(1/2 + i T^n x) g(T^n x) along one orbit.
 
@@ -195,11 +195,9 @@ def birkhoff_average(
     x = float(x0)
     produced = 0
     while produced < n_iter:
-        m = min(chunk, n_iter - produced)
-        orbit = np.empty(m)
-        for i in range(m):
-            orbit[i] = x
-            x = boole_step(x)
+        m = min(_ORBIT_CHUNK, n_iter - produced)
+        orbit = boole_orbit(x, m)
+        x = boole_step(orbit[-1])
         ok = np.abs(orbit) <= HEIGHT_CAP
         skipped += int((~ok).sum())
         tt = orbit[ok]
@@ -229,12 +227,7 @@ def birkhoff_average(
 
 def orbit_vs_cauchy_ks(x0: float = 0.37, n_iter: int = 1_000_000) -> float:
     """Kolmogorov-Smirnov distance of the orbit's empirical law to Cauchy(0,1/2)."""
-    orbit = np.empty(n_iter)
-    x = float(x0)
-    for i in range(n_iter):
-        orbit[i] = x
-        x = boole_step(x)
-    s = np.sort(orbit)
+    s = np.sort(boole_orbit(x0, n_iter))
     cdf = 0.5 + np.arctan(2.0 * s) / np.pi
     emp_hi = np.arange(1, n_iter + 1) / n_iter
     emp_lo = np.arange(0, n_iter) / n_iter

@@ -3,7 +3,7 @@
 Two regimes, dispatched on height:
 
 * Euler-Maclaurin with cutoff ~ 1.1 |t| and ten Bernoulli corrections, exact
-  to ~1e-13, used below the crossover height (default 600);
+  to ~1e-13, used below the fixed crossover height RS_CROSSOVER = 600;
 * the Riemann-Siegel main sum plus the leading remainder term, absolute error
   ~ 1e-4 at the crossover falling like t^{-3/4}, used above it.
 
@@ -60,7 +60,8 @@ def zeta_em_line(t, sigma: float = 0.5) -> np.ndarray:
         S = np.zeros(j - i, dtype=complex)
         step = max(1, _CHUNK // max(j - i, 1))
         for a in range(0, len(n), step):
-            S += np.exp(-np.multiply.outer(s, ln[a:a + step])).sum(axis=1)
+            w = np.multiply.outer(-s, ln[a:a + step])
+            S += np.exp(w, out=w).sum(axis=1)  # in place: one chunk-sized array, not two
         lnN = math.log(ng)
         nms = np.exp(-s * lnN)
         S += nms * ng / (s - 1) + nms / 2

@@ -1,28 +1,22 @@
 """Quadrature against the Cauchy measure and the closed-form integral suite.
 
-The probability measure is dmu = dt / (2 pi (1/4 + t^2)).  The substitution
-t = tan(theta/2)/2 turns integrals against mu into (1/2pi) times ordinary
-integrals over theta in [-pi, pi], which is how :func:`integrate_mu` sees
-them: adaptive Gauss-Legendre panels in theta, a caller-supplied cutoff with
-an explicit tail bound when the integrand misbehaves as theta approaches
-+-pi (that is, as |t| grows).
+The probability measure is dmu = dt / (2 pi (1/4 + t^2)).  Two kinds of
+integral are computed here:
 
-Three engines share the work:
-
-* ``integrate_mu``: multiprecision adaptive panels, for bounded or gently
-  growing integrands and the orthonormality checks;
-* a deformed-tail line integrator for the coefficient moments and the cross
-  moment, all on one grid of zeta-product values: the tail integrals over
+* the coefficient moments and the cross moment, by a deformed-tail line
+  integrator on one grid of zeta-product values: the tail integrals over
   |t| > T are evaluated exactly as integrals along the rays t = +-T - iy
   (the integrand is analytic in the lower half t-plane away from the
   imaginary axis and decays there), so no oscillatory truncation error
   enters at all;
-* a 35-digit head on [0, T1] plus a vectorized machine-precision far region
-  on [T1, T2] for the heavy identity integrals, with singularity subtraction
-  at critical-line zeros.  The two mean squares share one assembly
-  (``phi_l2_halfline`` is pi times ``identity_hnorm``), and the log|h_b|
-  kernel integrals share another (``log_integral_disk`` is Re log Q(1) of
-  ``outer_function``, whose kernel is identically 1 at u = 1).
+* the heavy identity integrals.  Each integrand is written once, as
+  g(t, zeta(1/2+it), lib) against a numeric namespace, and two evaluators
+  share it over one list of t-segments: a 35-digit head (lib = mpmath) below
+  T1 and one batched, adaptive float64 pass (lib = numpy) above it.  The
+  zero-sum integral's segments are the gaps between singular panels at
+  critical-line zeros, built once and split at T1.  ``phi_l2_halfline`` is
+  pi times ``identity_hnorm``, and ``log_integral_disk`` is Re log Q(1) of
+  ``outer_function``, whose kernel is identically 1 at u = 1.
 
 Truncation bounds for the mean-square identities use the classical growth
 of the second moment of zeta (density log(t/2pi) + 2 gamma0); they are
@@ -36,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workdps
@@ -49,7 +43,6 @@ from .zeta import _g_taylor, _zeta_em_raw, stieltjes, zeta_em
 __all__ = [
     "QuadratureResult",
     "ToleranceNotMetError",
-    "integrate_mu",
     "moment_oracle",
     "cross_line_quadrature",
     "cross_moment_closed_form",
@@ -79,7 +72,6 @@ class QuadratureResult:
     est_error: float
     trunc_bound: float
     nodes_used: int
-    theta_panels: int
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -112,78 +104,6 @@ def _gl_mp(npts: int, dps: int):
             xs.append(x)
             ws.append(2 / ((1 - x * x) * dp * dp))
         return tuple(xs), tuple(ws)
-
-
-# ---------------------------------------------------------------------------
-# integrate_mu: adaptive multiprecision theta panels
-# ---------------------------------------------------------------------------
-
-def integrate_mu(
-    f: Callable,
-    tol,
-    ctx: PrecisionCtx,
-    t_cutoff: Optional[float] = None,
-    tail_bound: float = 0.0,
-    initial_panels: int = 16,
-    max_depth: int = 30,
-) -> QuadratureResult:
-    """integral of f against dmu by adaptive theta-space Gauss-Legendre.
-
-    ``f`` maps a real mpf t to an mpf/mpc value.  With ``t_cutoff`` the
-    domain is |t| <= t_cutoff and the caller supplies ``tail_bound`` for what
-    was cut; without it the full line is integrated (the integrand must then
-    extend continuously to t = +-inf, as e_n does).  est_error sums the last
-    refinement corrections of the accepted panels.
-    """
-    wp = ctx.working()
-    with workdps(wp):
-        tol = mpf(tol)
-        if t_cutoff is None:
-            theta_max = +mp.pi
-        else:
-            theta_max = 2 * mp.atan(2 * mpf(t_cutoff))
-        xs, ws = _gl_mp(12, wp)
-
-        def panel(a, b):
-            mid, hw = (a + b) / 2, (b - a) / 2
-            acc = mpc(0)
-            for x, w in zip(xs, ws):
-                th = mid + hw * x
-                t = mp.tan(th / 2) / 2
-                acc += w * f(t)
-            return acc * hw / (2 * mp.pi)
-
-        edges = [theta_max * (2 * mpf(i) / initial_panels - 1) for i in range(initial_panels + 1)]
-        stack = [(a, b, panel(a, b), 0) for a, b in zip(edges[:-1], edges[1:])]
-        total = mpc(0)
-        est = mpf(0)
-        nodes = len(stack) * 12
-        panels = 0
-        # per-panel tolerance scaled by the panel's theta share
-        while stack:
-            a, b, coarse, depth = stack.pop()
-            m = (a + b) / 2
-            left, right = panel(a, m), panel(m, b)
-            nodes += 24
-            corr = abs(left + right - coarse)
-            share = tol * (b - a) / (2 * theta_max)
-            if corr <= share or depth >= max_depth:
-                total += left + right
-                est += corr
-                panels += 2
-            else:
-                stack.append((a, m, left, depth + 1))
-                stack.append((m, b, right, depth + 1))
-        if est > tol:
-            raise ToleranceNotMetError(f"estimated error {est} exceeds tol {tol}")
-        value = total if abs(total.imag) > mpf(10) ** (-(wp - 5)) else total.real
-        return QuadratureResult(
-            value=+value,
-            est_error=float(est),
-            trunc_bound=float(tail_bound),
-            nodes_used=nodes,
-            theta_panels=panels,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +240,6 @@ def cross_line_quadrature(a, b, ctx: PrecisionCtx | None = None,
         est_error=10.0 ** (-(ctx.digits - 6)),
         trunc_bound=0.0,
         nodes_used=nodes,
-        theta_panels=nodes // 12,
         notes={"route": "deformed-tail line integral"},
     )
 
@@ -410,25 +329,114 @@ def cross_moment_wow(sigma, ctx: PrecisionCtx):
 
 
 # ---------------------------------------------------------------------------
-# Native-precision far-region machinery
+# Identity integrals: each integrand once, two evaluators
 # ---------------------------------------------------------------------------
+#
+# An identity integrand is one function g(t, z, lib) of the height t and of
+# z = zeta(1/2+it), written against a numeric namespace lib that supplies
+# log, conj and pi: mpmath's mp in the 35-digit head, numpy in the float64
+# far pass.  Every integrand is even in t (the log|h_b| kernel once averaged
+# over z(t) and its conjugate), so the half line is integrated and doubled.
 
-def _native_adaptive(f_vec, a: float, b: float, base_width, rel_tol: float,
-                     abs_floor: float = 1e-13):
-    """Adaptive panel quadrature of a vectorized real or complex integrand on [a, b].
+def _mu(t, lib):
+    """The Cauchy density 1/(2 pi (1/4 + t^2)), mp or numpy."""
+    return 1 / (2 * lib.pi * (0.25 + t * t))
 
-    Each generation of panels is evaluated in one batched call (coarse 12-node
-    rule against its two 12-node halves); a panel is accepted when the
+
+def _h_b(t, z):
+    """The boundary value zeta(s) - s/(s-1) at s = 1/2 + it, from z = zeta(s)."""
+    return z + (0.5 + 1j * t) / (0.5 - 1j * t)
+
+
+def _coffey(t, z, lib):
+    """|zeta|^2 against mu: identity_coffey."""
+    return abs(z) ** 2 * _mu(t, lib)
+
+
+def _hnorm(t, z, lib):
+    """|h_b|^2 against mu: identity_hnorm and phi_l2_halfline."""
+    return abs(_h_b(t, z)) ** 2 * _mu(t, lib)
+
+
+def _log_zeta(t, z, lib):
+    """log|zeta| against mu: bsy_integral between the zeros."""
+    return lib.log(abs(z)) * _mu(t, lib)
+
+
+def _log_zeta_smooth(t, z, lib, gamma):
+    """_log_zeta less its log|t - gamma| singularity at the zero gamma."""
+    return (lib.log(abs(z)) - lib.log(abs(t - gamma))) * _mu(t, lib)
+
+
+def _kernel(z, u):
+    """Disk Herglotz kernel K(z, u) = ((z-1)u + 1)/((z+1)u - 1), mp or numpy."""
+    return ((z - 1) * u + 1) / ((z + 1) * u - 1)
+
+
+def _log_h_kernel(u: mpc):
+    """The integrand of log Q(u): the mean of K(z(t), u) and K(conj z(t), u),
+    z(t) = (1/2-it)/(1/2+it), times log|h_b| against mu.
+
+    The head takes u as the mpc itself, the native pass as complex(u).
+    """
+    uc = complex(u)
+
+    def g(t, z, lib):
+        w = (0.5 - 1j * t) / (0.5 + 1j * t)
+        v = u if lib is mp else uc
+        k = (_kernel(w, v) + _kernel(lib.conj(w), v)) / 2
+        return k * lib.log(abs(_h_b(t, z))) * _mu(t, lib)
+
+    return g
+
+
+def _panels(segs, width) -> list:
+    """Consecutive (a, b) panels covering each segment, of width width(a)."""
+    out = []
+    for a, b in segs:
+        while a < b:
+            out.append((a, min(b, a + width(a))))
+            a = out[-1][1]
+    return out
+
+
+def _mp_head_line(f, segs, wp: int, width: float):
+    """Multiprecision panels of f over the segments (a, b), split-doubling estimate.
+
+    Equal-width t-panels (theta-space panels would cluster nodes at large t,
+    exactly where the line integrands oscillate fastest).  f maps mpf ->
+    mpf/mpc.  Returns (value, est, nodes).
+    """
+    with workdps(wp):
+        xs, ws = _gl_mp(12, wp)
+        panels = _panels(segs, lambda t: width)
+        total = mpc(0)
+        est = 0.0
+        for a, b in panels:
+            a, b = mpf(a), mpf(b)
+            mid, hw = (a + b) / 2, (b - a) / 2
+            coarse = mp.fsum(w * f(mid + hw * x) for x, w in zip(xs, ws)) * hw
+            fine = mpc(0)
+            for aa, bb in ((a, mid), (mid, b)):
+                m2, h2 = (aa + bb) / 2, (bb - aa) / 2
+                fine += mp.fsum(w * f(m2 + h2 * x) for x, w in zip(xs, ws)) * h2
+            total += fine
+            est += float(abs(fine - coarse))
+        return total, est, 36 * len(panels)
+
+
+def _native_adaptive(f_vec, segs, base_width, rel_tol: float, abs_floor: float = 1e-13):
+    """Adaptive panel quadrature of a vectorized real or complex integrand
+    over the segments (a, b).
+
+    The segments start as panels of width base_width(t).  Each generation of
+    panels, across all segments, is evaluated in one batched call (coarse
+    12-node rule against its two 12-node halves); a panel is accepted when the
     correction drops below rel_tol * |panel| + abs_floor * width, otherwise it
     splits into the next generation.  Returns (value, est, nodes).
     """
     xs, ws = np.polynomial.legendre.leggauss(12)
-    edges = [a]
-    while edges[-1] < b:
-        t = edges[-1]
-        edges.append(min(b, t + base_width(t)))
-    los = np.array(edges[:-1])
-    his = np.array(edges[1:])
+    los, his = np.array(_panels(segs, base_width), dtype=float).reshape(-1, 2).T
     total, est, nodes = 0.0, 0.0, 0  # total turns complex with the integrand
     depth = 0
     while len(los):
@@ -465,18 +473,26 @@ def _osc_width(t: float, periods: float = 2.5, cap: float = 4.0) -> float:
     return max(0.4, min(cap, periods * TWO_PI / math.log(max(t, 20.0) / TWO_PI)))
 
 
-def _mu_density(t: np.ndarray) -> np.ndarray:
-    return 1.0 / (TWO_PI * (0.25 + t * t))
+def _line_integral(g, segs, T1: float, wp: int, head_width: float, far_width,
+                   rel_tol: float, abs_floor: float = 1e-13) -> tuple:
+    """2 x the integral of g(t, zeta(1/2+it), lib) dt over the segments (a, b).
 
-
-def _zeta_line_native(t: np.ndarray) -> np.ndarray:
-    return fastzeta.zeta_critical(t)
-
-
-def _h_boundary_native(t: np.ndarray) -> np.ndarray:
-    z = _zeta_line_native(t)
-    s_over = -(0.5 + 1j * t) / (0.5 - 1j * t)
-    return z - s_over
+    The segments are split at T1.  Below it the 35-digit head feeds g
+    _zeta_em_raw values with lib = mp, on equal panels of head_width; above
+    it one adaptive float64 pass feeds g fastzeta values with lib = numpy, on
+    panels of far_width(t).  Returns (value, est, nodes), the value an mpc.
+    """
+    head, head_est, head_nodes = _mp_head_line(
+        lambda t: g(t, _zeta_em_raw(mpc(0.5, t), wp), mp),
+        [(a, min(b, T1)) for a, b in segs if a < T1], wp, head_width,
+    )
+    far, far_est, far_nodes = _native_adaptive(
+        lambda t: g(t, fastzeta.zeta_critical(t), np),
+        [(max(a, T1), b) for a, b in segs if b > T1], far_width, rel_tol, abs_floor,
+    )
+    with workdps(wp):
+        value = +(2 * (head + mpc(far)))
+    return value, 2 * (head_est + far_est), head_nodes + far_nodes
 
 
 def _mean_square_tail(T: float, extra: float = 0.0) -> float:
@@ -485,92 +501,23 @@ def _mean_square_tail(T: float, extra: float = 0.0) -> float:
     return (math.log(T / TWO_PI) + 2 * GAMMA0_F + extra + 1.0) / (math.pi * T)
 
 
-def _mp_head_line(f, T1: float, wp: int, width: float = 1.0, lo: float = 0.0):
-    """Multiprecision panels of f over t in [lo, T1], split-doubling estimate.
-
-    Equal-width t-panels (theta-space panels would cluster nodes at large t,
-    exactly where the line integrands oscillate fastest).  Returns
-    (value, est, nodes); f maps mpf -> mpf/mpc and must include any measure
-    density itself.
-    """
-    with workdps(wp):
-        xs, ws = _gl_mp(12, wp)
-        total = mpc(0)
-        est = 0.0
-        nodes = 0
-        edges = [lo]
-        while edges[-1] < T1:
-            edges.append(min(T1, edges[-1] + width))
-        for a, b in zip(edges[:-1], edges[1:]):
-            a, b = mpf(a), mpf(b)
-            mid, hw = (a + b) / 2, (b - a) / 2
-            coarse = mp.fsum(w * f(mid + hw * x) for x, w in zip(xs, ws)) * hw
-            fine = mpc(0)
-            for aa, bb in ((a, mid), (mid, b)):
-                m2, h2 = (aa + bb) / 2, (bb - aa) / 2
-                fine += mp.fsum(w * f(m2 + h2 * x) for x, w in zip(xs, ws)) * h2
-            total += fine
-            est += float(abs(fine - coarse))
-            nodes += 36
-        return total, est, nodes
-
-
-def _identity_mean_square(integrand_native, integrand_mp, ctx, T1, T2, extra_tail):
-    """Shared assembly for coffey / hnorm: mp head + native far + tail bound.
-
-    Both integrands are even in t, so each side is computed once and doubled.
-    """
-    wp = ctx.working()
-    head, head_est, head_nodes = _mp_head_line(
-        lambda t: integrand_mp(t) / (2 * mp.pi * (mpf("0.25") + t * t)), T1, wp
-    )
-    far, far_est, far_nodes = _native_adaptive(
-        lambda t: integrand_native(t) * _mu_density(t),
-        T1,
-        T2,
-        _osc_width,
-        3e-7,
-    )
-    trunc = _mean_square_tail(T2, extra_tail)
-    with workdps(wp):
-        value = +(2 * (mpf(head.real) + mpf(far)))
-    return QuadratureResult(
-        value=value,
-        est_error=float(2 * (head_est + far_est)),
-        trunc_bound=float(trunc),
-        nodes_used=head_nodes + far_nodes,
-        theta_panels=0,
-        notes={"T1": T1, "T2": T2},
-    )
-
-
 def identity_coffey(ctx: PrecisionCtx | None = None, T1=60.0, T2=6.0e4) -> QuadratureResult:
     """int |zeta(1/2+it)|^2 dmu: closed form log(2 pi) - gamma0 ~ 1.2606614015."""
     ctx = ctx or PrecisionCtx(25)
-
-    def f_mp(t):
-        z = _zeta_em_raw(mpc(mpf("0.5"), t), ctx.working())
-        return (z * mp.conj(z)).real
-
-    def f_nat(t):
-        return np.abs(_zeta_line_native(t)) ** 2
-
-    return _identity_mean_square(f_nat, f_mp, ctx, T1, T2, extra_tail=0.0)
+    value, est, nodes = _line_integral(_coffey, [(0.0, T2)], T1, ctx.working(), 1.0,
+                                       _osc_width, 3e-7)
+    return QuadratureResult(value=value.real, est_error=est, trunc_bound=_mean_square_tail(T2),
+                            nodes_used=nodes, notes={"T1": T1, "T2": T2})
 
 
 def identity_hnorm(ctx: PrecisionCtx | None = None, T1=60.0, T2=6.0e4) -> QuadratureResult:
     """int |zeta(1/2+it) - s/(s-1)|^2 dmu: closed form log(2 pi) - gamma0 - 1."""
     ctx = ctx or PrecisionCtx(25)
-
-    def f_mp(t):
-        s = mpc(mpf("0.5"), t)
-        z = _zeta_em_raw(s, ctx.working()) - s / (s - 1)
-        return (z * mp.conj(z)).real
-
-    def f_nat(t):
-        return np.abs(_h_boundary_native(t)) ** 2
-
-    return _identity_mean_square(f_nat, f_mp, ctx, T1, T2, extra_tail=1.0)
+    value, est, nodes = _line_integral(_hnorm, [(0.0, T2)], T1, ctx.working(), 1.0,
+                                       _osc_width, 3e-7)
+    return QuadratureResult(value=value.real, est_error=est,
+                            trunc_bound=_mean_square_tail(T2, extra=1.0),
+                            nodes_used=nodes, notes={"T1": T1, "T2": T2})
 
 
 def phi_l2_halfline(T1: float = 60.0, T2: float = 6.0e4,
@@ -586,13 +533,13 @@ def phi_l2_halfline(T1: float = 60.0, T2: float = 6.0e4,
     r = identity_hnorm(ctx, T1, T2)
     with workdps(ctx.working()):
         value = +(mp.pi * r.value)
+    h0 = _h_b(0.0, fastzeta.zeta_critical(0.0)[0])
     return QuadratureResult(
         value=value,
         est_error=math.pi * r.est_error,
         trunc_bound=math.pi * r.trunc_bound,
         nodes_used=r.nodes_used,
-        theta_panels=0,
-        notes={"integrand_at_0": float(np.abs(_h_boundary_native(np.array([0.0])))[0] ** 2 / 0.25)},
+        notes={"integrand_at_0": float(abs(h0) ** 2 / 0.25)},
     )
 
 
@@ -600,50 +547,16 @@ def phi_l2_halfline(T1: float = 60.0, T2: float = 6.0e4,
 # Logarithmic integrals
 # ---------------------------------------------------------------------------
 
-def _log_h_native(t: np.ndarray) -> np.ndarray:
-    return np.log(np.abs(_h_boundary_native(t)))
-
-
-def _kernel(z, u):
-    """Disk Herglotz kernel K(z, u) = ((z-1)u + 1)/((z+1)u - 1), mp or numpy."""
-    return ((z - 1) * u + 1) / ((z + 1) * u - 1)
-
-
 def _log_h_kernel_integral(u, ctx: PrecisionCtx, T1: float, T2: float) -> tuple:
     """int_{|t|<=T2} K(z(t), u) log|h_b(t)| dmu(t), z(t) = (1/2-it)/(1/2+it).
 
-    log|h_b| is even in t, so each t > 0 carries the mean of the kernel at
-    z(t) and at its conjugate and the half-line integral is doubled: mp head
-    on [0, T1], one native pass on [T1, T2].  Returns (value, est, nodes).
+    Returns (value, est, nodes).
     """
     wp = ctx.working()
     with workdps(wp):
         u = mpc(u)
-
-        def f_mp(t):
-            s = mpc(mpf("0.5"), t)
-            z = (mpf("0.5") - 1j * t) / (mpf("0.5") + 1j * t)
-            k = (_kernel(z, u) + _kernel(mp.conj(z), u)) / 2
-            lg = mp.log(abs(_zeta_em_raw(s, wp) - s / (s - 1)))
-            return k * lg / (2 * mp.pi * (mpf("0.25") + t * t))
-
-        head, head_est, head_nodes = _mp_head_line(f_mp, T1, wp, width=0.5)
-    uc = complex(u)
-
-    def f_nat(t):
-        z = (0.5 - 1j * t) / (0.5 + 1j * t)
-        k = (_kernel(z, uc) + _kernel(z.conj(), uc)) / 2
-        return k * _log_h_native(t) * _mu_density(t)
-
-    far, far_est, far_nodes = _native_adaptive(
-        f_nat, T1, T2,
-        lambda t: _osc_width(t, periods=1.5, cap=2.0),
-        1e-6,
-        abs_floor=1e-12,
-    )
-    with workdps(wp):
-        value = +(2 * (head + mpc(far)))
-    return value, float(2 * (head_est + far_est)), head_nodes + far_nodes
+    return _line_integral(_log_h_kernel(u), [(0.0, T2)], T1, wp, 0.5,
+                          lambda t: _osc_width(t, periods=1.5, cap=2.0), 1e-6, abs_floor=1e-12)
 
 
 def log_integral_disk(ctx: PrecisionCtx | None = None, T1=60.0, T2=2.0e4) -> QuadratureResult:
@@ -666,7 +579,6 @@ def log_integral_disk(ctx: PrecisionCtx | None = None, T1=60.0, T2=2.0e4) -> Qua
             est_error=est,
             trunc_bound=float(trunc),
             nodes_used=nodes,
-            theta_panels=0,
             notes={
                 "lower_bound_log1mgamma0": float(floor),
                 "jensen_ceiling": float(mp.log(mpf(PARSEVAL_SQ_CEILING)) / 2),
@@ -675,38 +587,37 @@ def log_integral_disk(ctx: PrecisionCtx | None = None, T1=60.0, T2=2.0e4) -> Qua
         )
 
 
-def _log_zeta_singular_sum(ordinates: np.ndarray, lo: float, hi: float, h: float,
-                           native: bool, wp: int = 35) -> tuple:
-    """Singular panels around each zero in [lo, hi].
+_SINGULAR_HALFWIDTH = 0.08
 
-    On [g-h, g+h] the integrand log|zeta| splits as log|t-g| + smooth; the
-    smooth part goes through 12-node GL, the log part integrates in closed
-    form against the locally linearized measure density.
+
+def _singular_panels(gammas: np.ndarray, lib, wp: int) -> tuple:
+    """Sum over the zeros g in gammas of int_{g-h}^{g+h} log|zeta(1/2+it)| dmu,
+    h = _SINGULAR_HALFWIDTH.
+
+    On each panel log|zeta| = log|t-g| + smooth: the smooth part goes through
+    one 12-node GL rule, the log part integrates in closed form against the
+    density linearized at g.  With lib = mp the nodes are evaluated one by
+    one at wp digits; with lib = numpy, all zeros' nodes in one fastzeta
+    call.  Returns (value, nodes).
     """
-    sel = ordinates[(ordinates > lo) & (ordinates <= hi)]
-    if len(sel) == 0:
-        return (0.0 if native else mpf(0)), 0
-    xs64, ws64 = np.polynomial.legendre.leggauss(12)
-    if native:
-        total = 0.0
-        for g in sel:
-            tt = g + h * xs64
-            vals = np.log(np.abs(_zeta_line_native(tt))) - np.log(np.abs(tt - g))
-            total += float((vals * (h * ws64) * _mu_density(tt)).sum())
-            total += _mu_density(np.array([g]))[0] * 2 * h * (math.log(h) - 1)
-        return total, 12 * len(sel)
+    h = _SINGULAR_HALFWIDTH
+    nodes = 12 * len(gammas)
+    if lib is np:
+        xs, ws = np.polynomial.legendre.leggauss(12)
+        t = (gammas[:, None] + h * xs).ravel()
+        smooth = _log_zeta_smooth(t, fastzeta.zeta_critical(t), np, np.repeat(gammas, 12))
+        log_part = _mu(gammas, np) * 2 * h * (math.log(h) - 1)
+        return float((smooth.reshape(-1, 12) * (h * ws)).sum() + log_part.sum()), nodes
     with workdps(wp):
-        total = mpf(0)
         xs, ws = _gl_mp(12, wp)
-        hh = mpf(h)
-        for g in sel:
-            gm = mpf(float(g))
+        h = mpf(h)
+        total = mpf(0)
+        for g in map(mpf, gammas):
             for x, w in zip(xs, ws):
-                t = gm + hh * x
-                sm = mp.log(abs(_zeta_em_raw(mpc(mpf("0.5"), t), wp))) - mp.log(abs(t - gm))
-                total += w * hh * sm / (2 * mp.pi * (mpf("0.25") + t * t))
-            total += 2 * hh * (mp.log(hh) - 1) / (2 * mp.pi * (mpf("0.25") + gm * gm))
-        return total, 12 * len(sel)
+                t = g + h * x
+                total += w * h * _log_zeta_smooth(t, _zeta_em_raw(mpc(0.5, t), wp), mp, g)
+            total += _mu(g, mp) * 2 * h * (mp.log(h) - 1)
+        return total, nodes
 
 
 def bsy_integral(
@@ -714,84 +625,39 @@ def bsy_integral(
     zero_ordinates: Optional[Sequence[float]] = None,
     ctx: PrecisionCtx | None = None,
     T1: float = 30.0,
-    singular_halfwidth: float = 0.08,
 ) -> QuadratureResult:
     """int log|zeta(1/2+it)| dmu over |t| <= T_cutoff (expected near 0).
 
     Requires an ordinate list covering every critical-line zero below
     T_cutoff; the bundled table covers t <= 236.5 and the rest is scanned on
-    demand.  Each zero gets a singular panel (log piece integrated in closed
-    form); the remaining panels are adaptive.  After the fact the gaps are
-    re-scanned for sign changes: any uncovered zero is reported in
-    ``notes['uncovered']``.
+    demand.  Each zero gets a singular panel of halfwidth 0.08 (log piece
+    integrated in closed form); the zero-free segments between them are
+    built once over [0, T_cutoff] and split at T1 between the 35-digit head
+    and the adaptive float64 pass.  A singular panel goes with its zero.
+    After the fact the gaps are re-scanned for sign changes: any uncovered
+    zero is reported in ``notes['uncovered']``.
     """
     ctx = ctx or PrecisionCtx(25)
     ords = zeros.ordinates_below(T_cutoff, list(zero_ordinates) if zero_ordinates else None)
-    h = singular_halfwidth
-
-    def far_smooth(t):
-        return np.log(np.abs(_zeta_line_native(t))) * _mu_density(t)
-
-    # --- head: mp panels on the zero-free subintervals of [0, T1]
-    head_ords = ords[ords <= T1]
-    segs = []
-    prev = 0.0
-    for g in head_ords:
-        segs.append((prev, float(g) - h))
-        prev = float(g) + h
-    segs.append((prev, T1))
+    h = _SINGULAR_HALFWIDTH
     wp = ctx.working()
-
-    def f_mp(t):
-        return mp.log(abs(_zeta_em_raw(mpc(mpf("0.5"), t), wp))) / (
-            2 * mp.pi * (mpf("0.25") + t * t)
-        )
-
-    head_val = mpf(0)
-    head_est = 0.0
-    head_nodes = 0
-    for lo, hi in segs:
-        v, e, nn = _mp_head_line(f_mp, hi, wp, width=0.5, lo=lo)
-        with workdps(wp):
-            head_val += v.real
-        head_est += e
-        head_nodes += nn
-    sing_head, n1 = _log_zeta_singular_sum(ords, 0.0, T1, h, native=False, wp=wp)
-    with workdps(wp):
-        head_val += sing_head
-
-    # --- far region, native, zeros excluded then singular-panel corrected
-    far_ords = ords[(ords > T1) & (ords <= T_cutoff)]
-    far_total = 0.0
-    far_est = 0.0
-    far_nodes = 0
-    seg_edges = np.concatenate([[T1], np.repeat(far_ords, 2) + np.tile([-h, h], len(far_ords)), [T_cutoff]])
-    for i in range(0, len(seg_edges), 2):
-        lo, hi = seg_edges[i], seg_edges[i + 1]
-        if hi - lo < 1e-12:
-            continue
-        v, e, nn = _native_adaptive(
-            far_smooth, lo, hi,
-            lambda t: _osc_width(t, periods=1.2, cap=1.5),
-            1e-5,
-            abs_floor=1e-11,
-        )
-        far_total += v
-        far_est += e
-        far_nodes += nn
-    sing_far, n2 = _log_zeta_singular_sum(ords, T1, T_cutoff, h, native=True)
-    far_total += sing_far
+    edges = np.concatenate([[0.0], np.repeat(ords, 2) + np.tile([-h, h], len(ords)), [T_cutoff]])
+    value, est, nodes = _line_integral(
+        _log_zeta, list(zip(edges[::2], edges[1::2])), T1, wp, 0.5,
+        lambda t: _osc_width(t, periods=1.2, cap=1.5), 1e-5, abs_floor=1e-11,
+    )
+    sing_head, n1 = _singular_panels(ords[ords <= T1], mp, wp)
+    sing_far, n2 = _singular_panels(ords[ords > T1], np, wp)
 
     report = zeros.coverage_gaps(ords, T_cutoff)
     trunc = (0.5 * math.log(math.log(max(T_cutoff, 20.0))) + 1.5) / (math.pi * T_cutoff)
     with workdps(wp):
-        value = +(2 * (head_val + mpf(far_total)))
+        value = +(value.real + 2 * (sing_head + mpf(sing_far)))
     return QuadratureResult(
         value=value,
-        est_error=float(2 * (head_est + far_est)),
+        est_error=est,
         trunc_bound=float(trunc),
-        nodes_used=head_nodes + far_nodes + n1 + n2,
-        theta_panels=0,
+        nodes_used=nodes + n1 + n2,
         notes={
             "zeros_used": int(len(ords)),
             "uncovered": report.missing_intervals,

@@ -154,8 +154,21 @@ def roots_fN(N: int, coeffs: CoeffTable, ctx: PrecisionCtx,
     )
 
 
-def winding_count(N: int, radius: float, nodes: int, coeffs: CoeffTable,
-                  max_refine: int = 8) -> int:
+_MAX_REFINE = 8          # node doublings a winding count may take
+_SCAN_NODES = 8192       # float scan of |f_N| on the certificate circle
+
+
+def _fN_on_circle(N: int, coeffs: CoeffTable, radius: float, m: int) -> tuple:
+    """(z, f_N(z)) at m equispaced points of |z| = radius, float Horner."""
+    poly = [-1.0] + [float(coeffs.value(n)) for n in range(N + 1)]  # ascending
+    z = radius * np.exp(1j * np.linspace(0.0, 2 * np.pi, m, endpoint=False))
+    acc = np.zeros(m, dtype=complex)
+    for a in poly[::-1]:
+        acc = acc * z + a
+    return z, acc
+
+
+def winding_count(N: int, radius: float, nodes: int, coeffs: CoeffTable) -> int:
     """Argument-principle count of f_N zeros inside |z| = radius.
 
     Accumulates the phase of f_N along the circle, refining until every
@@ -164,26 +177,15 @@ def winding_count(N: int, radius: float, nodes: int, coeffs: CoeffTable,
     """
     if radius <= 0 or radius >= 1.0000001:
         raise ValueError("radius must lie in (0, 1]")
-    c = np.array([float(coeffs.value(n)) for n in range(N + 1)])
-    poly = np.concatenate([[-1.0], c])  # ascending
-
-    def fvals(m):
-        th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-        z = radius * np.exp(1j * th)
-        acc = np.zeros(m, dtype=complex)
-        for a in poly[::-1]:
-            acc = acc * z + a
-        return acc
-
     m = max(nodes, 64)
-    for _ in range(max_refine):
-        v = fvals(m)
+    for _ in range(_MAX_REFINE):
+        v = _fN_on_circle(N, coeffs, radius, m)[1]
         spacing = 2 * np.pi * radius / m
         # derivative scale estimate from consecutive differences
         dscale = np.abs(np.diff(np.concatenate([v, v[:1]]))).max() / spacing
         if np.abs(v).min() < 10 * spacing * max(dscale, 1e-30):
             # a root is (or may be) within ~10 node spacings of the circle
-            if m < nodes * 2 ** (max_refine - 1):
+            if m < nodes * 2 ** (_MAX_REFINE - 1):
                 m *= 2
                 continue
             raise CircleTooCloseError(
@@ -205,13 +207,8 @@ class TailCertificate:
     min_fN_on_circle: mpf
     conclusive: bool
 
-    @property
-    def certified_zero_count_matches(self) -> bool:
-        return self.conclusive
 
-
-def tail_radius_certificate(N: int, radius, coeffs: CoeffTable,
-                            scan_nodes: int = 8192) -> TailCertificate:
+def tail_radius_certificate(N: int, radius, coeffs: CoeffTable) -> TailCertificate:
     """Rouche certificate radius: if the series tail bound
 
         |f - f_N| <= sqrt(sum_{n>N} ell_n^2) |z|^{N+2} / sqrt(1-|z|)
@@ -228,20 +225,14 @@ def tail_radius_certificate(N: int, radius, coeffs: CoeffTable,
 
         bound = mp.sqrt(tail_sq_after(coeffs, N)) * r ** (N + 2) / mp.sqrt(1 - r)
     # minimum over a dense circle scan (float precision, then mp confirm)
-    c = np.array([float(coeffs.value(n)) for n in range(N + 1)])
-    poly = np.concatenate([[-1.0], c])
-    th = np.linspace(0.0, 2 * np.pi, scan_nodes, endpoint=False)
-    z = float(r) * np.exp(1j * th)
-    acc = np.zeros(scan_nodes, dtype=complex)
-    for a in poly[::-1]:
-        acc = acc * z + a
+    z, acc = _fN_on_circle(N, coeffs, float(r), _SCAN_NODES)
     i0 = int(np.abs(acc).argmin())
     with workdps(coeffs.digits):
         zmp = mpc(z[i0])
         fmin = abs(partial_sum_fN(N, zmp, coeffs))
         # float scan resolution guard: drop the estimate by the local slope
-        slope = float(abs(np.diff(np.abs(acc))).max() / (2 * np.pi * float(r) / scan_nodes))
-        fmin_safe = fmin - mpf(slope) * 2 * mp.pi * r / scan_nodes * 2
+        slope = float(abs(np.diff(np.abs(acc))).max() / (2 * np.pi * float(r) / _SCAN_NODES))
+        fmin_safe = fmin - mpf(slope) * 2 * mp.pi * r / _SCAN_NODES * 2
         return TailCertificate(
             N=N,
             radius=float(r),

@@ -106,18 +106,20 @@ def _h_closed_form(z: mpc, ctx: PrecisionCtx) -> mpc:
     return +(1 / z + g + 1 / (s - 1))
 
 
+_BOUNDARY_DELTA = 0.05  # |z| > 1 - this goes straight to the closed form
+
+
 def eval_h(
     z,
     coeffs: CoeffTable,
     tol,
     ctx: PrecisionCtx | None = None,
-    boundary_delta: float = 0.05,
     return_info: bool = False,
 ):
     """The generating function h(z) = sum ell_n z^n on the closed disk.
 
     Direct power summation, truncated once the Cauchy-Schwarz tail bound
-    drops below tol.  When |z| > 1 - boundary_delta, or when the bound cannot
+    drops below tol.  When |z| > 0.95, or when the bound cannot
     reach tol with the table's n_max, the evaluator switches to the closed
     form 1/z + zeta(1/(1+z)) and records the route.
     """
@@ -129,7 +131,7 @@ def eval_h(
             raise ValueError(f"|z| = {r} outside the closed unit disk")
         tol = mpf(tol)
         route = "direct-sum"
-        if r > 1 - boundary_delta:
+        if r > 1 - _BOUNDARY_DELTA:
             route = "closed-form"
         else:
             n_stop = None

@@ -141,6 +141,13 @@ def test_ergodic_subcommand_small(capsys):
     assert '"skip_rate"' in out
 
 
+def test_ergodic_table_meets_the_reserve(capsys):
+    """em:-41 pairs with ell_41, whose table needs 67 digits, not the floor 66."""
+    code, out = run_cli(["ergodic", "--g", "em:-41", "--iters", "200", "--seeds", "1"], capsys)
+    assert code == 0
+    assert '"prediction_re"' in out
+
+
 def test_ergodic_refuses_unwritable_cache(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
     assert main(["ergodic", "--g", "em:1", "--iters", "100", "--seeds", "1"]) == 2

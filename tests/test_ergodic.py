@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaline.coefficients import coeffs_critical
+from zetaline import ergodic
 from zetaline.ergodic import (
     basis_combination_value,
     birkhoff_average,
+    boole_orbit,
     boole_step,
     cauchy_half_sample,
     invariance_check,
@@ -64,6 +66,21 @@ def test_birkhoff_run_structure(crit):
     csv = run.to_csv()
     assert csv.splitlines()[0].startswith("checkpoint_N")
     assert len(csv.splitlines()) == 4
+
+
+def test_birkhoff_chunks_equal_one_orbit(crit):
+    """Across three orbit chunks, the running means are the plain means of
+    the observable over boole_orbit, at a checkpoint inside the second chunk
+    and at the end."""
+    n = 120_000
+    assert -(-n // ergodic._ORBIT_CHUNK) == 3
+    terms = [(0, 1.0)]
+    run = birkhoff_average(terms, 0.37, n, crit, checkpoints=[60_000])
+    orbit = boole_orbit(0.37, n)
+    for ck, est in zip(run.checkpoints, run.estimates):
+        x = orbit[:ck][np.abs(orbit[:ck]) <= ergodic.HEIGHT_CAP]
+        mean = (ergodic._zeta_at_heights(x) * basis_combination_value(terms, x)).mean()
+        assert abs(est - mean) < 1e-12, ck
 
 
 def test_birkhoff_conjugate_estimates(crit):
