@@ -13,8 +13,10 @@ integral are computed here:
   g(t, zeta(1/2+it), lib) against a numeric namespace, and two evaluators
   share it over one list of t-segments: a 35-digit head (lib = mpmath) below
   T1 and one batched, adaptive float64 pass (lib = numpy) above it.  The
-  zero-sum integral's segments are the gaps between singular panels at
-  critical-line zeros, built once and split at T1.  ``phi_l2_halfline`` is
+  head reads zeta through one bounded memo, ``_head_zeta``, since the
+  identities share head nodes bit for bit.  The zero-sum integral's
+  segments are the gaps between singular panels at critical-line zeros,
+  built once and split at T1.  ``phi_l2_halfline`` is
   pi times ``identity_hnorm``, and ``log_integral_disk`` is Re log Q(1) of
   ``outer_function``, whose kernel is identically 1 at u = 1.
 
@@ -473,17 +475,30 @@ def _osc_width(t: float, periods: float = 2.5, cap: float = 4.0) -> float:
     return max(0.4, min(cap, periods * TWO_PI / math.log(max(t, 20.0) / TWO_PI)))
 
 
+@lru_cache(maxsize=1 << 14)
+def _head_zeta(t: mpf, wp: int) -> mpc:
+    """zeta(1/2+it) at wp digits, memoized per head node.
+
+    The identity heads share nodes bit for bit: the fine halves of the
+    width-1 panels of coffey and hnorm are the coarse panels of the width-0.5
+    panels of log-disk, outer_function and bsy, and those three share every
+    node below bsy's first zero.
+    """
+    with workdps(wp):
+        return _zeta_em_raw(mpc(0.5, t), wp)
+
+
 def _line_integral(g, segs, T1: float, wp: int, head_width: float, far_width,
                    rel_tol: float, abs_floor: float = 1e-13) -> tuple:
     """2 x the integral of g(t, zeta(1/2+it), lib) dt over the segments (a, b).
 
     The segments are split at T1.  Below it the 35-digit head feeds g
-    _zeta_em_raw values with lib = mp, on equal panels of head_width; above
+    _head_zeta values with lib = mp, on equal panels of head_width; above
     it one adaptive float64 pass feeds g fastzeta values with lib = numpy, on
     panels of far_width(t).  Returns (value, est, nodes), the value an mpc.
     """
     head, head_est, head_nodes = _mp_head_line(
-        lambda t: g(t, _zeta_em_raw(mpc(0.5, t), wp), mp),
+        lambda t: g(t, _head_zeta(t, wp), mp),
         [(a, min(b, T1)) for a, b in segs if a < T1], wp, head_width,
     )
     far, far_est, far_nodes = _native_adaptive(
@@ -590,32 +605,44 @@ def log_integral_disk(ctx: PrecisionCtx | None = None, T1=60.0, T2=2.0e4) -> Qua
 _SINGULAR_HALFWIDTH = 0.08
 
 
-def _singular_panels(gammas: np.ndarray, lib, wp: int) -> tuple:
+def _bsy_pieces(ords: np.ndarray, T_cutoff: float) -> tuple:
+    """Singular-panel halfwidths and the zero-free segments of [0, T_cutoff].
+
+    Zero i gets the halfwidth h_i = min(0.08, gap_i / 3), gap_i the distance
+    to its nearer neighbour, so adjacent panels never overlap and each panel's
+    smooth part stays two halfwidths clear of the neighbour's singularity.
+    Returns (h, segments), the segments the gaps between the panels.
+    """
+    nearer = np.minimum(np.diff(ords, append=np.inf), np.diff(ords, prepend=-np.inf))
+    hs = np.minimum(_SINGULAR_HALFWIDTH, nearer / 3)
+    edges = np.concatenate([[0.0], np.column_stack([ords - hs, ords + hs]).ravel(), [T_cutoff]])
+    return hs, list(zip(edges[::2], edges[1::2]))
+
+
+def _singular_panels(gammas: np.ndarray, hs: np.ndarray, lib, wp: int) -> tuple:
     """Sum over the zeros g in gammas of int_{g-h}^{g+h} log|zeta(1/2+it)| dmu,
-    h = _SINGULAR_HALFWIDTH.
+    h the zero's entry in hs.
 
     On each panel log|zeta| = log|t-g| + smooth: the smooth part goes through
     one 12-node GL rule, the log part integrates in closed form against the
     density linearized at g.  With lib = mp the nodes are evaluated one by
-    one at wp digits; with lib = numpy, all zeros' nodes in one fastzeta
-    call.  Returns (value, nodes).
+    one at wp digits, through the head memo; with lib = numpy, all zeros'
+    nodes in one fastzeta call.  Returns (value, nodes).
     """
-    h = _SINGULAR_HALFWIDTH
     nodes = 12 * len(gammas)
     if lib is np:
         xs, ws = np.polynomial.legendre.leggauss(12)
-        t = (gammas[:, None] + h * xs).ravel()
+        t = (gammas[:, None] + hs[:, None] * xs).ravel()
         smooth = _log_zeta_smooth(t, fastzeta.zeta_critical(t), np, np.repeat(gammas, 12))
-        log_part = _mu(gammas, np) * 2 * h * (math.log(h) - 1)
-        return float((smooth.reshape(-1, 12) * (h * ws)).sum() + log_part.sum()), nodes
+        log_part = _mu(gammas, np) * 2 * hs * (np.log(hs) - 1)
+        return float((smooth.reshape(-1, 12) * (hs[:, None] * ws)).sum() + log_part.sum()), nodes
     with workdps(wp):
         xs, ws = _gl_mp(12, wp)
-        h = mpf(h)
         total = mpf(0)
-        for g in map(mpf, gammas):
+        for g, h in zip(map(mpf, gammas), map(mpf, hs)):
             for x, w in zip(xs, ws):
                 t = g + h * x
-                total += w * h * _log_zeta_smooth(t, _zeta_em_raw(mpc(0.5, t), wp), mp, g)
+                total += w * h * _log_zeta_smooth(t, _head_zeta(t, wp), mp, g)
             total += _mu(g, mp) * 2 * h * (mp.log(h) - 1)
         return total, nodes
 
@@ -630,24 +657,25 @@ def bsy_integral(
 
     Requires an ordinate list covering every critical-line zero below
     T_cutoff; the bundled table covers t <= 236.5 and the rest is scanned on
-    demand.  Each zero gets a singular panel of halfwidth 0.08 (log piece
-    integrated in closed form); the zero-free segments between them are
-    built once over [0, T_cutoff] and split at T1 between the 35-digit head
-    and the adaptive float64 pass.  A singular panel goes with its zero.
-    After the fact the gaps are re-scanned for sign changes: any uncovered
-    zero is reported in ``notes['uncovered']``.
+    demand.  Each zero gets a singular panel of halfwidth min(0.08, gap/3),
+    gap the distance to its nearer zero (log piece integrated in closed
+    form); the zero-free segments between them are built once over
+    [0, T_cutoff] and split at T1 between the 35-digit head and the adaptive
+    float64 pass.  A singular panel goes with its zero.  After the fact the
+    gaps are re-scanned for sign changes: any uncovered zero is reported in
+    ``notes['uncovered']``.
     """
     ctx = ctx or PrecisionCtx(25)
     ords = zeros.ordinates_below(T_cutoff, list(zero_ordinates) if zero_ordinates else None)
-    h = _SINGULAR_HALFWIDTH
     wp = ctx.working()
-    edges = np.concatenate([[0.0], np.repeat(ords, 2) + np.tile([-h, h], len(ords)), [T_cutoff]])
+    hs, segs = _bsy_pieces(ords, T_cutoff)
     value, est, nodes = _line_integral(
-        _log_zeta, list(zip(edges[::2], edges[1::2])), T1, wp, 0.5,
+        _log_zeta, segs, T1, wp, 0.5,
         lambda t: _osc_width(t, periods=1.2, cap=1.5), 1e-5, abs_floor=1e-11,
     )
-    sing_head, n1 = _singular_panels(ords[ords <= T1], mp, wp)
-    sing_far, n2 = _singular_panels(ords[ords > T1], np, wp)
+    head = ords <= T1
+    sing_head, n1 = _singular_panels(ords[head], hs[head], mp, wp)
+    sing_far, n2 = _singular_panels(ords[~head], hs[~head], np, wp)
 
     report = zeros.coverage_gaps(ords, T_cutoff)
     trunc = (0.5 * math.log(math.log(max(T_cutoff, 20.0))) + 1.5) / (math.pi * T_cutoff)

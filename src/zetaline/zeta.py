@@ -4,7 +4,10 @@ Everything here reduces to two workhorses:
 
 * an Euler-Maclaurin evaluator for zeta(s), with the trapezoid cutoff chosen
   from the working precision and |Im s|, and Bernoulli corrections to matching
-  order; and
+  order.  Its main sum sum_{n<N} n^-s and its Bernoulli corrections run in
+  fixed-point Python integers with 20 + bitlen(N) guard bits (one exp and
+  one cos/sin per prime, an integer complex product per composite); ln p
+  and the coefficients B_2k/(2k)! are cached per precision; and
 * one trapezoid engine for the Taylor coefficients a_k of the entire function
   g(s) = zeta(s) - 1/(s-1) at a real centre c, read off the circle |s - c| = r
   (``_taylor_on_circle``).  It doubles its node count until the coarse and
@@ -35,6 +38,16 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from mpmath import mp, mpc, mpf, workdps
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_cos_sin,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    to_fixed,
+)
 
 from .precision import (
     PrecisionCtx,
@@ -102,11 +115,34 @@ def _em_orders(dps: int, sigma: float, t: float):
     return K, N
 
 
+@lru_cache(maxsize=1 << 16)
+def _ln_prime(p: int, prec: int) -> tuple:
+    """ln p as a raw mpf at prec bits."""
+    return mpf_log(from_int(p), prec)
+
+
+@lru_cache(maxsize=32)
+def _bernoulli_fixed(K: int, wp: int) -> tuple:
+    """B_2k / (2k)! in fixed point with wp fractional bits, for k = 1..K."""
+    out = []
+    for k in range(1, K + 1):
+        b = bernoulli_fraction(2 * k)
+        out.append((b.numerator << wp) // (b.denominator * math.factorial(2 * k)))
+    return tuple(out)
+
+
 def _zeta_em_raw(s: mpc, dps: int, n_scale: int = 1) -> mpc:
     """Euler-Maclaurin zeta valid for Re s > 1 - 2K (far left of the strip).
 
     Must be called inside an mp context of at least ``dps`` digits.
     ``n_scale`` multiplies the trapezoid cutoff (self-consistency testing).
+
+    The sums run in fixed-point integers with mp.prec + 20 + bitlen(N)
+    fractional bits.  The main sum sum_{n<N} n^-s takes one exp and one
+    cos/sin of ln p per prime p (ln p cached per prime and precision) and one
+    integer complex product per composite; N^-s comes from the same fill.
+    The Bernoulli coefficients B_2k/(2k)! are cached per precision, and
+    N = 2^m makes each division by N^2 in the correction terms a shift.
     """
     s = mpc(s)
     K, N = _em_orders(dps, float(s.real), float(s.imag))
@@ -114,37 +150,55 @@ def _zeta_em_raw(s: mpc, dps: int, n_scale: int = 1) -> mpc:
     # bucket N upward so the factor sieve is shared across nearby calls
     N = 1 << (N - 1).bit_length()
     spf = _spf_table(N)
-    # multiplicative fill of n^{-s}: one complex exp per prime, one mul per composite
-    vals = [None] * N
-    vals[1] = mpc(1)
-    total = mpc(1)
-    for n in range(2, N):
+    prec = mp.prec
+    wp = prec + 20 + N.bit_length()
+    sre, sim = s._mpc_
+    # multiplicative fill of n^{-s} for n <= N: one exp and one cos/sin per
+    # prime, one complex product per composite
+    re = [0] * (N + 1)
+    im = [0] * (N + 1)
+    re[1] = 1 << wp
+    for n in range(2, N + 1):
         p = spf[n]
         if p == n:
-            vals[n] = mp.exp(-s * mp.log(n))
+            ln = _ln_prime(n, wp)
+            mag = mpf_exp(mpf_neg(mpf_mul(sre, ln, wp)), wp)
+            cs, sn = mpf_cos_sin(mpf_mul(sim, ln, wp), wp)
+            re[n] = to_fixed(mpf_mul(mag, cs, wp), wp)
+            im[n] = -to_fixed(mpf_mul(mag, sn, wp), wp)
         else:
-            vals[n] = vals[p] * vals[n // p]
-        total += vals[n]
-    lnN = mp.log(N)
-    Nms = mp.exp(-s * lnN)
-    total += Nms * N / (s - 1)
-    total += Nms / 2
-    pw = Nms / N          # N^{-s-1}
-    poch = s              # s (s+1) ... (s+2k-2), one factor so far
-    Nsq = mpf(N) ** 2
-    for k in range(1, K + 1):
+            q = n // p
+            re[n] = (re[p] * re[q] - im[p] * im[q]) >> wp
+            im[n] = (re[p] * im[q] + im[p] * re[q]) >> wp
+    # Bernoulli corrections sum_k B_2k/(2k)! v_k with
+    # v_k = s (s+1) ... (s+2k-2) N^{-s-2k+1}
+    m = N.bit_length() - 1
+    sr, si = to_fixed(sre, wp), to_fixed(sim, wp)
+    vr = (sr * re[N] - si * im[N]) >> (wp + m)
+    vi = (sr * im[N] + si * re[N]) >> (wp + m)
+    tr = ti = 0
+    for k, b in enumerate(_bernoulli_fixed(K, wp), 1):
         if k > 1:
-            poch = poch * (s + 2 * k - 3) * (s + 2 * k - 2)
-            pw = pw / Nsq
-        b = bernoulli_fraction(2 * k)
-        total += (mpf(b.numerator) / b.denominator) / mp.factorial(2 * k) * poch * pw
-    return +total
+            for a in (sr + ((2 * k - 3) << wp), sr + ((2 * k - 2) << wp)):
+                vr, vi = (vr * a - vi * si) >> wp, (vr * si + vi * a) >> wp
+            vr >>= 2 * m
+            vi >>= 2 * m
+        tr += b * vr
+        ti += b * vi
+
+    def fixed_to_mpc(x, y):
+        return mp.make_mpc((from_man_exp(x, -wp, prec, "n"), from_man_exp(y, -wp, prec, "n")))
+
+    # sum_{n<N} n^-s + N^-s / 2 + corrections + N^{1-s} / (s-1)
+    total = fixed_to_mpc(sum(re[:N]) + (re[N] >> 1) + (tr >> wp),
+                         sum(im[:N]) + (im[N] >> 1) + (ti >> wp))
+    return +(total + fixed_to_mpc(re[N], im[N]) * N / (s - 1))
 
 
 def zeta_em(s, ctx: PrecisionCtx) -> mpc:
     """zeta(s) by Euler-Maclaurin summation, for Re s > -1, s != 1.
 
-    Accurate to ctx.digits - 3 significant digits for |Im s| up to 1e6.
+    Accurate to ctx.digits - 3 significant digits for |Im s| up to 1e4.
     Raises ZetaPoleError at s = 1 and RegionError for Re s <= -1.
     """
     with workdps(ctx.working()):

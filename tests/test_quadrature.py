@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf, workdps
 
-from zetaline import fastzeta, quadrature
+from zetaline import fastzeta, quadrature, zeros
 from zetaline.coefficients import PARSEVAL_SQ_CEILING, coeffs_critical, coeffs_line
 from zetaline.precision import PrecisionCtx
 from zetaline.quadrature import (
@@ -176,6 +176,51 @@ def test_bsy_split_inside_a_singular_panel():
     a = bsy_integral(300.0, T1=14.2)
     b = bsy_integral(300.0, T1=6.0)
     assert abs(float(a.value) - float(b.value)) < 1e-7
+
+
+def test_bsy_panels_tile_without_overlap():
+    """Singular panels and zero-free segments tile [0, T] edge to edge, also
+    where two zeros lie closer than twice the 0.08 halfwidth."""
+    T = 2000.0
+    ords = zeros.ordinates_below(T)
+    hs, segs = quadrature._bsy_pieces(ords, T)
+    pieces = sorted(segs + list(zip(ords - hs, ords + hs)))
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == T
+    assert all(a < b for a, b in pieces)
+    assert all(b == a2 for (_, b), (a2, _) in zip(pieces, pieces[1:]))
+    i = int(np.argmin(abs(ords - 1977.174)))
+    gap = ords[i + 1] - ords[i]
+    assert gap < 0.16 and hs[i] <= gap / 3 and hs[i + 1] <= gap / 3
+
+
+def test_head_memo_shares_nodes(monkeypatch):
+    """coffey's fine half-panels are log-disk's panels, and log-disk covers
+    bsy's head below T1 = 6: 216, 288 and 0 new zeta evaluations, each value
+    bit-identical to the same call on an empty memo."""
+    raw = quadrature._zeta_em_raw
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_zeta_em_raw", counted)
+    runs = [lambda: identity_coffey(T1=6.0, T2=600.0),
+            lambda: log_integral_disk(T1=6.0, T2=600.0),
+            lambda: bsy_integral(300.0, T1=6.0)]
+    quadrature._head_zeta.cache_clear()
+    try:
+        counts, shared = [], []
+        for run in runs:
+            before = len(calls)
+            shared.append(run().value)
+            counts.append(len(calls) - before)
+        assert counts == [216, 288, 0]
+        for run, value in zip(runs, shared):
+            quadrature._head_zeta.cache_clear()
+            assert run().value == value
+    finally:
+        quadrature._head_zeta.cache_clear()
 
 
 def test_bsy_symmetric_doubling_contract():

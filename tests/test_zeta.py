@@ -90,6 +90,43 @@ def test_em_cutoff_doubling_invariance():
                 assert abs(a - b) < mpf(10) ** (-ctx.digits + 4)
 
 
+def _kernel_points():
+    """(s, through zeta_em) pairs: the critical line, the arc |s - 1| = 3 down
+    to Re s = -2 (the Stieltjes contour, _zeta_em_raw only where Re s <= -1),
+    and a deformed-tail ray point far right of the strip."""
+    pts = [(mpc(mpf("0.5"), mpf(t)), True) for t in ("0", "14.134725", "60")]
+    for a in (mp.pi / 3, 2 * mp.pi / 3, mp.pi - mpf("0.3")):
+        s = 1 + 3 * mp.expj(a)
+        pts.append((s, s.real > -1))
+    pts += [(mpc(-2), False), (mpc(mpf("30.5"), 48), True)]
+    return pts
+
+
+@pytest.mark.parametrize("wp", [35, 96, 150])
+def test_kernel_against_mpmath_zeta(wp):
+    """The fixed-point kernel meets zeta_em's 10^(3 - digits) claim against mpmath.
+
+    zeta(-2) = 0, so there the error is absolute.
+    """
+    ctx = PrecisionCtx(wp - 10)
+    tol = mpf(10) ** (3 - ctx.digits)
+    with workdps(wp):
+        cases = [(s, zeta_em(s, ctx) if public else _zeta_em_raw(s, wp))
+                 for s, public in _kernel_points()]
+    with workdps(wp + 20):
+        for s, v in cases:
+            ref = mp.zeta(s)
+            assert abs(v - ref) <= tol * (abs(ref) if s != -2 else 1), s
+
+
+def test_kernel_against_mpmath_zeta_at_height_1e4():
+    ctx = PrecisionCtx(25)
+    v = zeta_em(mpc(mpf("0.5"), 10_000), ctx)
+    with workdps(45):
+        ref = mp.zeta(mpc(mpf("0.5"), 10_000))
+        assert abs(v - ref) <= mpf(10) ** (3 - ctx.digits) * abs(ref)
+
+
 def test_zeta_minus_pole_is_regular_at_one():
     ctx = PrecisionCtx(40)
     with workdps(60):
