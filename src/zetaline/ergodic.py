@@ -63,7 +63,7 @@ def boole_orbit(x0: float, n_iter: int) -> np.ndarray:
     x = float(x0)
     for i in range(n_iter):
         out[i] = x
-        x = boole_step(x)
+        x = 0.5 * (x - 0.25 / x) if x else 0.0  # boole_step, inlined
     return out
 
 

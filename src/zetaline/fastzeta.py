@@ -2,10 +2,21 @@
 
 Two regimes, dispatched on height:
 
-* Euler-Maclaurin with cutoff ~ 1.1 |t| and ten Bernoulli corrections, exact
-  to ~1e-13, used below the fixed crossover height RS_CROSSOVER = 600;
+* Euler-Maclaurin with cutoff N ~ 1.1 |t| and ten Bernoulli corrections,
+  used below the fixed crossover height RS_CROSSOVER = 600.  Against
+  mpmath.zeta on 0 <= t <= 600 the error is at most 7.8e-13 on the critical
+  line (300 uniform heights; median 7e-14, below 5e-14 for t < 100) and at
+  most 2e-13 at the cutoff-bucket edges for sigma in {1/2, 3/4, 3/2, 2}: the
+  phase t ln n rounded in float64 sets it, and it grows with t;
 * the Riemann-Siegel main sum plus the leading remainder term, absolute error
   ~ 1e-4 at the crossover falling like t^{-3/4}, used above it.
+
+The Euler-Maclaurin main sum fills n^-s, n < N, by primes: one complex exp
+per prime, exp(-s ln p), and one complex product per composite,
+n^-s = p^-s (n/p)^-s with p its smallest prime factor (172 exps for the
+1,023 terms at N = 1024).  Heights share a power-of-two N; each bucket is
+found by np.searchsorted on the sorted cutoffs, filled _CHUNK // N points at
+a time, and summed pairwise in an order that does not depend on the chunk.
 
 These back the large-height quadrature of the identity integrals and the
 ergodic orbit averages, where tolerances are 1e-2..1e-4 and millions of
@@ -36,6 +47,66 @@ _B2K = [1/6, -1/30, 1/42, -1/30, 5/66, -691/2730, 7/6, -3617/510, 43867/798, -17
 _B2K_OVER_FACT = [b / math.factorial(2 * (k + 1)) for k, b in enumerate(_B2K)]
 
 _CHUNK = 4_000_000  # complex elements per matrix chunk
+_GATHER = 4_096  # complex elements per gathered block of composite columns
+
+
+@lru_cache(maxsize=32)
+def _fill_plan(ng: int) -> tuple:
+    """How to fill n^-s for 2 <= n < ng with one complex exp per prime.
+
+    The fill matrix holds one column per n: the primes first, in a contiguous
+    block, then the composites in increasing order.  Composite n = p (n/p),
+    p its smallest prime factor, is the product of columns a = col(p) and
+    b = col(n/p), both earlier.  The composites split into runs whose factors
+    all lie before the run, so a run fills in one batched product.  Returns
+    (ln p per prime, a, b, runs), a and b per composite and runs as (lo, hi)
+    matrix columns.  Cached per power-of-two N.
+    """
+    spf = list(range(ng))  # smallest prime factor, sieved
+    for p in range(2, math.isqrt(ng - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, ng, p):
+                if spf[m] == m:
+                    spf[m] = p
+    primes = [n for n in range(2, ng) if spf[n] == n]
+    col = {p: i for i, p in enumerate(primes)}
+    a, b, starts = [], [], []
+    for n in range(4, ng):
+        if spf[n] != n:
+            col[n] = len(primes) + len(a)
+            a.append(col[spf[n]])
+            b.append(col[n // spf[n]])
+            if not starts or b[-1] >= starts[-1]:
+                starts.append(col[n])
+    runs = tuple(zip(starts, starts[1:] + [len(primes) + len(a)]))
+    return np.log(np.array(primes, dtype=float)), np.array(a), np.array(b), runs
+
+
+def _dirichlet_head(s: np.ndarray, ng: int) -> np.ndarray:
+    """sum_{n<ng} n^-s for each s, filled by primes, _CHUNK // ng points at a time."""
+    lnp, a, b, runs = _fill_plan(ng)
+    P = len(lnp)
+    out = np.empty(len(s), dtype=complex)
+    rows = max(1, _CHUNK // ng)
+    for i in range(0, len(s), rows):
+        ms = -s[i:i + rows]
+        M = np.empty((P + len(a), len(ms)), dtype=complex)
+        blk = M[:P]
+        np.multiply.outer(lnp, ms, out=blk)
+        np.exp(blk, out=blk)  # in place: the matrix is the only chunk-sized array
+        step = max(1, _GATHER // len(ms))  # columns per product, bounding the gathers
+        for lo, hi in runs:
+            for c in range(lo, hi, step):
+                d = min(hi, c + step)
+                k = c - P if d == c + 1 else slice(c - P, d - P)  # one column: views, no gather
+                np.multiply(M[a[k]], M[b[k]], out=M[c:d])
+        n = len(M)
+        while n > 1:  # pairwise, in place, in an order that does not depend on the row count
+            h = n // 2
+            M[:h] += M[n - h:n]
+            n -= h
+        out[i:i + rows] = 1 + M[0]
+    return out
 
 
 def zeta_em_line(t, sigma: float = 0.5) -> np.ndarray:
@@ -51,17 +122,9 @@ def zeta_em_line(t, sigma: float = 0.5) -> np.ndarray:
     i = 0
     while i < len(ts):
         ng = 1 << int(ns[i] - 1).bit_length()
-        j = i
-        while j < len(ts) and ns[j] <= ng:
-            j += 1
+        j = int(np.searchsorted(ns, ng, side="right"))
         s = sigma + 1j * ts[i:j]
-        n = np.arange(1, ng)
-        ln = np.log(n)
-        S = np.zeros(j - i, dtype=complex)
-        step = max(1, _CHUNK // max(j - i, 1))
-        for a in range(0, len(n), step):
-            w = np.multiply.outer(-s, ln[a:a + step])
-            S += np.exp(w, out=w).sum(axis=1)  # in place: one chunk-sized array, not two
+        S = _dirichlet_head(s, ng)
         lnN = math.log(ng)
         nms = np.exp(-s * lnN)
         S += nms * ng / (s - 1) + nms / 2
@@ -159,10 +222,8 @@ def _hardy_Z_rs(t: np.ndarray) -> np.ndarray:
     Z = np.empty(len(t))
     i = 0
     while i < len(ts):
-        j = i
         mv = ms[i]
-        while j < len(ts) and ms[j] == mv:
-            j += 1
+        j = int(np.searchsorted(ms, mv, side="right"))
         n = np.arange(1, mv + 1)
         block = np.cos(ths[i:j, None] - np.multiply.outer(ts[i:j], np.log(n)))
         Z[i:j] = 2 * (block / np.sqrt(n)).sum(axis=1)

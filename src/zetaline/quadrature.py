@@ -611,12 +611,16 @@ def _bsy_pieces(ords: np.ndarray, T_cutoff: float) -> tuple:
     Zero i gets the halfwidth h_i = min(0.08, gap_i / 3), gap_i the distance
     to its nearer neighbour, so adjacent panels never overlap and each panel's
     smooth part stays two halfwidths clear of the neighbour's singularity.
-    Returns (h, segments), the segments the gaps between the panels.
+    The last zero's halfwidth is also capped at T_cutoff - gamma, so no panel
+    runs past the cutoff.  Returns (h, segments), the segments the non-empty
+    gaps between the panels.
     """
     nearer = np.minimum(np.diff(ords, append=np.inf), np.diff(ords, prepend=-np.inf))
     hs = np.minimum(_SINGULAR_HALFWIDTH, nearer / 3)
+    if len(ords):
+        hs[-1] = min(hs[-1], T_cutoff - ords[-1])
     edges = np.concatenate([[0.0], np.column_stack([ords - hs, ords + hs]).ravel(), [T_cutoff]])
-    return hs, list(zip(edges[::2], edges[1::2]))
+    return hs, [(a, b) for a, b in zip(edges[::2], edges[1::2]) if a < b]
 
 
 def _singular_panels(gammas: np.ndarray, hs: np.ndarray, lib, wp: int) -> tuple:
@@ -658,12 +662,12 @@ def bsy_integral(
     Requires an ordinate list covering every critical-line zero below
     T_cutoff; the bundled table covers t <= 236.5 and the rest is scanned on
     demand.  Each zero gets a singular panel of halfwidth min(0.08, gap/3),
-    gap the distance to its nearer zero (log piece integrated in closed
-    form); the zero-free segments between them are built once over
-    [0, T_cutoff] and split at T1 between the 35-digit head and the adaptive
-    float64 pass.  A singular panel goes with its zero.  After the fact the
-    gaps are re-scanned for sign changes: any uncovered zero is reported in
-    ``notes['uncovered']``.
+    gap the distance to its nearer zero, and the last one ends at T_cutoff
+    at the latest (log piece integrated in closed form); the zero-free
+    segments between them are built once over [0, T_cutoff] and split at T1
+    between the 35-digit head and the adaptive float64 pass.  A singular
+    panel goes with its zero.  After the fact the gaps are re-scanned for
+    sign changes: any uncovered zero is reported in ``notes['uncovered']``.
     """
     ctx = ctx or PrecisionCtx(25)
     ords = zeros.ordinates_below(T_cutoff, list(zero_ordinates) if zero_ordinates else None)
@@ -673,9 +677,9 @@ def bsy_integral(
         _log_zeta, segs, T1, wp, 0.5,
         lambda t: _osc_width(t, periods=1.2, cap=1.5), 1e-5, abs_floor=1e-11,
     )
-    head = ords <= T1
-    sing_head, n1 = _singular_panels(ords[head], hs[head], mp, wp)
-    sing_far, n2 = _singular_panels(ords[~head], hs[~head], np, wp)
+    head, panel = ords <= T1, hs > 0  # a zero at T_cutoff itself gets no panel
+    sing_head, n1 = _singular_panels(ords[head & panel], hs[head & panel], mp, wp)
+    sing_far, n2 = _singular_panels(ords[~head & panel], hs[~head & panel], np, wp)
 
     report = zeros.coverage_gaps(ords, T_cutoff)
     trunc = (0.5 * math.log(math.log(max(T_cutoff, 20.0))) + 1.5) / (math.pi * T_cutoff)

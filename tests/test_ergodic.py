@@ -37,6 +37,19 @@ def test_boole_oddness(x):
     assert boole_step(-x) == -boole_step(x)
 
 
+def test_orbit_is_repeated_boole_step():
+    """boole_orbit inlines boole_step; the orbit is the same bit for bit,
+    from 0.0 and -0.0 (both fixed at +0.0), from 1e-300 (first step to
+    -1.25e299, then halving for ~990 steps) and from a Cauchy start."""
+    starts = [0.0, -0.0, 1e-300, float(cauchy_half_sample(np.random.default_rng(11), 1)[0])]
+    for x0 in starts:
+        orbit = boole_orbit(x0, 2000)
+        x = x0
+        for i, v in enumerate(orbit):
+            assert np.float64(x).tobytes() == v.tobytes(), (x0, i)
+            x = boole_step(x)
+
+
 def test_invariance_e0_exact():
     r = invariance_check([(0, 1.0)], samples=10_000)
     assert r["direct_mean"] == pytest.approx(1.0)

@@ -178,19 +178,38 @@ def test_bsy_split_inside_a_singular_panel():
     assert abs(float(a.value) - float(b.value)) < 1e-7
 
 
-def test_bsy_panels_tile_without_overlap():
-    """Singular panels and zero-free segments tile [0, T] edge to edge, also
-    where two zeros lie closer than twice the 0.08 halfwidth."""
-    T = 2000.0
+def _bsy_tiling(T):
+    """Zeros below T and their halfwidths, after checking that the singular
+    panels and zero-free segments tile [0, T] edge to edge, none reversed."""
     ords = zeros.ordinates_below(T)
     hs, segs = quadrature._bsy_pieces(ords, T)
     pieces = sorted(segs + list(zip(ords - hs, ords + hs)))
     assert pieces[0][0] == 0.0 and pieces[-1][1] == T
     assert all(a < b for a, b in pieces)
     assert all(b == a2 for (_, b), (a2, _) in zip(pieces, pieces[1:]))
+    return ords, hs
+
+
+def test_bsy_panels_tile_without_overlap():
+    """Singular panels and zero-free segments tile [0, T] edge to edge, also
+    where T lies within a halfwidth above the last zero (14.2 is 0.065 above
+    14.1347, so that panel ends at T) and where two zeros lie closer than
+    twice the 0.08 halfwidth."""
+    ords, hs = _bsy_tiling(14.2)
+    assert len(ords) == 1 and ords[0] + hs[0] == 14.2
+    ords, hs = _bsy_tiling(2000.0)
     i = int(np.argmin(abs(ords - 1977.174)))
     gap = ords[i + 1] - ords[i]
     assert gap < 0.16 and hs[i] <= gap / 3 and hs[i + 1] <= gap / 3
+
+
+def test_bsy_cutoff_inside_last_panel():
+    """A cutoff 0.065 above the first zero integrates [0, 14.2], not the
+    panel's [0, 14.2147]; a cutoff at the zero itself stays finite."""
+    ref = mpf("-0.00039352108798089")  # 2 int_0^14.2 log|zeta| dmu, mpmath.quad at 20 digits
+    r = bsy_integral(14.2)
+    assert abs(r.value - ref) < 1e-7
+    assert mp.isfinite(bsy_integral(float(zeros.bundled_ordinates()[0])).value)
 
 
 def test_head_memo_shares_nodes(monkeypatch):

@@ -1,8 +1,11 @@
 """Native line evaluators and zero-ordinate machinery."""
 
+import mpmath
 import numpy as np
+import pytest
 from mpmath import mpc, mpf, workdps
 
+from zetaline import fastzeta
 from zetaline.fastzeta import (
     _rs_psi,
     hardy_Z,
@@ -37,6 +40,35 @@ def test_em_line_off_critical():
     vals = zeta_em_line(np.array([3.0, 50.0]), sigma=0.75)
     for t, v in zip((3.0, 50.0), vals):
         assert abs(v - _ref(t, 0.75)) < 1e-11
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.75, 1.5, 2.0])
+def test_em_line_against_mpmath_at_bucket_edges(sigma):
+    """Independent oracle: mpmath.zeta on each side of every power-of-two
+    cutoff edge up to t = 600, where N jumps from ng to 2 ng; error <= 1e-12,
+    absolute, or relative where |zeta| > 1."""
+    ts = []
+    ng = 16
+    while (edge := (ng - 2 * sigma - 10) / 1.1) < 600:
+        if edge > 0:
+            ts += [edge * (1 - 1e-9), edge * (1 + 1e-9)]
+        ng *= 2
+    vals = zeta_em_line(np.array(ts), sigma)
+    with workdps(25):
+        for t, v in zip(ts, vals):
+            ref = complex(mpmath.zeta(mpc(sigma, t)))
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (sigma, t)
+
+
+def test_em_line_row_chunks_match(monkeypatch):
+    """A _CHUNK of a few hundred elements cuts every cutoff bucket into
+    chunks of 18 rows or fewer (one row from N = 256 on); the values match
+    the one-chunk fill."""
+    t = np.concatenate([np.linspace(0.0, 600.0, 1201), np.linspace(455.0, 456.0, 7)])
+    whole = zeta_em_line(t)
+    monkeypatch.setattr(fastzeta, "_CHUNK", 300)
+    chunked = zeta_em_line(t)
+    assert np.all(np.abs(chunked - whole) <= 1e-15 * np.abs(whole))
 
 
 def test_rs_line_accuracy_drops_slowly():
