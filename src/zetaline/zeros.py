@@ -120,20 +120,21 @@ def coverage_gaps(ordinates: np.ndarray, T_cutoff: float, step: float = 0.05) ->
     """Detect sign changes of Z between listed ordinates (uncovered zeros).
 
     Scans the gaps between consecutive listed ordinates; any sign change not
-    accounted for by the list is reported as a missing interval.
+    accounted for by the list is reported as a missing interval.  The grids
+    of all gaps are evaluated in one hardy_Z call.
     """
     ords = np.asarray(sorted(o for o in ordinates if o <= T_cutoff))
-    missing = []
     edges = np.concatenate([[10.0], ords, [T_cutoff]])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo < 4 * step:
-            continue
-        grid = np.linspace(lo + step, hi - step, max(int((hi - lo) / step), 8))
-        vals = hardy_Z(grid)
-        sgn = np.sign(vals)
-        flips = np.where(sgn[:-1] * sgn[1:] < 0)[0]
-        for f in flips:
-            missing.append((float(grid[f]), float(grid[f + 1])))
+    grids = [np.linspace(lo + step, hi - step, max(int((hi - lo) / step), 8))
+             for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo >= 4 * step]
+    missing = []
+    if grids:
+        grid = np.concatenate(grids)
+        sgn = np.sign(hardy_Z(grid))
+        flip = sgn[:-1] * sgn[1:] < 0
+        ends = np.cumsum([len(g) for g in grids])
+        flip[ends[:-1] - 1] = False  # no pair across two gaps
+        missing = [(float(grid[f]), float(grid[f + 1])) for f in np.flatnonzero(flip)]
     return CoverageReport(
         missing_intervals=missing,
         found=len(ords),

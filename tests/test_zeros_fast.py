@@ -7,7 +7,9 @@ from mpmath import mpc, mpf, workdps
 
 from zetaline import fastzeta
 from zetaline.fastzeta import (
+    RS_CROSSOVER,
     _rs_psi,
+    _rs_term,
     hardy_Z,
     hardy_theta,
     zeta_critical,
@@ -74,9 +76,8 @@ def test_em_line_row_chunks_match(monkeypatch):
 def test_rs_line_accuracy_drops_slowly():
     ts = np.array([700.0, 3000.0, 9999.5])
     vals = zeta_rs_line(ts)
-    tol = (2e-4, 7e-5, 1e-5)
-    for t, v, tl in zip(ts, vals, tol):
-        assert abs(v - _ref(t)) < tl
+    for t, v in zip(ts, vals):
+        assert abs(v - _ref(t)) < 1e-9
 
 
 def test_rs_psi_removable_points():
@@ -95,6 +96,76 @@ def test_rs_psi_removable_points():
             mine = float(_rs_psi(np.array([p]))[0])
             ref = float(f(mpmath.mpf(p) + mpmath.mpf("1e-30")))
             assert abs(mine - ref) < 1e-10, p
+
+
+def test_hardy_Z_against_siegelz():
+    """Riemann-Siegel with C0..C5 from t = 200: |Z - mpmath.siegelz| <= 1e-9,
+    at p = tau - floor(tau) near 1/4 and 3/4 (the removable points of Psi), on
+    both sides of the crossover and of the old crossover 600, and up to 2e4."""
+    ts = [199.999, 200.0, 200.001, 250.0, 599.999, 600.001, 1000.0, 7005.1, 19999.0]
+    for m in (6, 9, 20, 56):
+        for p in (0.25, 0.75, 0.2501, 0.7499):
+            ts.append(2 * np.pi * (m + p) ** 2)
+    vals = hardy_Z(np.array(ts))
+    with workdps(25):
+        for t, v in zip(ts, vals):
+            assert abs(v - float(mpmath.siegelz(t))) <= 1e-9, t
+
+
+def test_zeta_critical_continuous_across_crossover():
+    """The last Euler-Maclaurin height and the first Riemann-Siegel one both
+    lie within 1e-9 of mpmath.zeta."""
+    ts = np.array([np.nextafter(RS_CROSSOVER, 0.0), RS_CROSSOVER])
+    vals = zeta_critical(ts)
+    with workdps(25):
+        for t, v in zip(ts, vals):
+            assert abs(v - complex(mpmath.zeta(mpc(0.5, t)))) <= 1e-9, t
+    assert abs(vals[1] - vals[0]) <= 2e-9
+
+
+def _psi_derivatives(x, jmax):
+    """Psi^(j)(p), j <= jmax, at p = x + 1/2, from the Taylor series of
+    Psi = -cos(2 pi x^2 - 5 pi/8) / cos(2 pi x) in x, good to 40 digits.
+
+    The series division loses about 0.6 digits per power of x, so it runs
+    at 90 digits."""
+    n = 100
+    with workdps(90):
+        w = 2 * mpmath.pi
+        c, s = mpmath.cos(5 * mpmath.pi / 8), mpmath.sin(5 * mpmath.pi / 8)
+        num, den = [mpf(0)] * (n + 1), [mpf(0)] * (n + 1)
+        for i in range(0, n + 1, 2):  # x^i = (x^2)^(i/2)
+            h = i // 2
+            num[i] = -(c if h % 2 == 0 else s) * (-1) ** (h // 2) * w ** h / mpmath.factorial(h)
+            den[i] = (-1) ** h * w ** i / mpmath.factorial(i)
+        q = []
+        for i in range(n + 1):
+            q.append((num[i] - mpmath.fsum(den[j] * q[i - j] for j in range(1, i + 1))) / den[0])
+        x = mpf(x)
+        return [mpmath.fsum(q[i] * mpmath.ff(i, j) * x ** (i - j) for i in range(j, n + 1))
+                for j in range(jmax + 1)]
+
+
+def test_rs_polynomials_match_edwards():
+    """C1..C4 against Edwards' closed forms (Riemann's Zeta Function, 7.6),
+    to the cut each polynomial is allowed: _RS_TAIL on Z at RS_CROSSOVER, so
+    _RS_TAIL tau^(k + 1/2) on C_k, tau = sqrt(RS_CROSSOVER / 2 pi)."""
+    xs = [-0.5, -0.37, -0.25, -0.1, 0.0, 0.13, 0.25, 0.4, 0.5]
+    for x in xs:
+        d = _psi_derivatives(x, 12)
+        with workdps(40):
+            pi = mpmath.pi
+            edwards = [
+                -d[3] / (96 * pi ** 2),
+                d[2] / (64 * pi ** 2) + d[6] / (18432 * pi ** 4),
+                -d[1] / (64 * pi ** 2) - d[5] / (3840 * pi ** 4) - d[9] / (5308416 * pi ** 6),
+                d[0] / (128 * pi ** 2) + 19 * d[4] / (24576 * pi ** 4)
+                + 11 * d[8] / (5898240 * pi ** 6) + d[12] / (2038431744 * pi ** 8),
+            ]
+        xa = np.array([x])
+        for k, ref in enumerate(edwards, start=1):
+            tol = fastzeta._RS_TAIL * (RS_CROSSOVER / (2 * np.pi)) ** ((k + 0.5) / 2) + 1e-16
+            assert abs(float(_rs_term(k, xa, xa * xa)[0]) - float(ref)) <= tol, (k, x)
 
 
 def test_hardy_Z_is_real_rotation():
@@ -152,3 +223,31 @@ def test_coverage_detects_removed_zero():
     assert lo <= ords[10] <= hi
     clean = coverage_gaps(ords, 120.0)
     assert clean.ok
+
+
+def _coverage_per_gap(ords, T_cutoff, step=0.05):
+    """The rescan one gap at a time: the reference for the batched scan."""
+    edges = np.concatenate([[10.0], ords, [T_cutoff]])
+    missing = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo < 4 * step:
+            continue
+        grid = np.linspace(lo + step, hi - step, max(int((hi - lo) / step), 8))
+        sgn = np.sign(hardy_Z(grid))
+        for f in np.where(sgn[:-1] * sgn[1:] < 0)[0]:
+            missing.append((float(grid[f]), float(grid[f + 1])))
+    return missing
+
+
+def test_coverage_batched_rescan():
+    """One ordinate near t = 1000 removed: exactly its interval is reported,
+    and on the full list the batched rescan equals the per-gap loop."""
+    ords = ordinates_below(1100.0)
+    i = int(np.argmin(np.abs(ords - 1000.0)))
+    report = coverage_gaps(np.delete(ords, i), 1100.0)
+    assert len(report.missing_intervals) == 1
+    lo, hi = report.missing_intervals[0]
+    assert lo <= ords[i] <= hi
+    assert report.missing_intervals == _coverage_per_gap(np.delete(ords, i), 1100.0)
+    full = coverage_gaps(ords, 1100.0)
+    assert full.ok and full.missing_intervals == _coverage_per_gap(ords, 1100.0)
