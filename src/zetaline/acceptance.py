@@ -45,7 +45,7 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = ", ".join(f"{k}={v}" for k, v in self.details.items())
-        return f"[{status}] criterion {self.index:2d}: {self.name} ({self.elapsed:.1f}s) {extra}"
+        return f"[{status}] criterion {self.index:2d}: {self.name} {extra}"
 
 
 @lru_cache(maxsize=1)

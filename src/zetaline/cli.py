@@ -220,6 +220,7 @@ def cmd_verify_all(args) -> int:
     for r in results:
         ok &= r.passed
         sys.stdout.write(r.line() + "\n")
+        sys.stderr.write(f"criterion {r.index:2d}: {r.elapsed:.1f}s\n")
     sys.stdout.write("ALL PASS\n" if ok else "FAILURES PRESENT\n")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

@@ -161,3 +161,24 @@ def test_console_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "verify-all" in proc.stdout
+
+
+def test_verify_all_stdout_is_reproducible(capsys, monkeypatch):
+    """Criterion times go to stderr; stdout repeats byte for byte."""
+    from zetaline import acceptance
+
+    clock = iter([1.2, 2.4, 3.6, 4.8])
+
+    def stub(index):
+        return lambda: acceptance.CriterionResult(index, f"stub {index}", True, {"x": "1"},
+                                                  next(clock))
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [stub(1), stub(2)])
+    runs = []
+    for _ in range(2):
+        assert main(["verify-all"]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    assert runs[0].out.endswith("ALL PASS\n")
+    assert "1.2s" in runs[0].err and "2.4s" in runs[0].err
+    assert "3.6s" in runs[1].err and "4.8s" in runs[1].err

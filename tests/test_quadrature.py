@@ -127,10 +127,30 @@ def test_log_disk_needs_no_stieltjes_table(monkeypatch):
         raise AssertionError("log_integral_disk built a Stieltjes table")
 
     monkeypatch.setattr(quadrature, "stieltjes", no_table)
-    r = log_integral_disk(T1=1.0, T2=600.0)
+    r = log_integral_disk(T2=600.0)
     with workdps(40):
         assert abs(mpf(repr(r.notes["lower_bound_log1mgamma0"])) - mp.log(1 - mp.euler)) < mpf("1e-15")
     assert r.notes["blaschke_excess"] >= -1e-3
+
+
+@pytest.mark.parametrize("name, run, g", [
+    ("coffey", lambda: identity_coffey(T2=6.0), quadrature._coffey),
+    ("log_disk", lambda: log_integral_disk(T2=6.0), quadrature._log_h_kernel(1)),
+    ("log_zeta", lambda: bsy_integral(6.0), quadrature._log_zeta),
+])
+def test_float_pass_from_zero_matches_mpmath(name, run, g):
+    """The library's float64 pass over [0, 6] (no zero below 6, so bsy is the
+    plain _log_zeta pass) against mpmath.quad of the same integrand fed
+    mpmath.zeta at 30 digits."""
+    r = run()
+    with workdps(30):
+        ref = 2 * mp.quad(lambda t: g(t, mp.zeta(mpc(0.5, t)), mp), [0, 1, 2, 3, 4, 5, 6])
+        assert abs(mpf(r.value) - ref.real) <= mpf("1e-14"), name
+    assert r.est_error <= 1e-13, name
+
+
+def test_T1_has_no_effect():
+    assert identity_coffey(T1=6.0, T2=600.0).value == identity_coffey(T2=600.0).value
 
 
 def test_native_adaptive_complex_integrand():
@@ -169,15 +189,6 @@ def test_bsy_small_cutoff():
     assert r.notes["zeros_used"] >= 100
 
 
-def test_bsy_split_inside_a_singular_panel():
-    """A T1 inside the first zero's singular panel [14.0547, 14.2147] moves
-    nothing: every piece of [0, T_cutoff] is counted once, by the head or by
-    the far pass."""
-    a = bsy_integral(300.0, T1=14.2)
-    b = bsy_integral(300.0, T1=6.0)
-    assert abs(float(a.value) - float(b.value)) < 1e-7
-
-
 def _bsy_tiling(T):
     """Zeros below T and their halfwidths, after checking that the singular
     panels and zero-free segments tile [0, T] edge to edge, none reversed."""
@@ -210,36 +221,6 @@ def test_bsy_cutoff_inside_last_panel():
     r = bsy_integral(14.2)
     assert abs(r.value - ref) < 1e-7
     assert mp.isfinite(bsy_integral(float(zeros.bundled_ordinates()[0])).value)
-
-
-def test_head_memo_shares_nodes(monkeypatch):
-    """coffey's fine half-panels are log-disk's panels, and log-disk covers
-    bsy's head below T1 = 6: 216, 288 and 0 new zeta evaluations, each value
-    bit-identical to the same call on an empty memo."""
-    raw = quadrature._zeta_em_raw
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return raw(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "_zeta_em_raw", counted)
-    runs = [lambda: identity_coffey(T1=6.0, T2=600.0),
-            lambda: log_integral_disk(T1=6.0, T2=600.0),
-            lambda: bsy_integral(300.0, T1=6.0)]
-    quadrature._head_zeta.cache_clear()
-    try:
-        counts, shared = [], []
-        for run in runs:
-            before = len(calls)
-            shared.append(run().value)
-            counts.append(len(calls) - before)
-        assert counts == [216, 288, 0]
-        for run, value in zip(runs, shared):
-            quadrature._head_zeta.cache_clear()
-            assert run().value == value
-    finally:
-        quadrature._head_zeta.cache_clear()
 
 
 def test_bsy_symmetric_doubling_contract():

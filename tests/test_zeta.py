@@ -119,6 +119,19 @@ def test_kernel_against_mpmath_zeta(wp):
             assert abs(v - ref) <= tol * (abs(ref) if s != -2 else 1), s
 
 
+
+@pytest.mark.parametrize("wp", [35, 80])
+def test_raw_kernel_at_left_edge_of_contour(wp):
+    """_zeta_em_raw at s = -2 +- 0.3i, the left edge of the region it is
+    checked on, meets the 10^(3 - digits) relative claim against mpmath."""
+    tol = mpf(10) ** (3 - (wp - 10))
+    for s in (mpc(-2, "0.3"), mpc(-2, "-0.3")):
+        with workdps(wp):
+            v = _zeta_em_raw(s, wp)
+        with workdps(wp + 20):
+            ref = mp.zeta(s)
+            assert abs(v - ref) <= tol * abs(ref), s
+
 def test_kernel_against_mpmath_zeta_at_height_1e4():
     ctx = PrecisionCtx(25)
     v = zeta_em(mpc(mpf("0.5"), 10_000), ctx)
