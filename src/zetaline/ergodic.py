@@ -165,12 +165,8 @@ def prediction_from_table(terms: Sequence[tuple], coeffs: CoeffTable) -> complex
 
 def _zeta_at_heights(t: np.ndarray) -> np.ndarray:
     """zeta(1/2 + i t) for signed heights, conjugate symmetry for t < 0."""
-    out = np.empty(len(t), dtype=complex)
-    pos = t >= 0
-    if pos.any():
-        out[pos] = fastzeta.zeta_critical(t[pos])
-    if (~pos).any():
-        out[~pos] = np.conj(fastzeta.zeta_critical(-t[~pos]))
+    out = fastzeta.zeta_critical(np.abs(t))
+    np.conjugate(out, out=out, where=t < 0)
     return out
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaline.coefficients import coeffs_critical
-from zetaline import ergodic
+from zetaline import ergodic, fastzeta
 from zetaline.ergodic import (
     basis_combination_value,
     birkhoff_average,
@@ -94,6 +94,19 @@ def test_birkhoff_chunks_equal_one_orbit(crit):
         x = orbit[:ck][np.abs(orbit[:ck]) <= ergodic.HEIGHT_CAP]
         mean = (ergodic._zeta_at_heights(x) * basis_combination_value(terms, x)).mean()
         assert abs(est - mean) < 1e-12, ck
+
+
+def test_zeta_at_heights_is_two_calls():
+    """One zeta_critical call on |t|, conjugated where t < 0, equals bit for
+    bit the two-call form on a mixed-sign orbit that reaches every route."""
+    t = boole_orbit(0.37, 20_000)
+    t = t[np.abs(t) <= ergodic.HEIGHT_CAP]
+    assert (t < 0).any() and (t >= 0).any() and np.abs(t).max() >= fastzeta.RS_CROSSOVER
+    ref = np.empty(len(t), dtype=complex)
+    pos = t >= 0
+    ref[pos] = fastzeta.zeta_critical(t[pos])
+    ref[~pos] = np.conj(fastzeta.zeta_critical(-t[~pos]))
+    assert ergodic._zeta_at_heights(t).tobytes() == ref.tobytes()
 
 
 def test_birkhoff_conjugate_estimates(crit):

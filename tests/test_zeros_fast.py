@@ -1,5 +1,8 @@
 """Native line evaluators and zero-ordinate machinery."""
 
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from mpmath import mpc, mpf, workdps
 from zetaline import fastzeta
 from zetaline.fastzeta import (
     RS_CROSSOVER,
+    T_CHEB,
     _rs_psi,
     _rs_term,
     hardy_Z,
@@ -121,6 +125,50 @@ def test_zeta_critical_continuous_across_crossover():
         for t, v in zip(ts, vals):
             assert abs(v - complex(mpmath.zeta(mpc(0.5, t)))) <= 1e-9, t
     assert abs(vals[1] - vals[0]) <= 2e-9
+
+
+def test_cheb_route_against_mpmath():
+    """Below T_CHEB zeta is the pole plus a Chebyshev series of the entire
+    part: within 1e-14 of mpmath.zeta at 200 heights in [0, T_CHEB], at 0 and
+    on both sides of T_CHEB."""
+    ts = np.concatenate([np.random.default_rng(8).uniform(0.0, T_CHEB, 200),
+                         [0.0, T_CHEB * (1 - 1e-9), T_CHEB * (1 + 1e-9)]])
+    vals = zeta_critical(ts)
+    with workdps(30):
+        for t, v in zip(ts, vals):
+            assert abs(v - complex(mpmath.zeta(mpc(0.5, t)))) <= 1e-14, t
+
+
+def test_zeta_critical_continuous_across_cheb():
+    """On each side of T_CHEB zeta_critical stays within 1e-14 of
+    Euler-Maclaurin, which serves both sides before the Chebyshev route."""
+    ts = np.array([T_CHEB * (1 - 1e-9), np.nextafter(T_CHEB, 0.0), T_CHEB, T_CHEB * (1 + 1e-9)])
+    vals = zeta_critical(ts)
+    assert np.abs(vals - zeta_em_line(ts)).max() <= 1e-14
+    assert abs(vals[2] - vals[1]) <= 1e-14
+
+
+def test_zeta_critical_batch_independent():
+    """A height's value is the same bit for bit alone and inside a shuffled
+    batch that mixes the Chebyshev, Euler-Maclaurin and Riemann-Siegel
+    routes."""
+    rng = np.random.default_rng(5)
+    ts = np.concatenate([rng.uniform(0.0, T_CHEB, 40), rng.uniform(T_CHEB, RS_CROSSOVER, 40),
+                         rng.uniform(RS_CROSSOVER, 3000.0, 20),
+                         [0.0, np.nextafter(T_CHEB, 0.0), T_CHEB, RS_CROSSOVER]])
+    rng.shuffle(ts)
+    batch = zeta_critical(ts)
+    alone = np.array([zeta_critical(t)[0] for t in ts])
+    assert batch.tobytes() == alone.tobytes()
+
+
+def test_cheb_route_loads_no_fft():
+    """The Chebyshev coefficients come from an inline DCT: after a call at a
+    small height, neither numpy.fft nor numpy.polynomial has been imported."""
+    code = ("import sys; from zetaline.fastzeta import zeta_critical; zeta_critical([0.5, 3.0]); "
+            "print([m for m in ('numpy.fft', 'numpy.polynomial') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _psi_derivatives(x, jmax):
