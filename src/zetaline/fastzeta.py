@@ -20,17 +20,23 @@ RS_CROSSOVER = 200:
   grows with t;
 * the Riemann-Siegel main sum plus Gabcke's remainder terms C0..C5, above
   it.  Against mpmath.siegelz, max over 80 random heights per band, the
-  error in Z is 3.4e-10 on [200, 300] (the dropped C6 sets it), 6.9e-11 on
-  [300, 600], 8.1e-12 on [600, 2000] and 4.9e-11 on [2000, 2e4], where the
-  float64 phase sets it again.  The leading term C0 alone left 1.8e-3 on
+  error in Z is 3.4e-10 on [200, 300] (the dropped C6 sets it), 6.8e-11 on
+  [300, 600], 8.1e-12 on [600, 2000], 7.0e-11 on [2000, 2e4] and 3.3e-10 on
+  [2e4, 6e4], and 2.8e-9 on 20 heights near 1e6: above 2000 the float64
+  phase t ln p sets it again.  The leading term C0 alone left 1.8e-3 on
   [200, 600] and 9.7e-4 on [600, 2000].
 
-The Euler-Maclaurin main sum fills n^-s, n < N, by primes: one complex exp
-per prime, exp(-s ln p), and one complex product per composite,
-n^-s = p^-s (n/p)^-s with p its smallest prime factor (172 exps for the
-1,023 terms at N = 1024).  Heights share a power-of-two N; each bucket is
-found by np.searchsorted on the sorted cutoffs, filled _CHUNK // N points at
-a time, and summed pairwise in an order that does not depend on the chunk.
+Both main sums fill n^-s by primes: one evaluation per prime, and one
+complex product per composite, n^-s = p^-s (n/p)^-s with p its smallest
+prime factor, from one sieve (_spf).  Euler-Maclaurin takes exp(-s ln p)
+for n < N (172 exps for the 1,023 terms at N = 1024).  Heights share a
+power-of-two N; each bucket is found by np.searchsorted on the sorted
+cutoffs, filled _CHUNK // N points at a time, and summed pairwise in an
+order that does not depend on the chunk.  Riemann-Siegel takes
+p^(-1/2) e^{-it ln p} for n <= m from one vectorized tan of the half phase,
+on points sorted by m, descending, so that row n covers the prefix of points
+with m >= n; each point adds its terms in order of n, and a chunk holds at
+most _RS_FILL complex elements.
 
 These back the quadrature of the identity integrals and the ergodic orbit
 averages, where tolerances are 1e-2..1e-4 and millions of
@@ -64,6 +70,21 @@ _B2K_OVER_FACT = [b / math.factorial(2 * (k + 1)) for k, b in enumerate(_B2K)]
 
 _CHUNK = 4_000_000  # complex elements per matrix chunk
 _GATHER = 4_096  # complex elements per gathered block of composite columns
+_RS_FILL = 1 << 18  # complex elements per Riemann-Siegel fill chunk
+
+
+@lru_cache(maxsize=32)
+def _spf(ng: int) -> tuple:
+    """Smallest prime factor of each n < ng (n itself for primes, 0 and 1),
+    sieved once per power-of-two ng; the Euler-Maclaurin and Riemann-Siegel
+    fills both read it."""
+    spf = list(range(ng))
+    for p in range(2, math.isqrt(ng - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, ng, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return tuple(spf)
 
 
 @lru_cache(maxsize=32)
@@ -78,12 +99,7 @@ def _fill_plan(ng: int) -> tuple:
     (ln p per prime, a, b, runs), a and b per composite and runs as (lo, hi)
     matrix columns.  Cached per power-of-two N.
     """
-    spf = list(range(ng))  # smallest prime factor, sieved
-    for p in range(2, math.isqrt(ng - 1) + 1):
-        if spf[p] == p:
-            for m in range(p * p, ng, p):
-                if spf[m] == m:
-                    spf[m] = p
+    spf = _spf(ng)
     primes = [n for n in range(2, ng) if spf[n] == n]
     col = {p: i for i, p in enumerate(primes)}
     a, b, starts = [], [], []
@@ -294,38 +310,93 @@ def hardy_Z(t) -> np.ndarray:
     return out
 
 
-def _hardy_Z_rs(t: np.ndarray) -> np.ndarray:
-    """Z(t) = 2 sum_{n <= m} n^(-1/2) cos(theta - t ln n)
-    + (-1)^(m-1) tau^(-1/2) sum_{k <= 5} C_k(p) tau^(-k), tau = sqrt(t / 2 pi),
-    m = floor(tau), p = tau - m; good to 1e-9 for t >= 200."""
+def _cis(half: np.ndarray, w: float, out: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """out = w e^{2i half}, from u = tan(half): w (1 - u^2 + 2iu) / (1 + u^2).
+
+    numpy vectorizes tan but calls libm once per element for cos and sin, so
+    this costs about a fifth of cos plus sin; it is within 4.0e-16 of
+    w (cos + i sin)(2 half) on 6e6 random phases up to 1e9.  half is
+    overwritten by u, and u2 is scratch.
+    """
+    np.tan(half, out=half)
+    np.multiply(half, half, out=u2)
+    u2 += 1
+    np.divide(2 * w, u2, out=u2)  # 2w / (1 + u^2)
+    np.subtract(u2, w, out=out.real)
+    np.multiply(half, u2, out=out.imag)
+    return out
+
+
+def _rs_remainder(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(-1)^(m-1) tau^(-1/2) sum_{k <= 5} C_k(p) tau^(-k), tau = sqrt(t / 2 pi),
+    p = tau - m."""
     tau = np.sqrt(t / (2 * np.pi))
-    m = np.floor(tau).astype(int)
-    th = hardy_theta(t)
-    order = np.argsort(m)
-    ts, ms, ths = t[order], m[order], th[order]
-    Z = np.empty(len(t))
-    i = 0
-    while i < len(ts):
-        mv = ms[i]
-        j = int(np.searchsorted(ms, mv, side="right"))
-        n = np.arange(1, mv + 1)
-        block = np.cos(ths[i:j, None] - np.multiply.outer(ts[i:j], np.log(n)))
-        Z[i:j] = 2 * (block / np.sqrt(n)).sum(axis=1)
-        i = j
     x = (tau - m) - 0.5
     y = x * x
     rem = _rs_term(len(_RS_TERMS) - 1, x, y)
     for k in range(len(_RS_TERMS) - 2, -1, -1):
         rem = rem / tau + _rs_term(k, x, y)
+    rem *= np.where(m & 1, 1.0, -1.0)
+    return rem / np.sqrt(tau)
+
+
+def _hardy_Z_rs(t: np.ndarray) -> np.ndarray:
+    """Z(t) = 2 Re(e^{i theta} sum_{n <= m} n^(-1/2 - it)) + the remainder
+    (_rs_remainder), m = floor(sqrt(t / 2 pi)); good to 1e-9 for t >= 200.
+
+    The terms n^-s, s = 1/2 + it, fill by primes: p^-s = p^(-1/2) e^{-it ln p}
+    per prime p, by one tan of the half phase (_cis), and the product
+    p^-s (n/p)^-s per composite n, p its smallest prime factor; e^{i theta}
+    is one more _cis per point.  The points are taken in order of m,
+    descending and stable, so row n of the fill covers the prefix of points
+    with m >= n: one numpy call per row and chunk, whatever the spread of m.
+    Only rows n <= m_max/2 can be factors, so only they are stored, each as
+    long as its prefix; the rest go straight into the sum.  A chunk takes
+    _RS_FILL // (m_max/2 + 2) points, so its stored rows, sum and scratch
+    rows stay within _RS_FILL complex elements (4 MiB).  Each point adds its
+    terms in order of n, so its value does not depend on the batch or the
+    chunk.
+    """
+    m = np.floor(np.sqrt(t / (2 * np.pi))).astype(int)
+    key = -m
+    if len(m) and m.max() < 1 << 15:
+        key = key.astype(np.int16)  # numpy radix-sorts 16-bit keys
+    order = np.argsort(key, kind="stable")
     out = np.empty(len(t))
-    out[order] = Z
-    return out + (-1.0) ** (m + 1) * rem / np.sqrt(tau)
+    i = 0
+    while i < len(t):
+        m0 = int(m[order[i]])
+        h = m0 // 2  # the last row that is a factor of some later row
+        idx = order[i:i + max(1, _RS_FILL // (h + 2))]
+        tc, mc, k = t[idx], m[idx], len(idx)
+        count = np.searchsorted(-mc, -np.arange(m0 + 1), side="right").tolist()
+        spf = _spf(1 << m0.bit_length())
+        start = np.cumsum([0] + count[2:h + 1]).tolist()
+        F = np.empty(start[-1], dtype=complex)  # row n = 2..h at F[start[n - 2]:], count[n] long
+        S = np.ones(k, dtype=complex)
+        scratch = np.empty(k, dtype=complex)
+        half, u2 = np.empty((2, k))
+        for n in range(2, m0 + 1):
+            c = count[n]
+            row = F[start[n - 2]:start[n - 2] + c] if n <= h else scratch[:c]
+            p = spf[n]
+            if p == n:
+                _cis(np.multiply(tc[:c], -0.5 * math.log(p), out=half[:c]), p ** -0.5, row, u2[:c])
+            else:
+                a, b = start[p - 2], start[n // p - 2]
+                np.multiply(F[a:a + c], F[b:b + c], out=row)
+            S[:c] += row
+        np.multiply(hardy_theta(tc), 0.5, out=half)
+        out[idx] = 2 * (_cis(half, 1.0, scratch, u2) * S).real + _rs_remainder(tc, mc)
+        i += k
+    return out
 
 
 def zeta_rs_line(t) -> np.ndarray:
     """zeta(1/2 + it) from the Riemann-Siegel Z via zeta = Z e^{-i theta}."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _hardy_Z_rs(t) * np.exp(-1j * hardy_theta(t))
+    half = hardy_theta(t) * -0.5
+    return _hardy_Z_rs(t) * _cis(half, 1.0, np.empty_like(half, dtype=complex), np.empty_like(half))
 
 
 def zeta_critical(t) -> np.ndarray:
@@ -337,8 +408,8 @@ def zeta_critical(t) -> np.ndarray:
       about 1.4 per term.  Within 3.8e-15 of mpmath.zeta.
     * T_CHEB <= t < RS_CROSSOVER: Euler-Maclaurin, within 2.2e-13.
     * t >= RS_CROSSOVER: Riemann-Siegel with C0..C5, within 3.4e-10 on
-      [200, 300] and 7e-11 on [300, 2e4]; the float64 phase loosens it
-      further up.
+      [200, 300], 7e-11 on [300, 2e4] and 3.3e-10 on [2e4, 6e4]; the
+      float64 phase loosens it further up (2.8e-9 near 1e6).
 
     Each height's value depends on that height alone, not on the batch.
     Negative t, outside the series' interval, take Euler-Maclaurin.

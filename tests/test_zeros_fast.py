@@ -116,6 +116,53 @@ def test_hardy_Z_against_siegelz():
             assert abs(v - float(mpmath.siegelz(t))) <= 1e-9, t
 
 
+def test_hardy_Z_against_siegelz_at_identity_heights():
+    """The heights coffey and hnorm reach by default (T2 = 6e4) and the high
+    orbit points: |Z - mpmath.siegelz| <= 5e-10 on [2e4, 6e4] and <= 2e-8
+    near 1e6, where the float64 phase t ln p sets the error."""
+    rng = np.random.default_rng(13)
+    for ts, tol in ((rng.uniform(2e4, 6e4, 16), 5e-10), (1e6 + rng.uniform(-100.0, 100.0, 4), 2e-8)):
+        vals = hardy_Z(ts)
+        with workdps(25):
+            for t, v in zip(ts, vals):
+                assert abs(v - float(mpmath.siegelz(t))) <= tol, t
+
+
+def test_rs_fill_chunks_match(monkeypatch):
+    """An _RS_FILL of a few hundred elements cuts the fill into chunks of one
+    point from m = 298 on; on a shuffled batch whose m runs from 5 to 3,800
+    the values match the default fill and single-point calls bit for bit."""
+    rng = np.random.default_rng(21)
+    ts = np.concatenate([np.exp(rng.uniform(np.log(RS_CROSSOVER), np.log(9.1e7), 150)),
+                         [RS_CROSSOVER, 2 * np.pi * 6 ** 2, 2 * np.pi * 3800 ** 2 - 1.0]])
+    rng.shuffle(ts)
+    m = np.floor(np.sqrt(ts / (2 * np.pi)))
+    assert m.min() == 5 and m.max() == 3799
+    whole = zeta_rs_line(ts)
+    monkeypatch.setattr(fastzeta, "_RS_FILL", 300)
+    chunked = zeta_rs_line(ts)
+    alone = np.array([zeta_rs_line(t)[0] for t in ts])
+    assert chunked.tobytes() == whole.tobytes()
+    assert alone.tobytes() == whole.tobytes()
+
+
+def test_rs_fill_memory_is_bounded():
+    """The fill stores rows n <= m_max/2, each as long as its prefix, in
+    chunks of at most _RS_FILL complex elements: 3e5 heights in [200, 2e4]
+    plus two near 9e7, where m is about 3,800, stay within 40 MiB traced."""
+    import tracemalloc
+
+    ts = np.concatenate([np.linspace(200.0, 2e4, 300_000), [8.9e7, 9.0e7]])
+    fastzeta._hardy_Z_rs(ts[-3:])  # the sieve and the remainder polynomials, outside the trace
+    tracemalloc.start()
+    try:
+        fastzeta._hardy_Z_rs(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20, peak / 2 ** 20
+
+
 def test_zeta_critical_continuous_across_crossover():
     """The last Euler-Maclaurin height and the first Riemann-Siegel one both
     lie within 1e-9 of mpmath.zeta."""
