@@ -306,7 +306,7 @@ def hardy_Z(t) -> np.ndarray:
         out[lo] = (np.exp(1j * th) * zeta_em_line(t[lo])).real
     hi = ~lo
     if hi.any():
-        out[hi] = _hardy_Z_rs(t[hi])
+        out[hi] = _hardy_Z_rs(t[hi])[0]
     return out
 
 
@@ -340,9 +340,10 @@ def _rs_remainder(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     return rem / np.sqrt(tau)
 
 
-def _hardy_Z_rs(t: np.ndarray) -> np.ndarray:
-    """Z(t) = 2 Re(e^{i theta} sum_{n <= m} n^(-1/2 - it)) + the remainder
-    (_rs_remainder), m = floor(sqrt(t / 2 pi)); good to 1e-9 for t >= 200.
+def _hardy_Z_rs(t: np.ndarray) -> tuple:
+    """(Z, e^{i theta}) at t, Z(t) = 2 Re(e^{i theta} sum_{n <= m} n^(-1/2 - it))
+    plus the remainder (_rs_remainder), m = floor(sqrt(t / 2 pi)); Z is good
+    to 1e-9 for t >= 200.
 
     The terms n^-s, s = 1/2 + it, fill by primes: p^-s = p^(-1/2) e^{-it ln p}
     per prime p, by one tan of the half phase (_cis), and the product
@@ -363,6 +364,7 @@ def _hardy_Z_rs(t: np.ndarray) -> np.ndarray:
         key = key.astype(np.int16)  # numpy radix-sorts 16-bit keys
     order = np.argsort(key, kind="stable")
     out = np.empty(len(t))
+    rot = np.empty(len(t), dtype=complex)
     i = 0
     while i < len(t):
         m0 = int(m[order[i]])
@@ -387,16 +389,18 @@ def _hardy_Z_rs(t: np.ndarray) -> np.ndarray:
                 np.multiply(F[a:a + c], F[b:b + c], out=row)
             S[:c] += row
         np.multiply(hardy_theta(tc), 0.5, out=half)
-        out[idx] = 2 * (_cis(half, 1.0, scratch, u2) * S).real + _rs_remainder(tc, mc)
+        rot[idx] = _cis(half, 1.0, scratch, u2)
+        out[idx] = 2 * (scratch * S).real + _rs_remainder(tc, mc)
         i += k
-    return out
+    return out, rot
 
 
 def zeta_rs_line(t) -> np.ndarray:
     """zeta(1/2 + it) from the Riemann-Siegel Z via zeta = Z e^{-i theta}."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    half = hardy_theta(t) * -0.5
-    return _hardy_Z_rs(t) * _cis(half, 1.0, np.empty_like(half, dtype=complex), np.empty_like(half))
+    Z, rot = _hardy_Z_rs(np.atleast_1d(np.asarray(t, dtype=float)))
+    np.conjugate(rot, out=rot)
+    rot *= Z
+    return rot
 
 
 def zeta_critical(t) -> np.ndarray:

@@ -117,19 +117,23 @@ def str_to_hreal(s: str, digits: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers as exact rationals (classic recurrence), cached immutably.
+# Bernoulli numbers as exact rationals (from tangent numbers), cached immutably.
 # Used by the Euler-Maclaurin machinery and by the limit-definition oracle.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _bernoulli_upto(n_max: int) -> tuple:
-    B = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += Fraction(math.comb(m + 1, j)) * B[j]
-        B.append(-acc / (m + 1))
-    return tuple(B)
+    """B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), from the integer tangent
+    numbers T_k by the recurrence of Brent and Harvey (arXiv:1108.0286)."""
+    h = n_max // 2
+    T = [0] + [math.factorial(k - 1) for k in range(1, h + 1)]
+    for k in range(2, h + 1):
+        for j in range(k, h + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    B = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n_max - 1)
+    for k in range(1, h + 1):
+        B[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * T[k], 4 ** k * (4 ** k - 1))
+    return tuple(B[:n_max + 1])
 
 
 def bernoulli_fraction(n: int) -> Fraction:

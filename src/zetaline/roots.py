@@ -3,10 +3,11 @@
 f_N(z) = -1 + sum_{n=0}^{N} ell_n z^{n+1} truncates the full series
 f(z) = z h(z) - 1 = z zeta(1/(1+z)), whose disk zeros correspond exactly to
 zeta zeros in the half-plane Re s > 1/2.  Hardware companion-matrix
-eigenvalues seed an Aberth-Ehrlich simultaneous polish at full precision;
-winding counts on probe circles give an independent argument-principle count,
-and the Cauchy-Schwarz tail bound turns "f_N has no zeros inside radius r"
-into a Rouche certificate that the full series has none either.
+eigenvalues seed an Aberth-Ehrlich simultaneous polish in fixed-point Python
+integers, 20 guard bits beyond the working precision; winding counts on probe
+circles give an independent argument-principle count, and the Cauchy-Schwarz
+tail bound turns "f_N has no zeros inside radius r" into a Rouche certificate
+that the full series has none either.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workdps
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .coefficients import CoeffTable
 from .precision import PrecisionCtx, hreal_to_str
@@ -79,42 +81,60 @@ def _float_roots(c_asc) -> np.ndarray:
 
 
 def _aberth_polish(c_asc, approx: np.ndarray, wp: int, iters: int = 12, tol_exp: int = 30):
-    """Aberth-Ehrlich simultaneous refinement of all roots at wp digits."""
-    deg = len(c_asc) - 1
+    """Aberth-Ehrlich simultaneous refinement of all roots at wp digits.
+
+    The real coefficients and the roots are integers with mp.prec + 20
+    fractional bits: a complex product is four integer products and shifts,
+    and each quotient (p/p', 1/(z_i - z_j), the step) one integer division.
+    The step is Jacobi, every root moved from the previous iterate, so a pair
+    reciprocal serves both of its roots; a coincident pair adds nothing.
+    """
     with workdps(wp):
-        zs = [mpc(complex(z)) for z in approx]
-        coeff = [mpc(x) for x in c_asc]
+        prec = mp.prec
+        F = prec + 20
+        one = 1 << F
 
-        def p_and_dp(z):
-            p = mpc(0)
-            dp = mpc(0)
-            for a in reversed(coeff):
-                dp = dp * z + p
-                p = p * z + a
-            return p, dp
+        def div(xr, xi, yr, yi):
+            d = yr * yr + yi * yi
+            s = d.bit_length()
+            inv = (1 << (s + F)) // d
+            return ((xr * yr + xi * yi) * inv) >> s, ((xi * yr - xr * yi) * inv) >> s
 
-        tol = mpf(10) ** (-tol_exp)
+        def p_and_dp(zr, zi):
+            pr = pi = dr = di = 0
+            for a in coeff:
+                dr, di = ((dr * zr - di * zi) >> F) + pr, ((dr * zi + di * zr) >> F) + pi
+                pr, pi = ((pr * zr - pi * zi) >> F) + a, (pr * zi + pi * zr) >> F
+            return pr, pi, dr, di
+
+        def to_mpc(x, y):
+            return mp.make_mpc((from_man_exp(x, -F, prec, "n"), from_man_exp(y, -F, prec, "n")))
+
+        coeff = [to_fixed(mpf(a)._mpf_, F) for a in reversed(c_asc)]
+        zr = [to_fixed(mpf(z.real)._mpf_, F) for z in approx]
+        zi = [to_fixed(mpf(z.imag)._mpf_, F) for z in approx]
+        n, tol2 = len(zr), one * one // 10 ** (2 * tol_exp)
         for _ in range(iters):
-            moved = mpf(0)
-            new = []
-            for i, z in enumerate(zs):
-                p, dp = p_and_dp(z)
-                if dp == 0:
-                    new.append(z)
-                    continue
-                ratio = p / dp
-                corr = mpc(0)
-                for j, w in enumerate(zs):
-                    if j != i:
-                        corr += 1 / (z - w)
-                dz = ratio / (1 - ratio * corr)
-                new.append(z - dz)
-                moved = max(moved, abs(dz))
-            zs = new
-            if moved < tol:
+            cr, ci = [0] * n, [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    wr, wi = zr[i] - zr[j], zi[i] - zi[j]
+                    if wr or wi:
+                        rr, ri = div(one, 0, wr, wi)
+                        cr[i], ci[i], cr[j], ci[j] = cr[i] + rr, ci[i] + ri, cr[j] - rr, ci[j] - ri
+            moved = 0
+            for i in range(n):
+                pr, pi, dr, di = p_and_dp(zr[i], zi[i])
+                if dr or di:
+                    qr, qi = div(pr, pi, dr, di)
+                    er, ei = div(qr, qi, one - ((qr * cr[i] - qi * ci[i]) >> F),
+                                 -((qr * ci[i] + qi * cr[i]) >> F))
+                    zr[i], zi[i] = zr[i] - er, zi[i] - ei
+                    moved = max(moved, er * er + ei * ei)
+            if moved < tol2:
                 break
-        residuals = [abs(p_and_dp(z)[0]) for z in zs]
-        return zs, residuals, moved < tol
+        residuals = [abs(to_mpc(*p_and_dp(x, y)[:2])) for x, y in zip(zr, zi)]
+        return [to_mpc(x, y) for x, y in zip(zr, zi)], residuals, moved < tol2
 
 
 def roots_fN(N: int, coeffs: CoeffTable, ctx: PrecisionCtx,

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,3 +69,5 @@ def test_bernoulli_values():
     assert bernoulli_fraction(2).numerator == 1 and bernoulli_fraction(2).denominator == 6
     assert bernoulli_fraction(12).denominator == 2730
     assert bernoulli_fraction(3) == 0
+    for n in range(257):
+        assert bernoulli_fraction(n) == Fraction(*mpmath.bernfrac(n)), n

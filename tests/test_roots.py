@@ -32,12 +32,13 @@ def test_linear_case_has_no_disk_root(table):
 
 
 def test_residuals_meet_defect_bound(table):
-    report = roots_fN(50, table, CTX, probe_radii=(0.5, 0.8))
-    assert report.polished
-    with workdps(60):
-        for z in report.all_roots:
-            assert abs(partial_sum_fN(50, z, table)) < mpf(10) ** (-(CTX.digits // 2))
-    assert report.residual_max <= 10 ** (-(CTX.digits // 2))
+    for N in (50, 120):
+        report = roots_fN(N, table, CTX, probe_radii=(0.5, 0.8))
+        assert report.polished
+        with workdps(60):
+            for z in report.all_roots:
+                assert abs(partial_sum_fN(N, z, table)) < mpf(10) ** (-(CTX.digits // 2))
+        assert report.residual_max <= 10 ** (-(CTX.digits // 2))
 
 
 def test_winding_matches_root_census(table):
@@ -108,3 +109,39 @@ def test_degree_and_table_caps(table):
         roots_fN(500, table, CTX)
     with pytest.raises(ValueError):
         roots_fN(221, table, CTX)
+
+
+def test_polish_matches_polyroots_on_63_digit_tables():
+    """f_10..f_20 from a 63-digit critical table, and the same polynomials
+    dilated by 0.625 (roots inside the disk): every polished root lies within
+    1e-60 of one of mpmath.polyroots' at 80 digits."""
+    from dataclasses import replace
+
+    ctx = PrecisionCtx(63)
+    table = coeffs_critical(20, stieltjes(20, ctx), ctx)
+    with workdps(80):
+        rho = mpf("0.625")
+        inner = replace(table, values=tuple(v / rho ** (n + 1) if n >= 0 else v
+                                            for n, v in enumerate(table.values, start=table.n_min)))
+    for tab in (table, inner):
+        for N in range(10, 21):
+            report = roots_fN(N, tab, ctx, probe_radii=())
+            assert report.polished
+            with workdps(80):
+                ref = mp.polyroots([tab.value(n) for n in range(N, -1, -1)] + [-1],
+                                   maxsteps=100, extraprec=20)
+                for z in report.all_roots:
+                    assert min(abs(z - w) for w in ref) <= mpf("1e-60"), (N, z)
+
+
+def test_exact_double_root_is_kept():
+    """-(1 - 2z)^2: both float seeds are exactly 1/2, where p' = 0 and the
+    pair distance is zero; the polish keeps them and does not raise."""
+    from zetaline.coefficients import CoeffTable
+
+    synth = CoeffTable(family="critical", n_min=-1, n_max=1,
+                       values=(mpf(-1), mpf(4), mpf(-4)), digits=30)
+    report = roots_fN(1, synth, PrecisionCtx(30), probe_radii=())
+    assert report.all_roots == (mpf("0.5"), mpf("0.5"))
+    assert report.roots_in_disk == report.all_roots
+    assert report.residual_max == 0.0

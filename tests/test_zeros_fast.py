@@ -146,6 +146,19 @@ def test_rs_fill_chunks_match(monkeypatch):
     assert alone.tobytes() == whole.tobytes()
 
 
+def test_rs_line_reuses_the_theta_rotation():
+    """zeta_rs_line multiplies Z by the conjugate of the e^{i theta} that
+    _hardy_Z_rs formed, bit for bit what a second rotation by a freshly
+    computed e^{-i theta} gives."""
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([rng.uniform(RS_CROSSOVER, 2e4, 4000), [RS_CROSSOVER, 1e6, 9e7]])
+    rng.shuffle(ts)
+    half = hardy_theta(ts) * -0.5
+    rotated = fastzeta._hardy_Z_rs(ts)[0] * fastzeta._cis(
+        half, 1.0, np.empty_like(half, dtype=complex), np.empty_like(half))
+    assert np.array_equal(zeta_rs_line(ts), rotated)
+
+
 def test_rs_fill_memory_is_bounded():
     """The fill stores rows n <= m_max/2, each as long as its prefix, in
     chunks of at most _RS_FILL complex elements: 3e5 heights in [200, 2e4]
