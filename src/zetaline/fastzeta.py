@@ -13,11 +13,12 @@ RS_CROSSOVER = 200:
   they are: at most 3.8e-15 against mpmath.zeta on 400 random heights in
   [0, 10] (median 1.1e-15), at about a tenth of Euler-Maclaurin's cost;
 * Euler-Maclaurin with cutoff N ~ 1.1 |t| and ten Bernoulli corrections,
-  up to RS_CROSSOVER.  On the critical line the error is at most 2.2e-13
-  on 400 random heights in [10, 200] (median 2.5e-14) and 7.8e-13 up to
-  t = 600, and at most 2e-13 at the cutoff-bucket edges for sigma in
-  {1/2, 3/4, 3/2, 2}: the phase t ln n rounded in float64 sets it, and it
-  grows with t;
+  up to RS_CROSSOVER.  On the critical line the error is at most 3.2e-13
+  on 2,000 random heights in [10, 200] (median 2.1e-14) and 9.3e-13 on
+  1,000 in [200, 600]; on 150 random heights in [-200, 600] plus both sides
+  of each height where N crosses a power of two it is at most 2.8e-13 for
+  sigma in {1/2, 3/4, 3/2, 2}, relative where |zeta| > 1.  The phase
+  t ln n rounded in float64 sets it, and it grows with t;
 * the Riemann-Siegel main sum plus Gabcke's remainder terms C0..C5, above
   it.  Against mpmath.siegelz, max over 80 random heights per band, the
   error in Z is 3.4e-10 on [200, 300] (the dropped C6 sets it), 6.8e-11 on
@@ -26,17 +27,13 @@ RS_CROSSOVER = 200:
   phase t ln p sets it again.  The leading term C0 alone left 1.8e-3 on
   [200, 600] and 9.7e-4 on [600, 2000].
 
-Both main sums fill n^-s by primes: one evaluation per prime, and one
-complex product per composite, n^-s = p^-s (n/p)^-s with p its smallest
-prime factor, from one sieve (_spf).  Euler-Maclaurin takes exp(-s ln p)
-for n < N (172 exps for the 1,023 terms at N = 1024).  Heights share a
-power-of-two N; each bucket is found by np.searchsorted on the sorted
-cutoffs, filled _CHUNK // N points at a time, and summed pairwise in an
-order that does not depend on the chunk.  Riemann-Siegel takes
-p^(-1/2) e^{-it ln p} for n <= m from one vectorized tan of the half phase,
-on points sorted by m, descending, so that row n covers the prefix of points
-with m >= n; each point adds its terms in order of n, and a chunk holds at
-most _RS_FILL complex elements.
+Both main sums come from one prime fill (_prime_fill) of
+sum_{n <= count} n^-s: one tan of the half phase per prime, one complex
+product per composite, n^-s = p^-s (n/p)^-s with p its smallest prime
+factor.  The points are sorted by count, descending, so that row n of the
+fill covers the prefix of points with count >= n; each point adds its terms
+in order of n, and a chunk holds at most _RS_FILL complex elements.
+Euler-Maclaurin takes count = N - 1, Riemann-Siegel count = m.
 
 These back the quadrature of the identity integrals and the ergodic orbit
 averages, where tolerances are 1e-2..1e-4 and millions of
@@ -50,6 +47,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .precision import smallest_prime_factors
 
 __all__ = [
     "T_CHEB",
@@ -68,107 +67,79 @@ RS_CROSSOVER = 200.0
 _B2K = [1/6, -1/30, 1/42, -1/30, 5/66, -691/2730, 7/6, -3617/510, 43867/798, -174611/330]
 _B2K_OVER_FACT = [b / math.factorial(2 * (k + 1)) for k, b in enumerate(_B2K)]
 
-_CHUNK = 4_000_000  # complex elements per matrix chunk
-_GATHER = 4_096  # complex elements per gathered block of composite columns
-_RS_FILL = 1 << 18  # complex elements per Riemann-Siegel fill chunk
+_RS_FILL = 1 << 18  # complex elements per prime-fill chunk
 
 
-@lru_cache(maxsize=32)
-def _spf(ng: int) -> tuple:
-    """Smallest prime factor of each n < ng (n itself for primes, 0 and 1),
-    sieved once per power-of-two ng; the Euler-Maclaurin and Riemann-Siegel
-    fills both read it."""
-    spf = list(range(ng))
-    for p in range(2, math.isqrt(ng - 1) + 1):
-        if spf[p] == p:
-            for m in range(p * p, ng, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return tuple(spf)
+def _prime_fill(t: np.ndarray, count: np.ndarray, sigma: float = 0.5):
+    """Yield (idx, S) chunk by chunk, S = sum_{n <= count} n^(-sigma - it) at t[idx].
 
-
-@lru_cache(maxsize=32)
-def _fill_plan(ng: int) -> tuple:
-    """How to fill n^-s for 2 <= n < ng with one complex exp per prime.
-
-    The fill matrix holds one column per n: the primes first, in a contiguous
-    block, then the composites in increasing order.  Composite n = p (n/p),
-    p its smallest prime factor, is the product of columns a = col(p) and
-    b = col(n/p), both earlier.  The composites split into runs whose factors
-    all lie before the run, so a run fills in one batched product.  Returns
-    (ln p per prime, a, b, runs), a and b per composite and runs as (lo, hi)
-    matrix columns.  Cached per power-of-two N.
+    The terms fill by primes: p^-s = p^-sigma e^{-it ln p} per prime p, by
+    one tan of the half phase (_cis), and the product p^-s (n/p)^-s per
+    composite n, p its smallest prime factor.  The points are taken in order
+    of count, descending and stable, so row n of the fill covers the prefix
+    of points with count >= n: one numpy call per row and chunk, whatever
+    the spread of counts.  Only rows n <= c_max/2 can be factors, so only
+    they are stored, each as long as its prefix; the rest go straight into
+    the sum.  A chunk takes _RS_FILL // (c_max/2 + 2) points, so its stored
+    rows, sum and scratch rows stay within _RS_FILL complex elements
+    (4 MiB).  Each point adds its terms in order of n, so its value does not
+    depend on the batch or the chunk.
     """
-    spf = _spf(ng)
-    primes = [n for n in range(2, ng) if spf[n] == n]
-    col = {p: i for i, p in enumerate(primes)}
-    a, b, starts = [], [], []
-    for n in range(4, ng):
-        if spf[n] != n:
-            col[n] = len(primes) + len(a)
-            a.append(col[spf[n]])
-            b.append(col[n // spf[n]])
-            if not starts or b[-1] >= starts[-1]:
-                starts.append(col[n])
-    runs = tuple(zip(starts, starts[1:] + [len(primes) + len(a)]))
-    return np.log(np.array(primes, dtype=float)), np.array(a), np.array(b), runs
-
-
-def _dirichlet_head(s: np.ndarray, ng: int) -> np.ndarray:
-    """sum_{n<ng} n^-s for each s, filled by primes, _CHUNK // ng points at a time."""
-    lnp, a, b, runs = _fill_plan(ng)
-    P = len(lnp)
-    out = np.empty(len(s), dtype=complex)
-    rows = max(1, _CHUNK // ng)
-    for i in range(0, len(s), rows):
-        ms = -s[i:i + rows]
-        M = np.empty((P + len(a), len(ms)), dtype=complex)
-        blk = M[:P]
-        np.multiply.outer(lnp, ms, out=blk)
-        np.exp(blk, out=blk)  # in place: the matrix is the only chunk-sized array
-        step = max(1, _GATHER // len(ms))  # columns per product, bounding the gathers
-        for lo, hi in runs:
-            for c in range(lo, hi, step):
-                d = min(hi, c + step)
-                k = c - P if d == c + 1 else slice(c - P, d - P)  # one column: views, no gather
-                np.multiply(M[a[k]], M[b[k]], out=M[c:d])
-        n = len(M)
-        while n > 1:  # pairwise, in place, in an order that does not depend on the row count
-            h = n // 2
-            M[:h] += M[n - h:n]
-            n -= h
-        out[i:i + rows] = 1 + M[0]
-    return out
+    key = -count
+    if len(count) and count.max() < 1 << 15:
+        key = key.astype(np.int16)  # numpy radix-sorts 16-bit keys
+    order = np.argsort(key, kind="stable")
+    i = 0
+    while i < len(t):
+        c0 = int(count[order[i]])
+        h = c0 // 2  # the last row that is a factor of some later row
+        idx = order[i:i + max(1, _RS_FILL // (h + 2))]
+        tc, k = t[idx], len(idx)
+        rows = np.searchsorted(-count[idx], -np.arange(c0 + 1), side="right").tolist()
+        spf = smallest_prime_factors(1 << c0.bit_length())
+        start = np.cumsum([0] + rows[2:h + 1]).tolist()
+        F = np.empty(start[-1], dtype=complex)  # row n = 2..h at F[start[n - 2]:], rows[n] long
+        S = np.ones(k, dtype=complex)
+        scratch = np.empty(k, dtype=complex)
+        half, u2 = np.empty((2, k))
+        for n in range(2, c0 + 1):
+            c = rows[n]
+            row = F[start[n - 2]:start[n - 2] + c] if n <= h else scratch[:c]
+            p = spf[n]
+            if p == n:
+                _cis(np.multiply(tc[:c], -0.5 * math.log(p), out=half[:c]), p ** -sigma, row, u2[:c])
+            else:
+                a, b = start[p - 2], start[n // p - 2]
+                np.multiply(F[a:a + c], F[b:b + c], out=row)
+            S[:c] += row
+        yield idx, S
+        i += k
 
 
 def zeta_em_line(t, sigma: float = 0.5) -> np.ndarray:
-    """zeta(sigma + i t) for an array of heights t >= 0, Euler-Maclaurin.
+    """zeta(sigma + i t) for an array of real heights t, Euler-Maclaurin.
 
-    Intended for |t| <= ~3000 (cost grows linearly with height).
+    The cutoff is N = max(16, ceil(1.1 |t| + 2 sigma + 10)) per point: the
+    sum over n < N from _prime_fill, plus N^-s / 2, N^(1-s) / (s - 1) and
+    ten Bernoulli corrections.  Negative t are allowed (zeta_critical sends
+    them here).  Intended for |t| <= ~3000 (cost grows linearly with height).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(t.shape, dtype=complex)
-    n_need = np.maximum(16, np.ceil(1.1 * np.abs(t) + 2 * sigma + 10)).astype(int)
-    order = np.argsort(n_need)
-    ts, ns = t[order], n_need[order]
-    i = 0
-    while i < len(ts):
-        ng = 1 << int(ns[i] - 1).bit_length()
-        j = int(np.searchsorted(ns, ng, side="right"))
-        s = sigma + 1j * ts[i:j]
-        S = _dirichlet_head(s, ng)
-        lnN = math.log(ng)
-        nms = np.exp(-s * lnN)
-        S += nms * ng / (s - 1) + nms / 2
-        pw = nms / ng
+    N = np.maximum(16, np.ceil(1.1 * np.abs(t) + 2 * sigma + 10)).astype(int)
+    for idx, S in _prime_fill(t, N - 1, sigma):
+        s = sigma + 1j * t[idx]
+        n = N[idx].astype(float)
+        nms = np.exp(-s * np.log(n))
+        S += nms * n / (s - 1) + nms / 2
+        pw = nms / n
         poch = s.copy()
         for k in range(1, 11):
             if k > 1:
                 poch = poch * (s + 2 * k - 3) * (s + 2 * k - 2)
-                pw = pw / (ng * ng)
+                pw = pw / (n * n)
             S += _B2K_OVER_FACT[k - 1] * poch * pw
-        out[order[i:j]] = S
-        i = j
+        out[idx] = S
     return out
 
 
@@ -290,12 +261,6 @@ def _rs_term(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc * x if k % 2 else acc
 
 
-def _rs_psi(p: np.ndarray) -> np.ndarray:
-    """The leading remainder term C_0(p) = cos 2 pi (p^2 - p - 1/16) / cos 2 pi p."""
-    x = np.asarray(p, dtype=float) - 0.5
-    return _rs_term(0, x, x * x)
-
-
 def hardy_Z(t) -> np.ndarray:
     """The real Hardy function Z(t) = e^{i theta} zeta(1/2 + it), t >= 10."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -343,55 +308,16 @@ def _rs_remainder(t: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _hardy_Z_rs(t: np.ndarray) -> tuple:
     """(Z, e^{i theta}) at t, Z(t) = 2 Re(e^{i theta} sum_{n <= m} n^(-1/2 - it))
     plus the remainder (_rs_remainder), m = floor(sqrt(t / 2 pi)); Z is good
-    to 1e-9 for t >= 200.
-
-    The terms n^-s, s = 1/2 + it, fill by primes: p^-s = p^(-1/2) e^{-it ln p}
-    per prime p, by one tan of the half phase (_cis), and the product
-    p^-s (n/p)^-s per composite n, p its smallest prime factor; e^{i theta}
-    is one more _cis per point.  The points are taken in order of m,
-    descending and stable, so row n of the fill covers the prefix of points
-    with m >= n: one numpy call per row and chunk, whatever the spread of m.
-    Only rows n <= m_max/2 can be factors, so only they are stored, each as
-    long as its prefix; the rest go straight into the sum.  A chunk takes
-    _RS_FILL // (m_max/2 + 2) points, so its stored rows, sum and scratch
-    rows stay within _RS_FILL complex elements (4 MiB).  Each point adds its
-    terms in order of n, so its value does not depend on the batch or the
-    chunk.
+    to 1e-9 for t >= 200.  The sum is _prime_fill's, and e^{i theta} is one
+    more _cis per point.
     """
     m = np.floor(np.sqrt(t / (2 * np.pi))).astype(int)
-    key = -m
-    if len(m) and m.max() < 1 << 15:
-        key = key.astype(np.int16)  # numpy radix-sorts 16-bit keys
-    order = np.argsort(key, kind="stable")
     out = np.empty(len(t))
     rot = np.empty(len(t), dtype=complex)
-    i = 0
-    while i < len(t):
-        m0 = int(m[order[i]])
-        h = m0 // 2  # the last row that is a factor of some later row
-        idx = order[i:i + max(1, _RS_FILL // (h + 2))]
-        tc, mc, k = t[idx], m[idx], len(idx)
-        count = np.searchsorted(-mc, -np.arange(m0 + 1), side="right").tolist()
-        spf = _spf(1 << m0.bit_length())
-        start = np.cumsum([0] + count[2:h + 1]).tolist()
-        F = np.empty(start[-1], dtype=complex)  # row n = 2..h at F[start[n - 2]:], count[n] long
-        S = np.ones(k, dtype=complex)
-        scratch = np.empty(k, dtype=complex)
-        half, u2 = np.empty((2, k))
-        for n in range(2, m0 + 1):
-            c = count[n]
-            row = F[start[n - 2]:start[n - 2] + c] if n <= h else scratch[:c]
-            p = spf[n]
-            if p == n:
-                _cis(np.multiply(tc[:c], -0.5 * math.log(p), out=half[:c]), p ** -0.5, row, u2[:c])
-            else:
-                a, b = start[p - 2], start[n // p - 2]
-                np.multiply(F[a:a + c], F[b:b + c], out=row)
-            S[:c] += row
-        np.multiply(hardy_theta(tc), 0.5, out=half)
-        rot[idx] = _cis(half, 1.0, scratch, u2)
-        out[idx] = 2 * (scratch * S).real + _rs_remainder(tc, mc)
-        i += k
+    for idx, S in _prime_fill(t, m):
+        tc, k = t[idx], len(idx)
+        rot[idx] = r = _cis(hardy_theta(tc) * 0.5, 1.0, np.empty(k, dtype=complex), np.empty(k))
+        out[idx] = 2 * (r * S).real + _rs_remainder(tc, m[idx])
     return out, rot
 
 
@@ -410,7 +336,7 @@ def zeta_critical(t) -> np.ndarray:
       entire g(s) = zeta(s) - 1/(s - 1); with the pole left in, the series
       would converge only at the rate its distance from the line allows,
       about 1.4 per term.  Within 3.8e-15 of mpmath.zeta.
-    * T_CHEB <= t < RS_CROSSOVER: Euler-Maclaurin, within 2.2e-13.
+    * T_CHEB <= t < RS_CROSSOVER: Euler-Maclaurin, within 3.2e-13.
     * t >= RS_CROSSOVER: Riemann-Siegel with C0..C5, within 3.4e-10 on
       [200, 300], 7e-11 on [300, 2e4] and 3.3e-10 on [2e4, 6e4]; the
       float64 phase loosens it further up (2.8e-9 near 1e6).

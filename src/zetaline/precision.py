@@ -26,6 +26,7 @@ __all__ = [
     "hreal_to_str",
     "str_to_hreal",
     "bernoulli_fraction",
+    "smallest_prime_factors",
 ]
 
 Number = Union[mpf, mpc, int, float]
@@ -140,3 +141,23 @@ def bernoulli_fraction(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
     block = ((n // 64) + 1) * 64
     return _bernoulli_upto(block)[n]
+
+
+# ---------------------------------------------------------------------------
+# Smallest prime factors, for the prime fills of n^-s in the mp
+# Euler-Maclaurin kernel (zeta._zeta_em_raw) and in fastzeta._prime_fill.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def smallest_prime_factors(n: int) -> tuple:
+    """Smallest prime factor of each k <= n (k itself for primes, 0 and 1).
+
+    Both callers ask for a power of two n, so nearby cutoffs share one sieve.
+    """
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for q in range(p * p, n + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return tuple(spf)

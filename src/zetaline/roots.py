@@ -156,7 +156,7 @@ def roots_fN(N: int, coeffs: CoeffTable, ctx: PrecisionCtx,
         inside = [(z, r) for z, r in zip(zs, residuals) if abs(z) < 1]
         inside.sort(key=lambda p: abs(p[0]))
         min_mod = +abs(inside[0][0]) if inside else None
-        res_max = max((float(r) for _, r in inside), default=0.0)
+        res_max = max((float(r) for r in residuals), default=0.0)
     counts = []
     for rho in probe_radii:
         try:

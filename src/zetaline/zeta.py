@@ -56,6 +56,7 @@ from .precision import (
     PrecisionUnachievableError,
     bernoulli_fraction,
     hreal_to_str,
+    smallest_prime_factors,
 )
 
 __all__ = [
@@ -89,19 +90,6 @@ class ContourError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin evaluation
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _spf_table(n: int) -> tuple:
-    """Smallest prime factor for 0..n (0 for indices 0, 1)."""
-    spf = list(range(n + 1))
-    for p in range(2, int(n ** 0.5) + 1):
-        if spf[p] == p:
-            for q in range(p * p, n + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    spf[0] = spf[1] = 0
-    return tuple(spf)
-
 
 def _em_orders(dps: int, sigma: float, t: float):
     """Correction order K and cutoff N for the target working digits.
@@ -157,7 +145,7 @@ def _zeta_em_raw(s: mpc, dps: int, n_scale: int = 1) -> mpc:
     N *= n_scale
     # bucket N upward so the factor sieve is shared across nearby calls
     N = 1 << (N - 1).bit_length()
-    spf = _spf_table(N)
+    spf = smallest_prime_factors(N)
     prec = mp.prec
     wp = prec + 20 + N.bit_length()
     sre, sim = s._mpc_

@@ -12,7 +12,6 @@ from zetaline import fastzeta
 from zetaline.fastzeta import (
     RS_CROSSOVER,
     T_CHEB,
-    _rs_psi,
     _rs_term,
     hardy_Z,
     hardy_theta,
@@ -50,9 +49,10 @@ def test_em_line_off_critical():
 
 @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.5, 2.0])
 def test_em_line_against_mpmath_at_bucket_edges(sigma):
-    """Independent oracle: mpmath.zeta on each side of every power-of-two
-    cutoff edge up to t = 600, where N jumps from ng to 2 ng; error <= 1e-12,
-    absolute, or relative where |zeta| > 1."""
+    """Independent oracle: mpmath.zeta on each side of every height up to
+    t = 600 where 1.1 t + 2 sigma + 10 crosses a power of two ng, where a
+    cutoff rounded up to powers of two jumped from ng to 2 ng; error <=
+    1e-12, absolute, or relative where |zeta| > 1."""
     ts = []
     ng = 16
     while (edge := (ng - 2 * sigma - 10) / 1.1) < 600:
@@ -66,15 +66,23 @@ def test_em_line_against_mpmath_at_bucket_edges(sigma):
             assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (sigma, t)
 
 
-def test_em_line_row_chunks_match(monkeypatch):
-    """A _CHUNK of a few hundred elements cuts every cutoff bucket into
-    chunks of 18 rows or fewer (one row from N = 256 on); the values match
-    the one-chunk fill."""
-    t = np.concatenate([np.linspace(0.0, 600.0, 1201), np.linspace(455.0, 456.0, 7)])
-    whole = zeta_em_line(t)
-    monkeypatch.setattr(fastzeta, "_CHUNK", 300)
-    chunked = zeta_em_line(t)
-    assert np.all(np.abs(chunked - whole) <= 1e-15 * np.abs(whole))
+def test_em_fill_chunks_match(monkeypatch):
+    """An _RS_FILL of a few hundred elements cuts the Euler-Maclaurin fill
+    into chunks of 33 points or fewer (one point from N = 299 on); on a
+    shuffled batch of heights in [-600, 600], with t = 0 and both sides of
+    each height where N crosses a power of two, the values match the default
+    fill and single-point calls bit for bit."""
+    rng = np.random.default_rng(34)
+    edges = np.array([(ng - 11) / 1.1 for ng in (16, 32, 64, 128, 256, 512)])
+    edges = np.concatenate([edges * (1 - 1e-9), edges * (1 + 1e-9)])
+    ts = np.concatenate([rng.uniform(-600.0, 600.0, 400), [0.0, 600.0, -600.0], edges, -edges])
+    rng.shuffle(ts)
+    whole = zeta_em_line(ts)
+    monkeypatch.setattr(fastzeta, "_RS_FILL", 300)
+    chunked = zeta_em_line(ts)
+    alone = np.array([zeta_em_line(t)[0] for t in ts])
+    assert chunked.tobytes() == whole.tobytes()
+    assert alone.tobytes() == whole.tobytes()
 
 
 def test_rs_line_accuracy_drops_slowly():
@@ -97,7 +105,8 @@ def test_rs_psi_removable_points():
             2 * mpmath.pi * x
         )
         for p in (0.25, 0.75, 0.2501, 0.7499, 0.2449, 0.7551):
-            mine = float(_rs_psi(np.array([p]))[0])
+            x = np.array([p - 0.5])
+            mine = float(_rs_term(0, x, x * x)[0])
             ref = float(f(mpmath.mpf(p) + mpmath.mpf("1e-30")))
             assert abs(mine - ref) < 1e-10, p
 
