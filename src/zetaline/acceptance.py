@@ -94,13 +94,12 @@ def criterion_2() -> CriterionResult:
     """Coefficient formula vs quadrature, critical and sigma0 = 0.75."""
     t0 = time.time()
     crit, gam, ctx = _ctx65_critical()
-    oracle_ctx = PrecisionCtx(25)
     ns = list(range(-1, 31))
-    qc = Q.moment_oracle(ns, oracle_ctx)
+    qc = Q.moment_oracle(ns)
     with workdps(70):
         worst_c = max(abs(qc[n] - crit.value(n)) for n in ns)
     line, lctx = _line075_table()
-    ql = Q.moment_oracle(list(range(-10, 31)), oracle_ctx, sigma0="0.75")
+    ql = Q.moment_oracle(list(range(-10, 31)), sigma0=0.75)
     with workdps(70):
         worst_l = max(abs(ql[n] - line.value(n)) for n in range(-10, 31))
     passed = worst_c <= mpf("1e-8") and worst_l <= mpf("1e-8")
@@ -181,7 +180,7 @@ def criterion_6() -> CriterionResult:
     wow = Q.cross_moment_wow(mpf("0.75"), ctx)
     core = Q.cross_moment_closed_form(mpf("0.75"), mpf("0.5"), crit, {"0.75": line}, ctx,
                                       tol=mpf("1e-13"))
-    quad = Q.cross_line_quadrature(mpf("0.75"), mpf("0.5"), PrecisionCtx(25))
+    quad = Q.cross_line_quadrature(0.75, 0.5)
     with workdps(40):
         d_series = abs(wow - core)
         d_quad = abs(wow - mpf(quad.value))
@@ -276,7 +275,7 @@ def criterion_11() -> CriterionResult:
         worst1 = max(abs(pw1.value(n) - crit.value(n)) for n in range(-1, 31))
     lam2 = Z.laurent_power_coeffs(2, 16, ctx)
     pw2 = C.coeffs_power(2, -2, 10, lam2, ctx)
-    q2 = Q.moment_oracle(list(range(-2, 11)), PrecisionCtx(25), power=2)
+    q2 = Q.moment_oracle(list(range(-2, 11)), power=2)
     with workdps(70):
         worst2 = max(abs(q2[n] - pw2.value(n)) for n in range(-2, 11))
     passed = worst1 <= mpf("1e-20") and worst2 <= mpf("1e-6")

@@ -126,7 +126,7 @@ def cmd_quad(args) -> int:
         if args.a is None or args.b is None:
             sys.stderr.write("quad cross requires --a and --b\n")
             return EXIT_USAGE
-        r = quad_mod.cross_line_quadrature(mpf(args.a), mpf(args.b))
+        r = quad_mod.cross_line_quadrature(args.a, args.b)
         if mpf(args.b) == mpf("0.5"):
             target = hreal_to_str(quad_mod.cross_moment_wow(mpf(args.a), PrecisionCtx(25)), 16)
         else:
@@ -148,7 +148,7 @@ def cmd_quad(args) -> int:
     else:
         return EXIT_USAGE
     with workdps(30):
-        val = mpf(r.value.real) if hasattr(r.value, "real") else mpf(r.value)
+        val = mpf(r.value)
         payload = {
             "name": name,
             "value": hreal_to_str(val, 16),

@@ -1,4 +1,4 @@
-"""Vectorized machine-precision zeta on and near the critical line.
+"""Vectorized machine-precision zeta on and to the right of the critical line.
 
 Three routes on the critical line, dispatched on height at T_CHEB = 10 and
 RS_CROSSOVER = 200:
@@ -18,7 +18,12 @@ RS_CROSSOVER = 200:
   1,000 in [200, 600]; on 150 random heights in [-200, 600] plus both sides
   of each height where N crosses a power of two it is at most 2.8e-13 for
   sigma in {1/2, 3/4, 3/2, 2}, relative where |zeta| > 1.  The phase
-  t ln n rounded in float64 sets it, and it grows with t;
+  t ln n rounded in float64 sets it, and it grows with t.  zeta_em_line
+  also takes sigma as an array, so any complex s right of the critical
+  line: the moment oracle's grid reaches Re s = 6e5, where the cutoff's
+  sigma term, capped at sigma = 2, keeps N at ~1.1 |t|.  There it is within
+  3.3e-15 of mpmath.zeta on the rays, and on the circle s = 1/(1+z),
+  |z| = 0.99;
 * the Riemann-Siegel main sum plus Gabcke's remainder terms C0..C5, above
   it.  Against mpmath.siegelz, max over 80 random heights per band, the
   error in Z is 3.4e-10 on [200, 300] (the dropped C6 sets it), 6.8e-11 on
@@ -35,10 +40,10 @@ fill covers the prefix of points with count >= n; each point adds its terms
 in order of n, and a chunk holds at most _RS_FILL complex elements.
 Euler-Maclaurin takes count = N - 1, Riemann-Siegel count = m.
 
-These back the quadrature of the identity integrals and the ergodic orbit
-averages, where tolerances are 1e-2..1e-4 and millions of
-evaluations are needed; everything precision-critical goes through
-:mod:`zetaline.zeta` instead.
+These back the quadrature of the identity integrals, the moment oracle and
+the ergodic orbit averages, where tolerances are 1e-2..1e-8 and up to
+millions of evaluations are needed; everything precision-critical goes
+through :mod:`zetaline.zeta` instead.
 """
 
 from __future__ import annotations
@@ -70,21 +75,23 @@ _B2K_OVER_FACT = [b / math.factorial(2 * (k + 1)) for k, b in enumerate(_B2K)]
 _RS_FILL = 1 << 18  # complex elements per prime-fill chunk
 
 
-def _prime_fill(t: np.ndarray, count: np.ndarray, sigma: float = 0.5):
+def _prime_fill(t: np.ndarray, count: np.ndarray, sigma=0.5):
     """Yield (idx, S) chunk by chunk, S = sum_{n <= count} n^(-sigma - it) at t[idx].
 
     The terms fill by primes: p^-s = p^-sigma e^{-it ln p} per prime p, by
     one tan of the half phase (_cis), and the product p^-s (n/p)^-s per
-    composite n, p its smallest prime factor.  The points are taken in order
-    of count, descending and stable, so row n of the fill covers the prefix
-    of points with count >= n: one numpy call per row and chunk, whatever
-    the spread of counts.  Only rows n <= c_max/2 can be factors, so only
+    composite n, p its smallest prime factor.  sigma is a scalar or an array
+    shaped like t; only an array pays a power per prime and point.  The
+    points are taken in order of count, descending and stable, so row n of
+    the fill covers the prefix of points with count >= n: one numpy call per
+    row and chunk, whatever the spread of counts.  Only rows n <= c_max/2 can be factors, so only
     they are stored, each as long as its prefix; the rest go straight into
     the sum.  A chunk takes _RS_FILL // (c_max/2 + 2) points, so its stored
     rows, sum and scratch rows stay within _RS_FILL complex elements
     (4 MiB).  Each point adds its terms in order of n, so its value does not
     depend on the batch or the chunk.
     """
+    vary = np.ndim(sigma) > 0
     key = -count
     if len(count) and count.max() < 1 << 15:
         key = key.astype(np.int16)  # numpy radix-sorts 16-bit keys
@@ -95,6 +102,7 @@ def _prime_fill(t: np.ndarray, count: np.ndarray, sigma: float = 0.5):
         h = c0 // 2  # the last row that is a factor of some later row
         idx = order[i:i + max(1, _RS_FILL // (h + 2))]
         tc, k = t[idx], len(idx)
+        sc = sigma[idx] if vary else sigma
         rows = np.searchsorted(-count[idx], -np.arange(c0 + 1), side="right").tolist()
         spf = smallest_prime_factors(1 << c0.bit_length())
         start = np.cumsum([0] + rows[2:h + 1]).tolist()
@@ -107,7 +115,8 @@ def _prime_fill(t: np.ndarray, count: np.ndarray, sigma: float = 0.5):
             row = F[start[n - 2]:start[n - 2] + c] if n <= h else scratch[:c]
             p = spf[n]
             if p == n:
-                _cis(np.multiply(tc[:c], -0.5 * math.log(p), out=half[:c]), p ** -sigma, row, u2[:c])
+                w = p ** -(sc[:c] if vary else sc)
+                _cis(np.multiply(tc[:c], -0.5 * math.log(p), out=half[:c]), w, row, u2[:c])
             else:
                 a, b = start[p - 2], start[n // p - 2]
                 np.multiply(F[a:a + c], F[b:b + c], out=row)
@@ -116,19 +125,26 @@ def _prime_fill(t: np.ndarray, count: np.ndarray, sigma: float = 0.5):
         i += k
 
 
-def zeta_em_line(t, sigma: float = 0.5) -> np.ndarray:
+def zeta_em_line(t, sigma=0.5) -> np.ndarray:
     """zeta(sigma + i t) for an array of real heights t, Euler-Maclaurin.
 
-    The cutoff is N = max(16, ceil(1.1 |t| + 2 sigma + 10)) per point: the
-    sum over n < N from _prime_fill, plus N^-s / 2, N^(1-s) / (s - 1) and
-    ten Bernoulli corrections.  Negative t are allowed (zeta_critical sends
-    them here).  Intended for |t| <= ~3000 (cost grows linearly with height).
+    sigma is a scalar or an array shaped like t, so s = sigma + it may be
+    any complex point with Re s >= 1/2.  The cutoff is
+    N = max(16, ceil(1.1 |t| + 2 min(sigma, 2) + 10)) per point: the sum
+    over n < N from _prime_fill, plus N^-s / 2, N^(1-s) / (s - 1) and ten
+    Bernoulli corrections.  The cap on sigma costs nothing far to the right,
+    where N^-sigma makes the corrections vanish, and keeps N small there
+    (Re s reaches 6e5 on the moment oracle's rays).  Negative t are allowed
+    (zeta_critical sends them here).  Intended for |t| <= ~3000 (cost grows
+    linearly with height).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.ndim(sigma):
+        sigma = np.broadcast_to(np.asarray(sigma, dtype=float), t.shape)
     out = np.empty(t.shape, dtype=complex)
-    N = np.maximum(16, np.ceil(1.1 * np.abs(t) + 2 * sigma + 10)).astype(int)
+    N = np.maximum(16, np.ceil(1.1 * np.abs(t) + 2 * np.minimum(sigma, 2) + 10)).astype(int)
     for idx, S in _prime_fill(t, N - 1, sigma):
-        s = sigma + 1j * t[idx]
+        s = (sigma[idx] if np.ndim(sigma) else sigma) + 1j * t[idx]
         n = N[idx].astype(float)
         nms = np.exp(-s * np.log(n))
         S += nms * n / (s - 1) + nms / 2

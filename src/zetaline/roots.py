@@ -178,13 +178,23 @@ _MAX_REFINE = 8          # node doublings a winding count may take
 _SCAN_NODES = 8192       # float scan of |f_N| on the certificate circle
 
 
-def _fN_on_circle(N: int, coeffs: CoeffTable, radius: float, m: int) -> tuple:
-    """(z, f_N(z)) at m equispaced points of |z| = radius, float Horner."""
-    poly = [-1.0] + [float(coeffs.value(n)) for n in range(N + 1)]  # ascending
-    z = radius * np.exp(1j * np.linspace(0.0, 2 * np.pi, m, endpoint=False))
-    acc = np.zeros(m, dtype=complex)
-    for a in poly[::-1]:
+def _fN_float(N: int, coeffs: CoeffTable) -> list:
+    """f_N's coefficients as floats, highest power first."""
+    return [float(coeffs.value(n)) for n in range(N, -1, -1)] + [-1.0]
+
+
+def _fN_on_circle(poly: list, radius: float, m: int, even=None) -> tuple:
+    """(z, f_N at all m points z_j = radius e^{2 pi i j/m}), float Horner on
+    poly from _fN_float.  Given ``even``, f_N at the m/2 points of even j,
+    only the odd j are evaluated and returned as z; each z_j is bit for bit
+    the one a full evaluation would use."""
+    theta = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
+    z = radius * np.exp(1j * (theta if even is None else theta[1::2]))
+    acc = np.zeros(len(z), dtype=complex)
+    for a in poly:
         acc = acc * z + a
+    if even is not None:
+        acc = np.column_stack([even, acc]).ravel()  # even and odd j interleaved
     return z, acc
 
 
@@ -192,14 +202,17 @@ def winding_count(N: int, radius: float, nodes: int, coeffs: CoeffTable) -> int:
     """Argument-principle count of f_N zeros inside |z| = radius.
 
     Accumulates the phase of f_N along the circle, refining until every
-    phase step is below pi/2.  Raises CircleTooCloseError when the minimum
-    |f_N| on the circle suggests a root within ~10 node spacings.
+    phase step is below pi/2; each doubling of the nodes evaluates only the
+    new ones.  Raises CircleTooCloseError when the minimum |f_N| on the
+    circle suggests a root within ~10 node spacings.
     """
     if radius <= 0 or radius >= 1.0000001:
         raise ValueError("radius must lie in (0, 1]")
+    poly = _fN_float(N, coeffs)
     m = max(nodes, 64)
+    v = None
     for _ in range(_MAX_REFINE):
-        v = _fN_on_circle(N, coeffs, radius, m)[1]
+        v = _fN_on_circle(poly, radius, m, v)[1]
         spacing = 2 * np.pi * radius / m
         # derivative scale estimate from consecutive differences
         dscale = np.abs(np.diff(np.concatenate([v, v[:1]]))).max() / spacing
@@ -245,7 +258,7 @@ def tail_radius_certificate(N: int, radius, coeffs: CoeffTable) -> TailCertifica
 
         bound = mp.sqrt(tail_sq_after(coeffs, N)) * r ** (N + 2) / mp.sqrt(1 - r)
     # minimum over a dense circle scan (float precision, then mp confirm)
-    z, acc = _fN_on_circle(N, coeffs, float(r), _SCAN_NODES)
+    z, acc = _fN_on_circle(_fN_float(N, coeffs), float(r), _SCAN_NODES)
     i0 = int(np.abs(acc).argmin())
     with workdps(coeffs.digits):
         zmp = mpc(z[i0])

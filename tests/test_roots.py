@@ -5,6 +5,8 @@ from zetaline.coefficients import coeffs_critical
 from zetaline.precision import PrecisionCtx
 from zetaline.roots import (
     CircleTooCloseError,
+    _fN_float,
+    _fN_on_circle,
     roots_fN,
     tail_radius_certificate,
     winding_count,
@@ -77,6 +79,20 @@ def test_winding_jumps_above_first_root_modulus(table):
                        values=(mpf(-1), mpf(0), mpf(2)), digits=30)
     assert winding_count(1, 0.60, 1024, synth) == 0
     assert winding_count(1, 0.80, 1024, synth) == 2
+
+
+def test_circle_refinement_matches_full_evaluation(table):
+    """A doubling evaluates only the odd nodes; interleaved with the even
+    ones held from the coarser circle, the values match a full evaluation
+    at the doubled node count bit for bit, so winding counts and
+    CircleTooCloseError decisions do not depend on the refinement path."""
+    poly = _fN_float(40, table)
+    even = _fN_on_circle(poly, 0.93, 512)[1]
+    z_odd, refined = _fN_on_circle(poly, 0.93, 1024, even)
+    z_full, full = _fN_on_circle(poly, 0.93, 1024)
+    assert len(z_odd) == 512
+    assert z_odd.tobytes() == z_full[1::2].tobytes()
+    assert refined.tobytes() == full.tobytes()
 
 
 def test_conjugate_symmetry(table):

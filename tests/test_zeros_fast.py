@@ -66,6 +66,33 @@ def test_em_line_against_mpmath_at_bucket_edges(sigma):
             assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (sigma, t)
 
 
+def _ray_points(sigma0):
+    """s = sigma0 + y + 48i at the moment oracle's ray and u-map nodes,
+    panels halved: y from 0 to 6.2e5."""
+    from zetaline.quadrature import _UMAP_EDGES, _gl_nodes, _ray_edges
+
+    y = _gl_nodes(_ray_edges(48.0, 30, 288.0), True)[0]
+    u = _gl_nodes(_UMAP_EDGES, True)[0]
+    return sigma0 + np.concatenate([y, 288.0 / u]) + 48j
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(lambda: _ray_points(0.5), id="ray-0.5"),
+    pytest.param(lambda: _ray_points(0.75), id="ray-0.75"),
+    pytest.param(lambda: 1 / (1 + 0.99 * np.exp(2j * np.pi * np.arange(512) / 512)), id="disk-0.99"),
+])
+def test_em_complex_s_against_mpmath(points):
+    """zeta_em_line with an array sigma, against mpmath.zeta: on the rays of
+    the moment oracle, Re s up to 6.2e5, and on s = 1/(1+z), |z| = 0.99,
+    Re s from 0.5025 to 100; error <= 1e-13, relative where |zeta| > 1."""
+    s = points()
+    vals = zeta_em_line(s.imag, s.real)
+    with workdps(25):
+        for si, v in zip(s, vals):
+            ref = complex(mpmath.zeta(mpc(si.real, si.imag)))
+            assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref)), si
+
+
 def test_em_fill_chunks_match(monkeypatch):
     """An _RS_FILL of a few hundred elements cuts the Euler-Maclaurin fill
     into chunks of 33 points or fewer (one point from N = 299 on); on a
