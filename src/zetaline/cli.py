@@ -43,8 +43,7 @@ def _print_json(payload) -> None:
 def _table_for(n_max: int, digits: int, sigma=None, power=None):
     ctx = PrecisionCtx(digits)
     if sigma is not None:
-        gam = zeta_mod.stieltjes(coeffs_mod.line_table_depth(sigma, n_max, ctx), ctx)
-        return coeffs_mod.coeffs_line(sigma, -max(n_max, 1), n_max, gam, ctx)
+        return coeffs_mod.coeffs_line(sigma, -max(n_max, 1), n_max, ctx)
     if power is not None:
         lam = zeta_mod.laurent_power_coeffs(power, n_max + power, ctx)
         return coeffs_mod.coeffs_power(power, -power, n_max, lam, ctx)
@@ -288,7 +287,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (PrecisionUnachievableError, quad_mod.ToleranceNotMetError,
+    except (PrecisionUnachievableError, quad_mod.ToleranceNotMetError, zeta_mod.ContourError,
             coeffs_mod.InsufficientPrecisionError, coeffs_mod.InsufficientTableError) as e:
         sys.stderr.write(f"precision/tolerance unreachable: {e}\n")
         return EXIT_PRECISION

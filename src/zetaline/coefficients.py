@@ -1,23 +1,23 @@
 """Coefficient families of zeta against the Cauchy-measure Fourier basis.
 
-Every family is a binomial transform of the Taylor coefficients
-a_k = (-1)**k gamma_k / k! of zeta(s) - 1/(s-1) at s = 1, read from
-``StieltjesTable.taylor``.  For n >= 1 each family is
+For n >= 1 every family is the binomial transform
 
       (-1)**n sum_{k=1}^{n} C(n-1, k-1) b_k
 
-for its own sequence b_k:
+of its own Taylor data b_k:
 
-* ``critical``: the boundary family for the line Re s = 1/2, with b_k = a_k.
-  Entry -1 is exactly -1 and entry 0 is a_0 - 1 = gamma_0 - 1.
+* ``critical``: the boundary family for the line Re s = 1/2, with b_k = a_k,
+  the Taylor coefficients (-1)**k gamma_k / k! of zeta(s) - 1/(s-1) at s = 1
+  read from ``StieltjesTable.taylor``.  Entry -1 is exactly -1 and entry 0
+  is a_0 - 1 = gamma_0 - 1.
 
 * ``line(sigma0)``: the family for Re s = sigma0 > 1/2, sigma0 != 1.  b_k is
-  the k-th Taylor coefficient of zeta(s) - 1/(s-1) at sigma0 + 1/2, a series
-  in the a_j (algebraically identical to the k-th-derivative form with its
-  pole correction, but free of the cancellation between the two); for
-  sigma0 > 1 the pole term (-1)**k / (sigma0 - 1/2)**(k+1) is added back.
-  For 1/2 < sigma0 < 1 the negative indices follow the closed geometric form
-  from the pole at 3/2 - sigma0, and entry 0 is
+  the k-th Taylor coefficient of the entire zeta(s) - 1/(s-1) at
+  sigma0 + 1/2, read off one circle by the trapezoid engine of
+  :mod:`zetaline.zeta`; no Stieltjes table enters.  For sigma0 > 1 the pole
+  term (-1)**k / (sigma0 - 1/2)**(k+1) is added back.  For 1/2 < sigma0 < 1
+  the negative indices follow the closed geometric form from the pole at
+  3/2 - sigma0, and entry 0 is
   zeta(sigma0+1/2) - 1/(sigma0-1/2) - 1/(3/2-sigma0).  For sigma0 > 1 the
   negative indices vanish.
 
@@ -40,7 +40,14 @@ from typing import Optional, Sequence
 from mpmath import mp, mpc, mpf, workdps
 
 from .precision import PrecisionCtx, binom_exact, hreal_to_str
-from .zeta import LaurentTable, StieltjesTable, _g_taylor, zeta_em
+from .zeta import (
+    LaurentTable,
+    StieltjesTable,
+    _contour_wp,
+    _converged_taylor,
+    _g_taylor,
+    zeta_em,
+)
 
 __all__ = [
     "CoeffTable",
@@ -49,7 +56,6 @@ __all__ = [
     "coeffs_critical",
     "coeffs_line",
     "coeffs_power",
-    "line_table_depth",
     "reserve_digits",
     "decay_diagnostics",
     "DecayDiagnostics",
@@ -166,56 +172,16 @@ def coeffs_critical(n_max: int, gammas: StieltjesTable, ctx: PrecisionCtx) -> Co
     )
 
 
-def line_table_depth(sigma0, n_max: int, ctx: PrecisionCtx) -> int:
-    """Deepest gamma_j the line family at sigma0 reads for entries up to n_max.
+def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable:
+    """The family for the vertical line Re s = sigma0 (sigma0 > 1/2, != 1).
 
-    The Taylor series of zeta(s) - 1/(s-1) about s = 1, re-expanded at
-    sigma0 + 1/2, converges geometrically with ratio (sigma0 - 1/2)/pi (the
-    Berndt bound); the depth carries it below 10**-(digits + 10).
+    b_0..b_{n_max} come from one trapezoid contour centred at sigma0 + 1/2,
+    at the Stieltjes table's working precision, with radius 3 while
+    sigma0 <= 5/2 and sigma0 - 3/2 beyond: the circle stays a unit away
+    from s = 1 and right of Re s = -2.  ContourError if 2,048 nodes do not
+    converge.  Entries n <= 0 are closed forms and one zeta_em value, so a
+    table with n_max <= 0 evaluates no contour.
     """
-    with workdps(ctx.working(15)):
-        ratio = float((mpf(sigma0) - mpf("0.5")) / mp.pi)
-    if ratio >= 0.9:
-        raise InsufficientTableError(
-            f"gamma-series for derivatives diverges too slowly at sigma0={sigma0}"
-        )
-    return n_max + int((ctx.digits + 10) * math.log(10) / -math.log(ratio)) + 2
-
-
-def _line_taylor_coeffs(sigma0, k_top: int, gammas: StieltjesTable, ctx: PrecisionCtx) -> list:
-    """Taylor coefficients c_k of zeta(s) - 1/(s-1) at s = sigma0 + 1/2.
-
-    c_k = sum_{j>=k} C(j,k) a_j (sigma0 - 1/2)^{j-k}, with a_j read from the
-    table's ``taylor`` through :func:`line_table_depth`.
-    """
-    j_need = line_table_depth(sigma0, k_top, ctx)
-    if gammas.k_max < j_need:
-        raise InsufficientTableError(
-            f"line family at sigma0={sigma0} needs gamma table k_max >= {j_need}, "
-            f"got {gammas.k_max}"
-        )
-    a = gammas.taylor
-    with workdps(ctx.working(15)):
-        x = mpf(sigma0) - mpf("0.5")
-        cs = []
-        for k in range(k_top + 1):
-            acc = mpf(0)
-            pw = mpf(1)
-            for j in range(k, j_need + 1):
-                acc += binom_exact(j, k) * a[j] * pw
-                pw *= x
-            cs.append(+acc)
-        return cs
-
-
-def coeffs_line(
-    sigma0,
-    n_min: int,
-    n_max: int,
-    gammas: StieltjesTable,
-    ctx: PrecisionCtx,
-) -> CoeffTable:
-    """The family for the vertical line Re s = sigma0 (sigma0 > 1/2, != 1)."""
     with workdps(ctx.working()):
         sigma0 = mpf(sigma0)
     if sigma0 <= mpf("0.5"):
@@ -227,7 +193,10 @@ def coeffs_line(
     with workdps(ctx.working(15)):
         half = mpf("0.5")
         x = sigma0 - half
-        cs = _line_taylor_coeffs(sigma0, max(n_max, 0), gammas, ctx) if n_max >= 1 else []
+        centre = sigma0 + half
+        radius = 3 if sigma0 <= mpf("2.5") else sigma0 - mpf("1.5")
+        wp = _contour_wp(n_max, ctx.digits)
+        b = _converged_taylor(centre, radius, n_max, wp) if n_max >= 1 else []
         vals = []
         for n in range(n_min, min(n_max, -1) + 1):
             if sigma0 > 1:
@@ -236,14 +205,14 @@ def coeffs_line(
                 sign = 1 if n % 2 == 0 else -1
                 vals.append(+(sign / x ** 2 * ((sigma0 - mpf("1.5")) / x) ** (n - 1)))
         if n_min <= 0 <= n_max:
-            z_val = zeta_em(sigma0 + half, ctx)
+            z_val = zeta_em(centre, ctx)
             if sigma0 > 1:
                 vals.append(+z_val.real)
             else:
                 vals.append(+(z_val.real - 1 / x - 1 / (mpf("1.5") - sigma0)))
         if sigma0 > 1:
-            cs = [c + (-1) ** k / x ** (k + 1) for k, c in enumerate(cs)]
-    vals += _binomial_sums(cs, max(n_min, 1), n_max, ctx)
+            b = [c + (-1) ** k / x ** (k + 1) for k, c in enumerate(b)]
+    vals += _binomial_sums(b, max(n_min, 1), n_max, ctx)
     return CoeffTable(
         family="line",
         n_min=n_min,
@@ -260,7 +229,9 @@ def line_coeff_via_derivatives(sigma0, n: int, ctx: PrecisionCtx) -> mpf:
     The textbook route (-1)^n sum_k C(n-1,k-1) b_k, with every b_k, k <= n,
     read from one grid of the trapezoid engine as the Taylor coefficient of
     zeta(s) - 1/(s-1), plus the pole term (-1)^k / (sigma0-1/2)^(k+1) for
-    sigma0 >= 1.  Kept as the independent cross-check of the gamma-series route.
+    sigma0 >= 1.  Its grid lies on ``zeta._g_taylor``'s small circle, which
+    excludes the pole, at 2n more digits; ``coeffs_line`` reads the same b_k
+    off a radius-3 circle.  Kept as the tests' cross-check of that route.
     """
     if n < 1:
         raise ValueError("derivative route is for n >= 1")

@@ -100,12 +100,14 @@ _HEAD_T = 48.0
 
 
 def _head_edges(T: float, n_osc: int) -> list:
+    """Panel edges on [0, T]: width 3/rate, rate from the basis oscillation
+    and from zeta's, floored at 1.5 so that no panel is wider than 2."""
     edges = [0.0]
     while edges[-1] < T:
         t = edges[-1]
         rate = 4.0 * n_osc / (1.0 + 4 * t * t)
         rate += 0.5 * abs(math.log(max(t, 6.3) / TWO_PI))
-        w = max(min(3.0 / max(rate, 0.2), T - t), 1e-3)
+        w = max(min(3.0 / max(rate, 1.5), T - t), 1e-3)
         edges.append(min(T, t + w))
     return edges
 
@@ -208,39 +210,28 @@ def cross_line_quadrature(a, b, T: float = _HEAD_T) -> QuadratureResult:
 # Closed-form cross moments
 # ---------------------------------------------------------------------------
 
-def cross_moment_closed_form(a, b, crit: CoeffTable, line_tables: dict, ctx: PrecisionCtx,
+def cross_moment_closed_form(tab_a: CoeffTable, tab_b: CoeffTable, ctx: PrecisionCtx,
                              tol=None):
     """F(a,b) + F(b,a) + ell_0(a) ell_0(b) summed with a geometric tail bound.
 
-    ``line_tables`` maps sigma0 values (as mpf-compatible strings/numbers) to
-    their CoeffTable; the critical table covers sigma0 = 1/2.
-    F(a,b) = -1/(a-1/2)^2 sum_{m>=1} ell_m(b) ((a-1/2)/(3/2-a))^{m+1}, with
-    the a -> 1/2 limit -ell_1(b).  ``tol`` caps the geometric tail (default
-    10**-(digits+5)); a table too short for it raises ToleranceNotMetError.
+    a and b are the tables' ``sigma0``, None (the critical family) meaning
+    1/2.  F(a,b) = -1/(a-1/2)^2 sum_{m>=1} ell_m(b) ((a-1/2)/(3/2-a))^{m+1},
+    with the a -> 1/2 limit -ell_1(b).  ``tol`` caps the geometric tail
+    (default 10**-(digits+5)); a table too short for it raises
+    ToleranceNotMetError.
     """
     with workdps(ctx.working()):
-        a, b = mpf(a), mpf(b)
+        half = mpf("0.5")
+        a, b = (half if tab.sigma0 is None else mpf(tab.sigma0) for tab in (tab_a, tab_b))
         tol = mpf(tol) if tol is not None else mpf(10) ** (-(ctx.digits + 5))
-        if not (mpf("0.5") <= a < 1 and mpf("0.5") <= b < 1):
+        if not (half <= a < 1 and half <= b < 1):
             raise ValueError("cross moment requires a, b in [1/2, 1)")
 
-        def table_for(sig):
-            if sig == mpf("0.5"):
-                return crit
-            for key, tab in line_tables.items():
-                if mpf(key) == sig:
-                    return tab
-            raise KeyError(f"no coefficient table for sigma0 = {sig}")
-
-        def ell0(sig):
-            return table_for(sig).value(0)
-
-        def F(x, y):
-            """F(x, y): geometric weights from x, coefficients from y."""
-            tab_y = table_for(y)
-            if x == mpf("0.5"):
+        def F(x, tab_y):
+            """F(x, y): geometric weights from x, coefficients from y's table."""
+            if x == half:
                 return -tab_y.value(1)
-            ratio = (x - mpf("0.5")) / (mpf("1.5") - x)
+            ratio = (x - half) / (mpf("1.5") - x)
             acc = mpf(0)
             pw = ratio ** 2
             m = 1
@@ -254,11 +245,11 @@ def cross_moment_closed_form(a, b, crit: CoeffTable, line_tables: dict, ctx: Pre
                 m += 1
             else:
                 raise ToleranceNotMetError(
-                    f"F({x},{y}) needs more than n_max={tab_y.n_max} terms"
+                    f"F({x}, .) needs more than the {tab_y.family} table's n_max={tab_y.n_max}"
                 )
-            return -acc / (x - mpf("0.5")) ** 2
+            return -acc / (x - half) ** 2
 
-        return +(F(a, b) + F(b, a) + ell0(a) * ell0(b))
+        return +(F(a, tab_b) + F(b, tab_a) + tab_a.value(0) * tab_b.value(0))
 
 
 def cross_moment_wow(sigma, ctx: PrecisionCtx):
@@ -270,8 +261,10 @@ def cross_moment_wow(sigma, ctx: PrecisionCtx):
     The derivative term is the n = +-1 basis pairing; deriving the value by
     residues (or expanding the coefficient bilinear form) shows it must be
     present, and the quadrature route confirms it numerically.  zeta and zeta'
-    at sigma+1/2 are the first two Taylor coefficients of one contour.  At
-    sigma = 1/2 the formula degenerates to (gamma0-1)^2 - 2 gamma1.
+    at sigma+1/2 are the first two Taylor coefficients of one contour on
+    ``zeta._g_taylor``'s small circle, which excludes the pole, so it is not
+    the radius-3 circle that ``coeffs_line`` reads.  At sigma = 1/2 the
+    formula degenerates to (gamma0-1)^2 - 2 gamma1.
     """
     with workdps(ctx.working()):
         sigma = mpf(sigma)

@@ -245,7 +245,7 @@ def phi_integral_oracle(s, tol, ctx: PrecisionCtx | None = None):
         return +acc, +rem_bound
 
 
-def cs_bound_check(s, coeffs: CoeffTable, ctx: PrecisionCtx | None = None) -> dict:
+def cs_bound_check(s, ctx: PrecisionCtx | None = None) -> dict:
     """Check |zeta(s) - s/(s-1)| <= sqrt((log 2pi - gamma0 - 1)/(2 sigma - 1)) |s|.
 
     Returns lhs, rhs and holds; valid for every Re s > 1/2 (s = 1 included,

@@ -14,19 +14,23 @@ Everything here reduces to two workhorses:
   fine coefficients agree to 10^-wp on the circle's scale, evaluating zeta
   only at the new nodes, and conjugate symmetry halves each evaluation pass.
 
-``stieltjes`` is its c = 1, r = 3 case, gamma_k = (-1)^k k! a_k.
-``zeta_derivative``, ``coefficients.line_coeff_via_derivatives`` and
-``quadrature.cross_moment_wow`` read it at c = s0 off the pole, adding back
+``stieltjes`` is its c = 1, r = 3 case, gamma_k = (-1)^k k! a_k, and
+``coefficients.coeffs_line`` reads it at c = sigma0 + 1/2 on a circle of
+radius 3 (sigma0 - 3/2 beyond sigma0 = 5/2); g is entire, so enclosing the
+pole does no harm.  ``zeta_derivative``,
+``coefficients.line_coeff_via_derivatives`` and ``quadrature.cross_moment_wow``
+read it at c = s0 on a smaller circle that excludes the pole, adding back
 the pole's own Taylor terms (-1)^k / (s0-1)^(k+1) where zeta's are wanted.
 
-Every other table is derived from the Stieltjes one: ``StieltjesTable.taylor``
+The Laurent table is derived from the Stieltjes one: ``StieltjesTable.taylor``
 holds the a_k at s = 1, and ``LaurentTable.taylor`` holds
 [u^m] (1 + u sum_j a_j u^j)^k, computed by exact series multiplication;
 lambda_{m,k} is m! times that.
 
-The radius-3 circle reaches Re s = -2, left of the public evaluation region,
-so the engine uses the raw Euler-Maclaurin path while the public ``zeta_em``
-keeps the advertised Re s > -1 gate.  The raw path is checked against
+The radius-3 circle reaches Re s = -2 (the line family's circles stay right
+of it), left of the public evaluation region, so the engine uses the raw
+Euler-Maclaurin path while the public ``zeta_em`` keeps the advertised
+Re s > -1 gate.  The raw path is checked against
 mpmath.zeta for Re s >= -2, the circle's leftmost point, and no further:
 it loses digits as Re s falls (at 35 digits, 6e-14 relative at s = -10 + i
 and none left at s = -29 + 0.5i).
@@ -345,13 +349,23 @@ def berndt_bound_holds(gamma_k, k: int) -> bool:
         return abs(gamma_k) / mp.factorial(k) <= 4 / (k * mp.pi ** k)
 
 
+def _contour_wp(k_max: int, digits: int) -> int:
+    """Working digits for Taylor data through k_max read off a radius-3 circle.
+
+    digits + max(10, ceil(0.05 k_max) + 10): the guard absorbs the (pi/3)^k
+    extraction loss of the Stieltjes circle.
+    """
+    wp = digits + max(10, int(math.ceil(0.05 * k_max)) + 10)
+    if wp > 50_000:
+        raise PrecisionUnachievableError(f"contour working precision {wp} too large")
+    return wp
+
+
 @lru_cache(maxsize=32)
 def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     from . import cache as _cache
 
-    wp = digits + max(10, int(math.ceil(0.05 * k_max)) + 10)
-    if wp > 50_000:
-        raise PrecisionUnachievableError(f"stieltjes working precision {wp} too large")
+    wp = _contour_wp(k_max, digits)
     key = f"stieltjes_k{k_max}_d{digits}"
     gammas = _cache.load_values(key, digits)
     errs = _cache.load_values(key + "_err", digits) if gammas else None
@@ -451,9 +465,14 @@ def _g_taylor(s0, k_max: int, ctx: PrecisionCtx, radius=None) -> list:
                 f"contour of radius {radius} around {s0} hits the pole or leaves Re s > -1"
             )
     amp = int(k_max * math.log10(1.0 / float(radius))) + 1 if radius < 1 else 0
-    fine, _, met = _taylor_on_circle(s0, radius, k_max, ctx.working() + amp, 2048)
+    return _converged_taylor(s0, radius, k_max, ctx.working() + amp)
+
+
+def _converged_taylor(c, r, k_max: int, wp: int) -> list:
+    """The engine's fine coefficients, or ContourError if 2,048 nodes do not converge."""
+    fine, _, met = _taylor_on_circle(c, r, k_max, wp, 2048)
     if not met:
-        raise ContourError(f"contour around {s0} not converged at 2048 nodes")
+        raise ContourError(f"contour around {c} not converged at 2048 nodes")
     return fine
 
 

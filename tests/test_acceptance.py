@@ -15,3 +15,9 @@ def test_acceptance_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criterion_3_counts_its_series_points():
+    """At t = 10 and 50 every grid point has |z| > 0.95, where zeta_via_series
+    takes the closed form: the Euler-Maclaurin kernel against itself."""
+    assert acceptance.criterion_3().details["series_points"] == "8/16"

@@ -1,13 +1,10 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
-
-import pytest
 
 from zetaline import cache, cli
 from zetaline.cli import main
-from zetaline.coefficients import InsufficientTableError, coeffs_line
+from zetaline.coefficients import coeffs_line
 from zetaline.precision import PrecisionCtx
 
 
@@ -94,26 +91,24 @@ def test_power_table_reads_one_stieltjes_table(capsys, monkeypatch):
     assert not [key for key in stored if key.startswith("laurent_")]
 
 
-def test_sigma_table_depth_is_what_coeffs_line_checks(capsys, monkeypatch):
-    """coeffs --sigma asks for exactly the shallowest table coeffs_line accepts."""
-    ctx = PrecisionCtx(66)
-    deep = cli.zeta_mod.stieltjes(130, ctx)
-    asked = []
+def test_coeffs_sigma_reads_no_stieltjes_table(capsys, monkeypatch):
+    """The line family reads its Taylor data off its own contour."""
 
-    def truncated(k_max):
-        return replace(deep, k_max=k_max, gammas=deep.gammas[: k_max + 1],
-                       est_errors=deep.est_errors[: k_max + 1])
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line family must not read a Stieltjes table")
 
-    def recording_stieltjes(k_max, ctx):
-        asked.append(k_max)
-        return truncated(k_max)
-
-    monkeypatch.setattr(cli.zeta_mod, "stieltjes", recording_stieltjes)
-    code, _ = run_cli(["coeffs", "--sigma", "0.75", "--nmax", "10", "--digits", "66"], capsys)
+    monkeypatch.setattr(cli.zeta_mod, "stieltjes", refuse)
+    monkeypatch.setattr(cli.zeta_mod, "_stieltjes_cached", refuse)
+    code, out = run_cli(["coeffs", "--sigma", "0.75", "--nmax", "10", "--digits", "66"], capsys)
     assert code == 0
-    assert len(asked) == 1
-    with pytest.raises(InsufficientTableError):
-        coeffs_line("0.75", -10, 10, truncated(asked[0] - 1), ctx)
+    assert [row["n"] for row in json.loads(out)["values"]] == list(range(-10, 11))
+    assert coeffs_line("1.2", -1, 3, PrecisionCtx(61)).value(-1) == 0
+
+
+def test_coeffs_sigma_unconverged_contour_exits_3(capsys, monkeypatch):
+    real = cli.zeta_mod._taylor_on_circle
+    monkeypatch.setattr(cli.zeta_mod, "_taylor_on_circle", lambda *a: real(*a)[:2] + (False,))
+    assert main(["coeffs", "--sigma", "0.75", "--nmax", "2", "--digits", "61"]) == 3
 
 
 def test_quad_bsy_small(capsys):

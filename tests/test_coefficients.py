@@ -62,9 +62,9 @@ def test_recomputation_at_higher_precision_agrees(gammas):
         assert worst < mpf(10) ** (-(CTX.digits - 60 // 6 - 3))
 
 
-def test_line_family_values(gammas):
+def test_line_family_values():
     ctx = PrecisionCtx(65)
-    tab = coeffs_line(mpf("0.75"), -6, 12, gammas, ctx)
+    tab = coeffs_line(mpf("0.75"), -6, 12, ctx)
     with workdps(70):
         # closed geometric form at n = -1: -1/(1/4)^2 * ((-3/4)/(1/4))^{-2} = -16/9
         assert abs(tab.value(-1) + mpf(16) / 9) < mpf("1e-55")
@@ -76,8 +76,7 @@ def test_line_family_values(gammas):
 
 def test_line_sigma_above_one():
     ctx = PrecisionCtx(61)
-    deep = stieltjes(130, ctx)  # sigma0 > 1 needs a deeper gamma series
-    tab = coeffs_line("1.2", -4, 3, deep, ctx)
+    tab = coeffs_line("1.2", -4, 3, ctx)
     with workdps(70):
         assert tab.value(-1) == 0 and tab.value(-4) == 0
         from zetaline.zeta import zeta_em
@@ -85,11 +84,30 @@ def test_line_sigma_above_one():
         assert abs(tab.value(0) - zeta_em(mpf("1.7"), ctx).real) < mpf("1e-50")
 
 
-def test_line_sigma_limit_to_half(gammas, crit):
+@pytest.mark.parametrize("sigma0", ["0.75", "2.4", "3.5"])
+def test_line_family_against_mpmath_derivatives(sigma0):
+    """Both contour radii (3, and sigma0 - 3/2 past sigma0 = 5/2) against
+    Taylor data from mpmath.zeta's derivatives at c = sigma0 + 1/2:
+    b_k = zeta^(k)(c)/k! - (-1)^k/(c-1)^(k+1), whose pole term the line
+    family adds back for sigma0 > 1, through the same binomial sums."""
+    tab = coeffs_line(sigma0, 0, 8, PrecisionCtx(62))
+    with workdps(80):
+        s0 = mpf(sigma0)
+        c = s0 + mpf("0.5")
+        b = [mp.zeta(c, 1, k) / mp.factorial(k) for k in range(9)]
+        if s0 < 1:
+            b = [bk - (-1) ** k / (c - 1) ** (k + 1) for k, bk in enumerate(b)]
+        assert abs(tab.value(0) - (b[0] if s0 > 1 else b[0] - 1 / (mpf("1.5") - s0))) < mpf("1e-50")
+        for n in range(1, 9):
+            ref = (-1) ** n * sum(binom_exact(n - 1, k - 1) * b[k] for k in range(1, n + 1))
+            assert abs(tab.value(n) - ref) < mpf("1e-50"), n
+
+
+def test_line_sigma_limit_to_half(crit):
     """ell_n(sigma0) -> ell_n as sigma0 -> 1/2+ (trend at two offsets)."""
     ctx = PrecisionCtx(65)
-    e1 = coeffs_line(mpf("0.501"), -1, 20, gammas, ctx)
-    e2 = coeffs_line(mpf("0.5001"), -1, 20, gammas, ctx)
+    e1 = coeffs_line(mpf("0.501"), -1, 20, ctx)
+    e2 = coeffs_line(mpf("0.5001"), -1, 20, ctx)
     with workdps(70):
         d1 = max(abs(e1.value(n) - crit.value(n)) for n in range(21))
         d2 = max(abs(e2.value(n) - crit.value(n)) for n in range(21))
@@ -97,18 +115,18 @@ def test_line_sigma_limit_to_half(gammas, crit):
         assert d1 < mpf("0.02")
 
 
-def test_line_domain_errors(gammas):
+def test_line_domain_errors():
     with pytest.raises(ValueError):
-        coeffs_line(mpf("0.5"), -1, 3, gammas, PrecisionCtx(61))
+        coeffs_line(mpf("0.5"), -1, 3, PrecisionCtx(61))
     with pytest.raises(ValueError):
-        coeffs_line(1, -1, 3, gammas, PrecisionCtx(61))
+        coeffs_line(1, -1, 3, PrecisionCtx(61))
 
 
-def test_negative_branch_telescopes_to_pole_term(gammas):
+def test_negative_branch_telescopes_to_pole_term():
     """sum_{n<=-1} coeff_n e_n(t) = 1/(sigma0-1+it) - 1/(sigma0-3/2)."""
     ctx = PrecisionCtx(65)
     sigma0 = mpf("0.75")
-    tab = coeffs_line(sigma0, -220, 0, gammas, ctx)
+    tab = coeffs_line(sigma0, -220, 0, ctx)
     with workdps(70):
         for tt in (mpf(0), mpf(1), mpf(10)):
             acc = mp.mpc(0)

@@ -45,9 +45,7 @@ def test_moment_oracle_low_indices():
 
 def test_moment_oracle_line_family():
     vals = moment_oracle([-1, 5], sigma0=0.75)
-    ctx65 = PrecisionCtx(65)
-    gam = stieltjes(100, ctx65)
-    line = coeffs_line("0.75", -1, 6, gam, ctx65)
+    line = coeffs_line("0.75", -1, 6, PrecisionCtx(65))
     with workdps(40):
         assert abs(vals[-1] - line.value(-1)) < mpf("1e-8")
         assert abs(vals[5] - line.value(5)) < mpf("1e-8")
@@ -74,23 +72,21 @@ def test_identity_hnorm_quick():
 
 def test_cross_quadrature_vs_corrected_closed_form():
     """The value is within its two-grid estimate of the closed form, up to a
-    float64 floor of 1e-14: the finer grid's 1,344 terms sum to 2.2 in
+    float64 floor of 1e-14: the finer grid's 1,632 terms sum to 2.2 in
     absolute value, and zeta is good to a few 1e-15 relative.  The estimate
-    itself is below 1e-12."""
+    itself is below 1e-13: no head panel is wider than 2."""
     q = cross_line_quadrature(0.75, 0.5)
     wow = cross_moment_wow("0.75", PrecisionCtx(30))
     assert isinstance(q.value, float)
     assert abs(q.value - float(wow)) <= q.est_error + 1e-14
-    assert q.est_error <= 1e-12
+    assert q.est_error <= 1e-13
 
 
 def test_cross_core_assembly_matches_wow():
     ctx66 = PrecisionCtx(66)
-    gam = stieltjes(130, ctx66)
-    crit = coeffs_critical(40, gam, ctx66)
-    line = coeffs_line("0.75", -2, 40, gam, ctx66)
-    core = cross_moment_closed_form("0.75", "0.5", crit, {"0.75": line}, PrecisionCtx(30),
-                                    tol=mpf("1e-13"))
+    crit = coeffs_critical(40, stieltjes(40, ctx66), ctx66)
+    line = coeffs_line("0.75", -2, 40, ctx66)
+    core = cross_moment_closed_form(line, crit, PrecisionCtx(30), tol=mpf("1e-13"))
     wow = cross_moment_wow("0.75", PrecisionCtx(30))
     with workdps(40):
         assert abs(core - wow) < mpf("1e-9")

@@ -174,18 +174,18 @@ def test_phi_chain_through_h(crit):
             assert abs(lhs - rhs) < mpf("1e-10")
 
 
-def test_cs_bound_examples(crit):
+def test_cs_bound_examples():
     ctx = PrecisionCtx(30)
-    r = cs_bound_check(2, crit, ctx)
+    r = cs_bound_check(2, ctx)
     with workdps(40):
         assert r["holds"]
         assert abs(r["lhs"] - mpf("0.35507")) < mpf("1e-4")
         assert abs(r["rhs"] - mpf("0.5896")) < mpf("1e-3")
-    r = cs_bound_check(mpf("0.6"), crit, ctx)
+    r = cs_bound_check(mpf("0.6"), ctx)
     assert r["holds"]
     with workdps(40):
         assert abs(r["rhs"] - mpf("0.6849")) < mpf("1e-3")
-    assert cs_bound_check(mpc(10, 100), crit, ctx)["holds"]
+    assert cs_bound_check(mpc(10, 100), ctx)["holds"]
 
 
 def test_boundary_partial_sums_improve(crit):
