@@ -126,8 +126,10 @@ def cmd_quad(args) -> int:
             sys.stderr.write("quad cross requires --a and --b\n")
             return EXIT_USAGE
         r = quad_mod.cross_line_quadrature(args.a, args.b)
-        if mpf(args.b) == mpf("0.5"):
-            target = hreal_to_str(quad_mod.cross_moment_wow(mpf(args.a), PrecisionCtx(25)), 16)
+        a, b = mpf(args.a), mpf(args.b)
+        other = b if a == 0.5 else a if b == 0.5 else None  # the closed form pairs with 1/2
+        if other is not None and 0.5 <= other < 1:
+            target = hreal_to_str(quad_mod.cross_moment_wow(other, PrecisionCtx(25)), 16)
         else:
             target = "n/a"
     elif name == "log-disk":

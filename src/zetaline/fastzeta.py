@@ -20,10 +20,10 @@ RS_CROSSOVER = 200:
   sigma in {1/2, 3/4, 3/2, 2}, relative where |zeta| > 1.  The phase
   t ln n rounded in float64 sets it, and it grows with t.  zeta_em_line
   also takes sigma as an array, so any complex s right of the critical
-  line: the moment oracle's grid reaches Re s = 6e5, where the cutoff's
-  sigma term, capped at sigma = 2, keeps N at ~1.1 |t|.  There it is within
-  3.3e-15 of mpmath.zeta on the rays, and on the circle s = 1/(1+z),
-  |z| = 0.99;
+  line: the moment oracle's pass reaches Re s = 8.3e4, where the cutoff's
+  sigma term, capped at sigma = 2, keeps N at ~1.1 |t|.  It is within
+  2.6e-15 of mpmath.zeta on the rays up to Re s = 1.7e5, and 3.4e-15 on the
+  circle s = 1/(1+z), |z| = 0.99, relative where |zeta| > 1;
 * the Riemann-Siegel main sum plus Gabcke's remainder terms C0..C5, above
   it.  Against mpmath.siegelz, max over 80 random heights per band, the
   error in Z is 3.4e-10 on [200, 300] (the dropped C6 sets it), 6.8e-11 on
@@ -134,7 +134,7 @@ def zeta_em_line(t, sigma=0.5) -> np.ndarray:
     over n < N from _prime_fill, plus N^-s / 2, N^(1-s) / (s - 1) and ten
     Bernoulli corrections.  The cap on sigma costs nothing far to the right,
     where N^-sigma makes the corrections vanish, and keeps N small there
-    (Re s reaches 6e5 on the moment oracle's rays).  Negative t are allowed
+    (Re s reaches 8.3e4 on the moment oracle's rays).  Negative t are allowed
     (zeta_critical sends them here).  Intended for |t| <= ~3000 (cost grows
     linearly with height).
     """

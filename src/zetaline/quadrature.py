@@ -3,24 +3,26 @@
 The probability measure is dmu = dt / (2 pi (1/4 + t^2)).  Two kinds of
 integral are computed here:
 
-* the coefficient moments and the cross moment, by a deformed-tail line
-  integrator on one grid of zeta-product values: the tail integrals over
-  |t| > T are evaluated exactly as integrals along the rays t = +-T - iy
-  (the integrand is analytic in the lower half t-plane away from the
-  imaginary axis and decays there), so no oscillatory truncation error
-  enters at all.  The grid is float64 throughout: its zeta values come from
-  ``fastzeta.zeta_em_line`` at complex s, and each panel's 12-node rule
-  against its two halves gives the error estimate;
+* the coefficient moments and the cross moment, as line integrals from 0
+  to T and on down the ray t = T - iy: the tail integrals over |t| > T are
+  evaluated exactly as integrals along the rays t = +-T - iy (the integrand
+  is analytic in the lower half t-plane away from the imaginary axis and
+  decays there), so no oscillatory truncation error enters at all.  Their
+  zeta values come from ``fastzeta.zeta_em_line`` at complex s;
 * the heavy identity integrals.  Each integrand is written once, as
-  g(t, zeta(1/2+it), lib) against a numeric namespace, and one batched,
-  adaptive float64 pass (lib = numpy, zeta from ``fastzeta``) integrates it
-  over a list of t-segments from t = 0.  Its starting panels are capped at
-  max(0.5, t/2), the scale on which the Cauchy density varies.  The tests
-  feed the same integrands mpmath values as a reference.  The zero-sum
-  integral's segments are the gaps between singular panels at critical-line
-  zeros.  ``phi_l2_halfline`` is pi times ``identity_hnorm``, and
-  ``log_integral_disk`` is Re log Q(1) of ``outer_function``, whose kernel
-  is identically 1 at u = 1.
+  g(t, zeta(1/2+it), lib) against a numeric namespace, integrated over a
+  list of t-segments from t = 0 with zeta from ``fastzeta``.  Its starting
+  panels are capped at max(0.5, t/2), the scale on which the Cauchy density
+  varies.  The tests feed the same integrands mpmath values as a reference.
+  The zero-sum integral's segments are the gaps between singular panels at
+  critical-line zeros.  ``phi_l2_halfline`` is pi times ``identity_hnorm``,
+  and ``log_integral_disk`` is Re log Q(1) of ``outer_function``, whose
+  kernel is identically 1 at u = 1.
+
+Both kinds go through one batched, adaptive float64 pass (bsy's singular
+panels aside, one fixed 12-node rule each), which tests each panel's
+12-node Gauss-Legendre rule against its two halves; its estimate is the
+identities' and the cross moment's ``est_error``.
 
 Truncation bounds for the mean-square identities use the classical growth
 of the second moment of zeta (density log(t/2pi) + 2 gamma0); they are
@@ -93,91 +95,40 @@ class QuadratureResult:
 #
 # F(t) = f(t) E_n(t) M(t), by closing the tail rectangles in the lower half
 # t-plane (poles of zeta and of the measure sit on the imaginary axis; the
-# integrand decays like 1/|t|^2).  Both pieces are plain nonsingular
-# quadratures, and the zeta values on head and ray are shared by every n.
+# integrand decays like 1/|t|^2).  For real t, F(-t) = conj F(t), so the
+# moment is Re 2 int F dt along the path from 0 to T and down the ray
+# t = T - iy: one nonsingular line integral, whose zeta values every n shares.
 
 _HEAD_T = 48.0
 
 
-def _head_edges(T: float, n_osc: int) -> list:
-    """Panel edges on [0, T]: width 3/rate, rate from the basis oscillation
-    and from zeta's, floored at 1.5 so that no panel is wider than 2."""
-    edges = [0.0]
-    while edges[-1] < T:
-        t = edges[-1]
-        rate = 4.0 * n_osc / (1.0 + 4 * t * t)
-        rate += 0.5 * abs(math.log(max(t, 6.3) / TWO_PI))
-        w = max(min(3.0 / max(rate, 1.5), T - t), 1e-3)
-        edges.append(min(T, t + w))
-    return edges
+def _line_moments(ns, sigmas: tuple, T: float) -> tuple:
+    """int prod_j zeta(sigma_j+it) conj(e_n) dmu for each n, in one adaptive pass.
 
-
-def _ray_edges(T: float, n_osc: int, y_max: float) -> list:
-    edges = [0.0]
-    while edges[-1] < y_max:
-        y = edges[-1]
-        rate = 2.0 * n_osc * T / (y * y + T * T) + 0.05
-        # floor: the measure factor itself varies on the scale of T
-        w = max(min(3.0 / rate, T / 3.0, y_max - y), 0.05)
-        edges.append(min(y_max, y + w))
-    return edges
-
-
-# the ray beyond y = 6T, mapped to y = 6T/u with u-panels on (0, 1]
-_UMAP_EDGES = (0.0, 0.1, 0.22, 0.36, 0.5, 0.64, 0.78, 0.9, 1.0)
-
-
-def _gl_nodes(edges, halves: bool) -> tuple:
-    """12-node Gauss-Legendre nodes and weights on the panels between the
-    edges, or on each panel's two halves, panel by panel."""
-    e = np.asarray(edges, dtype=float)
-    if halves:
-        e = np.append(np.column_stack([e[:-1], 0.5 * (e[:-1] + e[1:])]).ravel(), e[-1])
-    xs, ws = np.polynomial.legendre.leggauss(12)
-    hw = 0.5 * (e[1:] - e[:-1])
-    return ((e[:-1] + hw)[:, None] + hw[:, None] * xs).ravel(), (hw[:, None] * ws).ravel()
-
-
-def _moment_grid(sigmas: tuple, T: float, n_osc: int, halves: bool) -> tuple:
-    """(t, w z): the moment integral's nodes, complex t, and at each its
-    weight w times z = prod_j zeta(sigma_j + it).
-
-    The head nodes are real t in [0, T], the ray nodes t = T - iy.  Every
-    moment is then Re sum w z e_n(t) over the nodes: the weights carry the
-    measure, the doubling of the half-line head and, on the ray, the 2 Im
-    as a factor -i.  ``sigmas`` lists the abscissae with multiplicity:
+    The pass runs over x in [0, T + 1): t = x on the head [0, T], and
+    t = T - iy, y = T v/(1-v), at x = T + v on the ray, where dt/dx =
+    -i T/(1-v)^2.  Its integrand has one row per n, and a panel is accepted
+    when every row passes; panels start 2 wide on the head and 1/8 on the
+    ray.  ``sigmas`` lists the abscissae with multiplicity:
     (sigma0,) * power for a coefficient moment, (a, b) for the cross moment;
-    each distinct abscissa is evaluated once, in one zeta_em_line call, and
-    raised to its multiplicity.  With ``halves`` every panel is split in two.
+    each distinct abscissa costs one zeta_em_line call per generation of
+    panels.  Returns ({n: value}, {n: est}, nodes).
     """
-    head, wh = _gl_nodes(_head_edges(T, n_osc), halves)
-    ray, wr = _gl_nodes(_ray_edges(T, n_osc, 6 * T), halves)
-    u, wu = _gl_nodes(_UMAP_EDGES, halves)
-    t = np.concatenate([head, T - 1j * np.concatenate([ray, 6 * T / u])])
-    w = np.concatenate([wh, -1j * np.concatenate([wr, wu * 6 * T / u ** 2])])
-    w /= math.pi * (0.25 + t * t)
-    z = np.ones(len(t), dtype=complex)
-    for sig, k in Counter(sigmas).items():
-        z *= fastzeta.zeta_em_line(t.real, sig - t.imag) ** k
-    return t, w * z
+    powers = np.asarray(ns)[:, None]
+    multiplicity = Counter(sigmas).items()
 
+    def integrand(x):
+        v = np.maximum(x - T, 0.0)
+        t = np.minimum(x, T) - 1j * T * v / (1 - v)
+        dt = np.where(x > T, -1j * T / (1 - v) ** 2, 1.0)
+        z = dt / (math.pi * (0.25 + t * t))
+        for sig, k in multiplicity:
+            z = z * fastzeta.zeta_em_line(t.real, sig - t.imag) ** k
+        return (z * ((0.5 + 1j * t) / (0.5 - 1j * t)) ** powers).real
 
-def _grid_moments(ns, sigmas: tuple, T: float) -> tuple:
-    """int prod_j zeta(sigma_j+it) conj(e_n) dmu for each n, on the shared grid.
-
-    The grid with every panel halved gives the values; its difference from
-    the plain grid, summed panel by panel in absolute value, the estimate.
-    Returns ({n: value}, {n: est}, nodes).
-    """
-    n_osc = max(12, max(abs(int(n)) for n in ns))
-    (t1, wz1), (t2, wz2) = (_moment_grid(sigmas, T, n_osc, h) for h in (False, True))
-    r1, r2 = ((0.5 + 1j * t) / (0.5 - 1j * t) for t in (t1, t2))
-    vals, ests = {}, {}
-    for n in ns:
-        coarse = (wz1 * r1 ** n).real.reshape(-1, 12).sum(axis=1)
-        fine = (wz2 * r2 ** n).real.reshape(-1, 24).sum(axis=1)
-        vals[n], ests[n] = float(fine.sum()), float(np.abs(fine - coarse).sum())
-    return vals, ests, len(t1) + len(t2)
+    vals, ests, nodes = _native_adaptive(
+        integrand, [(0.0, T), (T, T + 1.0)], lambda x: 2.0 if x < T else 0.125, 1e-12, 1e-15)
+    return dict(zip(ns, vals.tolist())), dict(zip(ns, ests.tolist())), nodes
 
 
 def moment_oracle(ns: Sequence[int], sigma0=0.5, power: int = 1, T: float = _HEAD_T) -> dict:
@@ -188,15 +139,16 @@ def moment_oracle(ns: Sequence[int], sigma0=0.5, power: int = 1, T: float = _HEA
     rays, from float64 Euler-Maclaurin.  The values, Python floats, agree
     with the 66-digit coefficient tables to about 1e-15.
     """
-    return _grid_moments(ns, (float(sigma0),) * power, T)[0]
+    return _line_moments(ns, (float(sigma0),) * power, T)[0]
 
 
 def cross_line_quadrature(a, b, T: float = _HEAD_T) -> QuadratureResult:
     """int zeta(a+it) zeta(b+it) dmu(t): the n = 0 moment of the product.
 
-    ``est_error`` compares each panel's 12-node rule with its two halves.
+    ``est_error`` is the adaptive pass's: each panel's 12-node rule against
+    its two halves.
     """
-    vals, ests, nodes = _grid_moments([0], (float(a), float(b)), T)
+    vals, ests, nodes = _line_moments([0], (float(a), float(b)), T)
     return QuadratureResult(
         value=vals[0],
         est_error=ests[0],
@@ -354,13 +306,16 @@ def _native_adaptive(f_vec, segs, base_width, rel_tol: float, abs_floor: float =
     """Adaptive panel quadrature of a vectorized real or complex integrand
     over the segments (a, b).
 
+    f_vec maps an array of nodes to values with the nodes on the last axis;
+    leading axes, if any, are separate integrands (rows) on shared panels.
     The segments start as panels of width base_width(t).  Each generation of
     panels, across all segments, is evaluated in one batched call (coarse
-    12-node rule against its two 12-node halves); a panel is accepted when the
-    correction drops below rel_tol * |panel| + abs_floor * width, otherwise it
-    splits into the next generation, whose coarse rules are the halves already
-    evaluated, so only the first generation evaluates 36 nodes per panel and
-    every later one 24.  Returns (value, est, nodes).
+    12-node rule against its two 12-node halves); a panel is accepted when in
+    every row the correction drops below rel_tol * |panel| + abs_floor *
+    width, otherwise it splits into the next generation, whose coarse rules
+    are the halves already evaluated, so only the first generation evaluates
+    36 nodes per panel and every later one 24.  Returns (value, est, nodes),
+    value and est shaped like the leading axes.
     """
     xs, ws = np.polynomial.legendre.leggauss(12)
     los, his = np.array(_panels(segs, base_width), dtype=float).reshape(-1, 2).T
@@ -375,23 +330,23 @@ def _native_adaptive(f_vec, segs, base_width, rel_tol: float, abs_floor: float =
         if coarse is None:
             pts.insert(0, (0.5 * (los + his)[:, None] + hws[:, None] * xs).ravel())
         vals = f_vec(np.concatenate(pts))
-        nodes += len(vals)
+        nodes += vals.shape[-1]
         k = len(los)
-        rules = (vals.reshape(-1, k, 12) * ws).sum(axis=2)
+        rules = (vals.reshape(vals.shape[:-1] + (-1, k, 12)) * ws).sum(axis=-1)
         if coarse is None:
-            coarse, rules = rules[0] * hws, rules[1:]
-        fine_l, fine_r = rules[0] * m2, rules[1] * m2
+            coarse, rules = rules[..., 0, :] * hws, rules[..., 1:, :]
+        fine_l, fine_r = rules[..., 0, :] * m2, rules[..., 1, :] * m2
         fine = fine_l + fine_r
         corr = np.abs(fine - coarse)
-        ok = (corr <= rel_tol * np.abs(fine) + abs_floor * (his - los)) \
-            | (depth >= 26) | (his - los < 1e-8)
-        total += fine[ok].sum()
-        est += float(corr[ok].sum())
+        passes = corr <= rel_tol * np.abs(fine) + abs_floor * (his - los)
+        ok = passes.reshape(-1, k).all(axis=0) | (depth >= 26) | (his - los < 1e-8)
+        total += fine[..., ok].sum(axis=-1)
+        est += corr[..., ok].sum(axis=-1)
         bad = ~ok
         mid_bad = 0.5 * (los[bad] + his[bad])
         los = np.concatenate([los[bad], mid_bad])
         his = np.concatenate([mid_bad, his[bad]])
-        coarse = np.concatenate([fine_l[bad], fine_r[bad]])
+        coarse = np.concatenate([fine_l[..., bad], fine_r[..., bad]], axis=-1)
         depth += 1
     return total, est, nodes
 
@@ -416,7 +371,7 @@ def _line_integral(g, segs, far_width, rel_tol: float, abs_floor: float = 1e-13)
         lambda t: g(t, fastzeta.zeta_critical(t), np), segs,
         lambda t: min(far_width(t), max(0.5, t / 2)), rel_tol, abs_floor,
     )
-    return 2 * complex(value), 2 * est, nodes
+    return 2 * complex(value), 2 * float(est), nodes
 
 
 def _mean_square_tail(T: float, extra: float = 0.0) -> float:

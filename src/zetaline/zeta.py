@@ -213,22 +213,20 @@ def zeta_em(s, ctx: PrecisionCtx) -> mpc:
 def zeta_minus_pole(s, ctx: PrecisionCtx) -> mpc:
     """The entire function zeta(s) - 1/(s-1), finite at s = 1.
 
-    Near s = 1 the value comes from the Taylor series with Stieltjes
-    coefficients; elsewhere it is direct evaluation.
+    At s = 1 it is Euler's constant gamma_0.  Elsewhere it is Euler-Maclaurin
+    zeta less the pole term, in a working precision widened by
+    log10(1/|s-1|) + 2 digits, the digits the two terms cancel near s = 1.
     """
     with workdps(ctx.working()):
         s = mpc(s)
-        if abs(s - 1) < mpf("0.05"):
-            k_top = max(24, ctx.digits // 2 + 6)  # terms gain ~1.8 digits each
-            taylor = stieltjes(k_top, PrecisionCtx(max(ctx.digits, 30))).taylor
-            u = s - 1
-            acc = mpc(0)
-            for k in range(k_top, -1, -1):
-                acc = acc * u + taylor[k]
-            return +acc
+        if s == 1:
+            return mpc(mp.euler)
         if s.real <= -1:
             raise RegionError(f"zeta_minus_pole implements Re s > -1 only, got {s}")
-        return +(_zeta_em_raw(s, ctx.working()) - 1 / (s - 1))
+        wp = ctx.working() + max(0, int(mp.ceil(-mp.log10(abs(s - 1))))) + 2
+        with workdps(wp):
+            g = _zeta_em_raw(s, wp) - 1 / (s - 1)
+        return +g
 
 
 # ---------------------------------------------------------------------------

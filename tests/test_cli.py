@@ -64,6 +64,19 @@ def test_usage_error_exit_code(capsys):
     assert main(["quad", "cross"]) == 2  # missing --a/--b
 
 
+def test_quad_cross_target_in_either_order(capsys):
+    """The closed form pairs 1/2 with an abscissa in [1/2, 1), given as --a or
+    --b; any other pair prints the quadrature with target n/a and exits 0."""
+    outs = {}
+    for a, b in (("0.75", "0.5"), ("0.5", "0.75"), ("1.5", "0.5")):
+        code, out = run_cli(["quad", "cross", "--a", a, "--b", b], capsys)
+        assert code == 0, (a, b)
+        outs[a, b] = json.loads(out)
+    assert outs["0.5", "0.75"]["target"] == outs["0.75", "0.5"]["target"] != "n/a"
+    assert float(outs["0.5", "0.75"]["abs_err"]) < 1e-13
+    assert outs["1.5", "0.5"]["target"] == "n/a"
+
+
 def test_precision_error_exit_code(capsys):
     # reserve violation: nmax 100 at 61 digits
     assert main(["coeffs", "--nmax", "100", "--digits", "61"]) == 3

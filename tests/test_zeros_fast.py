@@ -67,13 +67,12 @@ def test_em_line_against_mpmath_at_bucket_edges(sigma):
 
 
 def _ray_points(sigma0):
-    """s = sigma0 + y + 48i at the moment oracle's ray and u-map nodes,
-    panels halved: y from 0 to 6.2e5."""
-    from zetaline.quadrature import _UMAP_EDGES, _gl_nodes, _ray_edges
-
-    y = _gl_nodes(_ray_edges(48.0, 30, 288.0), True)[0]
-    u = _gl_nodes(_UMAP_EDGES, True)[0]
-    return sigma0 + np.concatenate([y, 288.0 / u]) + 48j
+    """s = sigma0 + 48 v/(1-v) + 48i, the moment oracle's ray, at 12-node
+    Gauss-Legendre nodes on 32 equal panels of v in [0, 1]: Re s up to
+    1.7e5, past the 8.3e4 that the oracle's adaptive pass reaches."""
+    xs = np.polynomial.legendre.leggauss(12)[0]
+    v = ((np.arange(32)[:, None] + 0.5 + 0.5 * xs) / 32).ravel()
+    return sigma0 + 48.0 * v / (1 - v) + 48j
 
 
 @pytest.mark.parametrize("points", [
@@ -83,7 +82,7 @@ def _ray_points(sigma0):
 ])
 def test_em_complex_s_against_mpmath(points):
     """zeta_em_line with an array sigma, against mpmath.zeta: on the rays of
-    the moment oracle, Re s up to 6.2e5, and on s = 1/(1+z), |z| = 0.99,
+    the moment oracle, Re s up to 1.7e5, and on s = 1/(1+z), |z| = 0.99,
     Re s from 0.5025 to 100; error <= 1e-13, relative where |zeta| > 1."""
     s = points()
     vals = zeta_em_line(s.imag, s.real)

@@ -147,6 +147,26 @@ def test_zeta_minus_pole_is_regular_at_one():
         assert abs(v - mpf(GAMMA0)) < mpf("1e-24")
 
 
+@pytest.mark.parametrize("digits", [30, 66])
+def test_zeta_minus_pole_near_one_builds_no_table(monkeypatch, digits):
+    """Near s = 1, zeta(s) - 1/(s-1) is direct evaluation with widened
+    precision, no Stieltjes table: within 10^-(digits+5) relative of
+    mpmath.zeta(s) - 1/(s-1) at the same s, and Euler's constant at s = 1."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("zeta_minus_pole built a Stieltjes table")
+
+    monkeypatch.setattr(zeta_mod, "stieltjes", no_table)
+    ctx = PrecisionCtx(digits)
+    for dre, im in (("0", "0"), ("1e-25", "0"), ("0.04", "0"), ("-0.03", "0"),
+                    ("0", "0.03"), ("0.01", "-0.02")):
+        with workdps(ctx.working()):
+            s = mpc(1 + mpf(dre), im)
+        v = zeta_minus_pole(s, ctx)
+        with workdps(digits + 60):
+            ref = mp.euler if s == 1 else mp.zeta(s) - 1 / (s - 1)
+            assert abs(v - ref) <= mpf(10) ** -(digits + 5) * abs(ref), (dre, im)
+
+
 def test_derivative_against_finite_differences():
     ctx = PrecisionCtx(30)
     d = zeta_derivative(2, 1, ctx)
