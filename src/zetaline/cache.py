@@ -3,14 +3,16 @@
 Values are serialized as decimal strings carrying the full working precision,
 so a cache hit is numerically identical to a cold computation.  Writes are
 atomic (temp file + rename).  The key, ``stieltjes_k{K}_d{D}``, does not
-carry the schema version; each entry records its schema version and digits,
-and a mismatch of either is caught on load, reported as stale and recomputed.
+carry the schema version; each entry records its schema version and digits.
+An entry is validated on load, not trusted: a mismatch of either, or a
+malformed entry, is reported as stale and recomputed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -34,26 +36,33 @@ def _path(key: str) -> Path:
     return cache_dir() / f"{key}.json"
 
 
+def report_stale(key: str) -> None:
+    """One-line stderr notice that the entry ``key`` is ignored and recomputed."""
+    sys.stderr.write(f"zetaline cache: stale entry {key}, recomputing\n")
+
+
 def load_values(key: str, digits: int) -> list | None:
     """Return the cached mpf list for ``key``, or None on miss.
 
-    A schema or digits mismatch counts as stale: the entry is ignored (the
-    caller recomputes) and a one-line notice goes to stderr.
+    An entry that does not parse, lacks a field, holds values that are not a
+    list of numbers, or records another schema or digits counts as stale:
+    it is ignored (the caller recomputes) and a one-line notice goes to
+    stderr.
     """
     path = _path(key)
     if not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if payload.get("schema_version") != SCHEMA_VERSION or payload.get("digits") != digits:
-        import sys
-
-        sys.stderr.write(f"zetaline cache: stale entry {key}, recomputing\n")
-        return None
-    with workdps(digits + 35):
-        return [mpf(v) for v in payload["values"]]
+        values = payload["values"]
+        if (payload["schema_version"] == SCHEMA_VERSION and payload["digits"] == digits
+                and isinstance(values, list)):
+            with workdps(digits + 35):
+                return [mpf(v) for v in values]
+    except (OSError, ValueError, TypeError, KeyError):
+        pass
+    report_stale(key)
+    return None
 
 
 def store_values(key: str, digits: int, values) -> None:

@@ -44,8 +44,8 @@ from .zeta import (
     LaurentTable,
     StieltjesTable,
     _contour_wp,
-    _converged_taylor,
     _g_taylor,
+    _taylor_on_circle,
     zeta_em,
 )
 
@@ -196,7 +196,7 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
         centre = sigma0 + half
         radius = 3 if sigma0 <= mpf("2.5") else sigma0 - mpf("1.5")
         wp = _contour_wp(n_max, ctx.digits)
-        b = _converged_taylor(centre, radius, n_max, wp) if n_max >= 1 else []
+        b = _taylor_on_circle(centre, radius, n_max, wp)[0] if n_max >= 1 else []
         vals = []
         for n in range(n_min, min(n_max, -1) + 1):
             if sigma0 > 1:

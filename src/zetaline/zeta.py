@@ -12,7 +12,10 @@ Everything here reduces to two workhorses:
   g(s) = zeta(s) - 1/(s-1) at a real centre c, read off the circle |s - c| = r
   (``_taylor_on_circle``).  It doubles its node count until the coarse and
   fine coefficients agree to 10^-wp on the circle's scale, evaluating zeta
-  only at the new nodes, and conjugate symmetry halves each evaluation pass.
+  only at the new nodes into one running sum per order, and conjugate
+  symmetry halves each evaluation pass.  A contour that still fails the
+  test at its caller's node cap (2,048, or the a-priori Berndt aliasing
+  bound for the Stieltjes tables) raises ContourError.
 
 ``stieltjes`` is its c = 1, r = 3 case, gamma_k = (-1)^k k! a_k, and
 ``coefficients.coeffs_line`` reads it at c = sigma0 + 1/2 on a circle of
@@ -233,73 +236,42 @@ def zeta_minus_pole(s, ctx: PrecisionCtx) -> mpc:
 # Contour Taylor extraction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _unit_roots(m: int, wp: int) -> tuple:
-    with workdps(wp):
-        return tuple(mp.expjpi(mpf(2 * j) / m) for j in range(m))
-
-
-@lru_cache(maxsize=8)
-def _circle_grid(c, r, m: int, wp: int) -> tuple:
-    """zeta evaluated at s_j = c + r w_j, w_j = exp(2 pi i j / m), j = 0..m-1.
-
-    The centre c is real, so conjugate symmetry halves the work, and a doubled
-    grid (m >= 128, 4 | m) takes its even nodes from the m/2-node grid: only
-    the odd ones are new.
-    """
-    roots = _unit_roots(m, wp)
-    with workdps(wp):
-        half = m // 2
-        evals = [None] * m
-        if m % 4 == 0 and m >= 128:
-            evals[::2] = _circle_grid(c, r, half, wp)
-            new = range(1, half, 2)
-        else:
-            new = range(half + 1)
-        for j in new:
-            evals[j] = _zeta_em_raw(c + r * roots[j], wp)
-        for j in range(half + 1, m):
-            evals[j] = mp.conj(evals[m - j])
-        return tuple(evals)
-
-
-def _contour_taylor(c, r, m: int, k_max: int, wp: int) -> list:
-    """a_k = (1/(m r^k)) sum_j g(s_j) w_j^-k for g = zeta - 1/(s-1), k <= k_max.
-
-    The m-node (m even) trapezoid rule on the circle of _circle_grid.
-    Conjugate-pair folding keeps the result exactly real-symmetric.
-    """
-    roots = _unit_roots(m, wp)
-    with workdps(wp):
-        g = [z - 1 / ((c - 1) + r * w) for z, w in zip(_circle_grid(c, r, m, wp), roots)]
-        out = []
-        for k in range(k_max + 1):
-            acc = (g[0] + g[m // 2] if k % 2 == 0 else g[0] - g[m // 2]).real
-            for j in range(1, m // 2):
-                acc += 2 * (g[j] * roots[(-j * k) % m]).real
-            out.append(acc / (m * mpf(r) ** k))
-        return out
-
-
-def _taylor_on_circle(c, r, k_max: int, wp: int, m_cap: int):
+def _taylor_on_circle(c, r, k_max: int, wp: int, m_cap: int = 2048):
     """Taylor coefficients a_0..a_{k_max} of g = zeta - 1/(s-1) at the real c.
 
-    The one trapezoid engine: M coarse and 2M fine nodes of one nested grid
-    on |s - c| = r, at working precision wp + 10.  M starts at
-    max(64, 4 k_max) and doubles, evaluating zeta only at the new nodes, until
-    max_k r^k |a_k(M) - a_k(2M)| <= 10^-wp or the fine grid reaches m_cap
-    nodes.  Returns (fine, coarse, met), where met says the first stop held.
+    The one trapezoid engine, on s_j = c + r w_j, w_j = exp(2 pi i j / m), at
+    working precision wp + 10.  It keeps one running sum per order,
+    sum_j g(s_j) w_j^-k, and a_k = sum / (m r^k).  The centre is real, so
+    g(s_{m-j}) is the conjugate of g(s_j): the first grid evaluates g at
+    j <= m/2 only, m = max(64, 4 k_max), and each doubling of m adds the new
+    odd nodes.  It stops once max_k r^k |a_k(m) - a_k(m/2)| <= 10^-wp and
+    returns (a(m), err) with err_k = |a_k(m) - a_k(m/2)|; ContourError if
+    the test still fails at the first m >= m_cap.
     """
-    M = max(64, 4 * k_max)
-    coarse = _contour_taylor(c, r, M, k_max, wp + 10)
-    while True:
-        fine = _contour_taylor(c, r, 2 * M, k_max, wp + 10)
-        with workdps(wp + 10):
-            gap = max(abs(f - a) * r ** k for k, (f, a) in enumerate(zip(fine, coarse)))
-            met = gap <= mpf(10) ** -wp
-        if met or 2 * M >= m_cap:
-            return fine, coarse, met
-        M, coarse = 2 * M, fine
+    with workdps(wp + 10):
+        m = max(64, 4 * k_max)
+        new = range(m // 2 + 1)
+        sums = [mpf(0)] * (k_max + 1)
+        scale = [mpf(r) ** k for k in range(k_max + 1)]
+        prev = None
+        while True:
+            w = [mp.expjpi(mpf(2 * j) / m) for j in range(m)]
+            for j in new:
+                g = _zeta_em_raw(c + r * w[j], wp + 10) - 1 / ((c - 1) + r * w[j])
+                if 0 < j < m // 2:
+                    g *= 2  # and its conjugate node m - j
+                for k in range(k_max + 1):
+                    sums[k] += (g * w[(-j * k) % m]).real
+            a = [s / (m * x) for s, x in zip(sums, scale)]
+            if prev is not None:
+                err = [abs(x - y) for x, y in zip(a, prev)]
+                if max(e * x for e, x in zip(err, scale)) <= mpf(10) ** -wp:
+                    return a, err
+                if m >= m_cap:
+                    raise ContourError(
+                        f"contour of radius {r} around {c} not converged at {m} nodes"
+                    )
+            prev, new, m = a, range(1, m, 2), 2 * m
 
 
 @dataclass(frozen=True)
@@ -366,17 +338,23 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     wp = _contour_wp(k_max, digits)
     key = f"stieltjes_k{k_max}_d{digits}"
     gammas = _cache.load_values(key, digits)
-    errs = _cache.load_values(key + "_err", digits) if gammas else None
-    if gammas and errs and len(gammas) == len(errs) == k_max + 1:
-        return StieltjesTable(k_max, tuple(gammas), digits, tuple(errs))
+    errs = _cache.load_values(key + "_err", digits) if gammas is not None else None
+    if errs is not None:
+        try:
+            if len(gammas) == len(errs) == k_max + 1:
+                return StieltjesTable(k_max, tuple(gammas), digits, tuple(errs))
+        except ValueError:
+            pass
+        _cache.report_stale(key)
     # Berndt, |a_n| <= 4 / (n pi^n), puts the aliasing of n_berndt nodes below
-    # 10^-(wp+5) a priori: once the fine grid has that many, stop doubling.
+    # 10^-(wp+5) a priori: a grid that large that still fails the test is not
+    # converging, and the engine refuses it.
     n_berndt = int((wp + 5) * math.log(10) / math.log(math.pi / 3.0)) + 1
-    fine, coarse, _ = _taylor_on_circle(1, 3, k_max, wp, n_berndt)
+    a, err = _taylor_on_circle(1, 3, k_max, wp, n_berndt)
     with workdps(wp + 10):
         scale = [(-1) ** k * mp.factorial(k) for k in range(k_max + 1)]  # gamma_k / a_k
-        gammas = tuple(+(f * x) for f, x in zip(fine, scale))
-        errs = tuple(+abs(f * x - c * x) for f, c, x in zip(fine, coarse, scale))
+        gammas = tuple(+(ak * x) for ak, x in zip(a, scale))
+        errs = tuple(+abs(e * x) for e, x in zip(err, scale))
     table = StieltjesTable(k_max, gammas, digits, errs)
     _cache.store_values(key, digits, gammas)
     _cache.store_values(key + "_err", digits, errs)
@@ -387,10 +365,12 @@ def stieltjes(k_max: int, ctx: PrecisionCtx) -> StieltjesTable:
     """Stieltjes constants gamma_0..gamma_{k_max} by contour extraction.
 
     gamma_k = (-1)^k k! a_k, with the a_k from the trapezoid engine on
-    |s - 1| = 3: M coarse and 2M fine nodes, M doubling from max(64, 4 k_max)
-    until max_k 3^k |a_k(M) - a_k(2M)| <= 10^-wp, or until the 2M nodes meet
-    the a-priori Berndt aliasing bound (3/pi)^(2M) < 10^-(wp+5).  The values
-    are the fine ones, and ``est_errors`` holds |gamma_k(2M) - gamma_k(M)|.
+    |s - 1| = 3: m nodes, m doubling from max(64, 4 k_max) until
+    max_k 3^k |a_k(m) - a_k(m/2)| <= 10^-wp.  The values are the m-node ones,
+    and ``est_errors`` holds |gamma_k(m) - gamma_k(m/2)|.  ContourError if
+    the test still fails once m meets the a-priori Berndt aliasing bound
+    (3/pi)^m < 10^-(wp+5); a cached entry that is malformed or fails
+    ``StieltjesTable``'s checks counts as stale and is recomputed.
     The working precision wp is digits + max(10, ceil(0.05 k_max) + 10), to
     absorb the (pi/3)^k extraction loss.
     """
@@ -446,7 +426,7 @@ def stieltjes_limit_oracle(k_max: int, ctx: PrecisionCtx, n_terms: int = 10_000)
 # Derivatives and the lambda_{m,k} family
 # ---------------------------------------------------------------------------
 
-def _g_taylor(s0, k_max: int, ctx: PrecisionCtx, radius=None) -> list:
+def _g_taylor(s0, k_max: int, ctx: PrecisionCtx) -> list:
     """a_0..a_{k_max} of g = zeta - 1/(s-1) at the real s0 (see zeta_derivative).
 
     The working precision widens by k_max log10(1/radius) to absorb the
@@ -455,34 +435,23 @@ def _g_taylor(s0, k_max: int, ctx: PrecisionCtx, radius=None) -> list:
     with workdps(ctx.working()):
         s0 = mpf(s0)
         headroom = min(abs(s0 - 1), s0 + 1)
-        if radius is None:
-            radius = min(headroom / 2, mpf(2))
-        radius = mpf(radius)
-        if radius <= 0 or radius >= headroom:
-            raise ContourError(
-                f"contour of radius {radius} around {s0} hits the pole or leaves Re s > -1"
-            )
+        if headroom <= 0:
+            raise ContourError(f"no contour around {s0} excludes the pole and stays in Re s > -1")
+        radius = min(headroom / 2, mpf(2))
     amp = int(k_max * math.log10(1.0 / float(radius))) + 1 if radius < 1 else 0
-    return _converged_taylor(s0, radius, k_max, ctx.working() + amp)
+    return _taylor_on_circle(s0, radius, k_max, ctx.working() + amp)[0]
 
 
-def _converged_taylor(c, r, k_max: int, wp: int) -> list:
-    """The engine's fine coefficients, or ContourError if 2,048 nodes do not converge."""
-    fine, _, met = _taylor_on_circle(c, r, k_max, wp, 2048)
-    if not met:
-        raise ContourError(f"contour around {c} not converged at 2048 nodes")
-    return fine
-
-
-def zeta_derivative(s0, k: int, ctx: PrecisionCtx, radius=None) -> mpc:
+def zeta_derivative(s0, k: int, ctx: PrecisionCtx) -> mpc:
     """k-th derivative of zeta at the real point s0 by contour differentiation.
 
     zeta^(k)(s0) = k! (a_k + (-1)^k / (s0-1)^(k+1)), with a_k the Taylor
-    coefficient of zeta - 1/(s-1) from the trapezoid engine on |s - s0| =
-    radius.  The circle must exclude s = 1 and stay in Re s > -1; the default
-    radius is half the headroom to both constraints, at most 2.  Relative
-    error <= 10**(5 - digits); ContourError when 2,048 nodes do not converge.
-    It never reads the Stieltjes table, so it is an independent cross-check.
+    coefficient of zeta - 1/(s-1) from the trapezoid engine on a circle
+    around s0 that excludes s = 1 and stays in Re s > -1: its radius is half
+    the headroom to both constraints, at most 2 (ContourError at s0 = 1 or
+    s0 <= -1).  Relative error <= 10**(5 - digits); ContourError when 2,048
+    nodes do not converge.  It never reads the Stieltjes table, so it is an
+    independent cross-check.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -490,7 +459,7 @@ def zeta_derivative(s0, k: int, ctx: PrecisionCtx, radius=None) -> mpc:
         raise ValueError(f"zeta_derivative needs a real s0, got {s0}")
     if k == 0:
         return zeta_em(s0, ctx)
-    a = _g_taylor(s0, k, ctx, radius)
+    a = _g_taylor(s0, k, ctx)
     with workdps(ctx.working()):
         return mpc(mp.factorial(k) * (a[k] + (-1) ** k / (mpf(s0) - 1) ** (k + 1)))
 

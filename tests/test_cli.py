@@ -118,10 +118,44 @@ def test_coeffs_sigma_reads_no_stieltjes_table(capsys, monkeypatch):
     assert coeffs_line("1.2", -1, 3, PrecisionCtx(61)).value(-1) == 0
 
 
-def test_coeffs_sigma_unconverged_contour_exits_3(capsys, monkeypatch):
-    real = cli.zeta_mod._taylor_on_circle
-    monkeypatch.setattr(cli.zeta_mod, "_taylor_on_circle", lambda *a: real(*a)[:2] + (False,))
+def test_coeffs_sigma_unconverged_contour_exits_3(capsys, noise_zeta):
     assert main(["coeffs", "--sigma", "0.75", "--nmax", "2", "--digits", "61"]) == 3
+
+
+def test_unconverged_stieltjes_contour_exits_3_and_stores_nothing(cold_cache, noise_zeta, capsys):
+    """At the Berndt node cap an unconverged table is refused, not returned."""
+    assert main(["stieltjes", "--kmax", "6", "--digits", "30"]) == 3
+    assert "not converged" in capsys.readouterr().err
+    assert list(cold_cache.iterdir()) == []
+
+
+def test_bad_cache_entries_are_recomputed(cold_cache, capsys):
+    """A malformed entry, or one that fails the table's checks, is stale, not fatal."""
+    args = ["stieltjes", "--kmax", "6", "--digits", "30"]
+    code, fresh = run_cli(args, capsys)
+    assert code == 0
+    key = "stieltjes_k6_d30"
+    path = cold_cache / f"{key}.json"
+    good = cache.load_values(key, 30)
+    entry = json.loads(path.read_text())
+    bad_entries = {
+        "not an object": [],
+        "no values": {k: v for k, v in entry.items() if k != "values"},
+        "values not numbers": {**entry, "values": ["x"]},
+        "values not a list": {**entry, "values": 5},
+        "gamma_0 out of range": {**entry, "values": ["3.0"] + entry["values"][1:]},
+        "Berndt bound violated": {**entry, "values": entry["values"][:6] + ["1e6"]},
+        "schema mismatch": {**entry, "schema_version": cache.SCHEMA_VERSION + 1},
+    }
+    for name, bad in bad_entries.items():
+        path.write_text(json.dumps(bad))
+        cli.zeta_mod._stieltjes_cached.cache_clear()
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 0, name
+        assert captured.out == fresh, name
+        assert f"stale entry {key}" in captured.err, name
+        assert cache.load_values(key, 30) == good, name
 
 
 def test_quad_bsy_small(capsys):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from mpmath import mp, mpc, mpf, workdps
 
@@ -10,6 +13,7 @@ from zetaline.zeta import (
     ContourError,
     LaurentTable,
     RegionError,
+    StieltjesTable,
     ZetaPoleError,
     _zeta_em_raw,
     berndt_bound_holds,
@@ -181,14 +185,6 @@ def test_derivative_order_zero_passthrough():
     assert zeta_derivative(2, 0, ctx) == zeta_em(2, ctx)
 
 
-def test_second_derivative_radius_consistency():
-    ctx = PrecisionCtx(30)
-    a = zeta_derivative(mpf("1.25"), 2, ctx, radius=mpf("0.1"))
-    b = zeta_derivative(mpf("1.25"), 2, ctx, radius=mpf("0.2"))
-    with workdps(40):
-        assert abs(a - b) < mpf(10) ** (-ctx.digits + 6)
-
-
 def test_stieltjes_frozen_values_and_oracle_agreement():
     table = stieltjes(20, CTX)
     with workdps(70):
@@ -212,22 +208,12 @@ def test_stieltjes_table_serializes():
     assert '"schema_version"' in payload and '"gamma"' in payload
 
 
-@pytest.fixture
-def cold_cache(tmp_path, monkeypatch):
-    """An empty table cache, with the in-process table and grid caches cleared."""
-    monkeypatch.setenv("ZETALINE_CACHE_DIR", str(tmp_path))
-    zeta_mod._stieltjes_cached.cache_clear()
-    zeta_mod._circle_grid.cache_clear()
-    yield tmp_path
-    zeta_mod._stieltjes_cached.cache_clear()
-    zeta_mod._circle_grid.cache_clear()
-
-
 def test_cold_contour_against_mpmath_with_few_evaluations(cold_cache, monkeypatch):
     """Node doubling sizes the k=20, 63-digit contour at 161 zeta evaluations.
 
-    The Berndt-bound sizing spent 3,947; the constants must still match
-    mpmath's independent quadrature to 10^-60 relative.
+    Grids of 80, 160 and 320 nodes, with zeta evaluated at the 41 upper-half
+    nodes of the first and the new odd nodes of each doubling; the constants
+    must match mpmath's independent quadrature to 10^-60 relative.
     """
     raw = zeta_mod._zeta_em_raw
     calls = []
@@ -254,6 +240,33 @@ def test_truncated_error_entry_is_recomputed(cold_cache):
     again = stieltjes(6, ctx)
     assert len(again.est_errors) == 7
     assert len(cache.load_values(key, 30)) == 7
+
+
+def test_unconverged_stieltjes_contour_raises(cold_cache, noise_zeta):
+    """A table that fails the convergence test at its Berndt node cap is refused."""
+    with pytest.raises(ContourError, match="not converged"):
+        stieltjes(6, PrecisionCtx(30))
+    assert list(cold_cache.iterdir()) == []
+
+
+def test_committed_cache_is_live(monkeypatch, capsys):
+    """Every committed Stieltjes entry loads fresh and builds its table.
+
+    Read from the repository's own cache directory, whatever the environment
+    points at: a schema bump or a format change left unregenerated would
+    otherwise only make the suite rebuild every table.
+    """
+    root = Path(__file__).resolve().parent.parent / ".zetaline_cache"
+    monkeypatch.setenv(cache.ENV_VAR, str(root))
+    names = [re.fullmatch(r"stieltjes_k(\d+)_d(\d+)", p.stem) for p in sorted(root.iterdir())]
+    tables = [(t[0], int(t[1]), int(t[2])) for t in names if t]  # _err entries do not match
+    assert tables
+    for key, k_max, digits in tables:
+        gammas = cache.load_values(key, digits)
+        errs = cache.load_values(key + "_err", digits)
+        assert len(gammas) == len(errs) == k_max + 1, key
+        StieltjesTable(k_max, tuple(gammas), digits, tuple(errs))
+    assert "stale" not in capsys.readouterr().err
 
 
 def test_laurent_k1_matches_gamma_closed_form():
@@ -309,19 +322,15 @@ def test_derivative_against_mpmath_zeta(s0, k):
         assert abs(d - ref) <= mpf(10) ** (5 - ctx.digits) * abs(ref)
 
 
-def test_derivative_needs_real_centre_and_convergence(monkeypatch):
+def test_derivative_needs_real_centre_and_convergence(noise_zeta):
     ctx = PrecisionCtx(30)
     with pytest.raises(ValueError):
         zeta_derivative(mpc(2, 1), 1, ctx)
+    with pytest.raises(ContourError):
+        zeta_derivative(1, 1, ctx)
     # a grid of noise never converges: the engine refuses at 2,048 nodes
-    noise = iter(range(1, 10**6))
-    monkeypatch.setattr(zeta_mod, "_zeta_em_raw", lambda s, wp: mpc(next(noise) % 7))
-    zeta_mod._circle_grid.cache_clear()
-    try:
-        with pytest.raises(ContourError, match="2048"):
-            zeta_derivative(3, 1, ctx)
-    finally:
-        zeta_mod._circle_grid.cache_clear()
+    with pytest.raises(ContourError, match="2048"):
+        zeta_derivative(3, 1, ctx)
 
 
 @pytest.mark.parametrize(
@@ -352,9 +361,5 @@ def test_taylor_callers_share_one_nested_grid(call, bound, monkeypatch):
         return raw(*args, **kwargs)
 
     monkeypatch.setattr(zeta_mod, "_zeta_em_raw", counted)
-    zeta_mod._circle_grid.cache_clear()
-    try:
-        call()
-    finally:
-        zeta_mod._circle_grid.cache_clear()
+    call()
     assert len(calls) <= bound
