@@ -52,6 +52,6 @@ from .quadrature import (
     phi_l2_halfline,
 )
 from .roots import RootReport, roots_fN, tail_radius_certificate, winding_count
-from .ergodic import birkhoff_average, boole_step, invariance_check
+from .ergodic import birkhoff_average, birkhoff_averages, boole_step, invariance_check
 
 __version__ = "0.1.0"

@@ -288,20 +288,20 @@ def criterion_12() -> CriterionResult:
     crit, _, _ = _ctx65_critical()
     n_iter = 200_000
     seeds = 20
+    ms = (0, 1, 5)
+    finals = {m: [] for m in ms}
+    for seed in range(seeds):
+        rng = np.random.default_rng(1000 + seed)
+        x0 = float(E.cauchy_half_sample(rng, 1)[0])
+        runs = E.birkhoff_averages([[(-m, 1.0)] for m in ms], x0, n_iter, crit, seed=seed)
+        for m, run in zip(ms, runs):
+            finals[m].append(run.final_estimate.real)
     results = {}
     ok = True
-    for m in (0, 1, 5):
-        finals = []
-        pred = None
-        for seed in range(seeds):
-            rng = np.random.default_rng(1000 + seed)
-            x0 = float(E.cauchy_half_sample(rng, 1)[0])
-            run = E.birkhoff_average([(-m, 1.0)], x0, n_iter, crit, seed=seed)
-            finals.append(run.final_estimate)
-            pred = run.prediction
-        med = float(np.median([f.real for f in finals]))
-        err = abs(med - pred.real)
-        results[f"m{m}"] = f"med {med:+.4f} vs {pred.real:+.4f} (err {err:.3f})"
+    for m, run in zip(ms, runs):
+        med = float(np.median(finals[m]))
+        err = abs(med - run.prediction.real)
+        results[f"m{m}"] = f"med {med:+.4f} vs {run.prediction.real:+.4f} (err {err:.3f})"
         ok &= err <= 0.05
     inv1 = E.invariance_check([(1, 1.0)])
     inv2 = E.invariance_check([(2, 1.0)])

@@ -185,6 +185,9 @@ def cmd_ergodic(args) -> int:
     if not observable.startswith("em:"):
         sys.stderr.write("observable must look like em:INDEX\n")
         return EXIT_USAGE
+    if args.iters < 1 or args.seeds < 1:
+        sys.stderr.write("--iters and --seeds must be at least 1\n")
+        return EXIT_USAGE
     from .cache import cache_dir
 
     cache = cache_dir()

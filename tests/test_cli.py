@@ -196,6 +196,16 @@ def test_ergodic_refuses_unwritable_cache(capsys, monkeypatch):
     assert "not writable" in capsys.readouterr().err
 
 
+def test_ergodic_refuses_empty_runs(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built for an empty run")
+
+    monkeypatch.setattr(cli, "_table_for", no_table)
+    for iters, seeds in (("0", "2"), ("100", "0")):
+        assert main(["ergodic", "--g", "em:1", "--iters", iters, "--seeds", seeds]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
 def test_console_entrypoint_help():
     proc = subprocess.run(
         [sys.executable, "-m", "zetaline.cli", "--help"],

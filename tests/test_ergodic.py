@@ -8,6 +8,7 @@ from zetaline import ergodic, fastzeta
 from zetaline.ergodic import (
     basis_combination_value,
     birkhoff_average,
+    birkhoff_averages,
     boole_orbit,
     boole_step,
     cauchy_half_sample,
@@ -37,17 +38,48 @@ def test_boole_oddness(x):
     assert boole_step(-x) == -boole_step(x)
 
 
-def test_orbit_is_repeated_boole_step():
-    """boole_orbit inlines boole_step; the orbit is the same bit for bit,
-    from 0.0 and -0.0 (both fixed at +0.0), from 1e-300 (first step to
-    -1.25e299, then halving for ~990 steps) and from a Cauchy start."""
-    starts = [0.0, -0.0, 1e-300, float(cauchy_half_sample(np.random.default_rng(11), 1)[0])]
-    for x0 in starts:
+def _theta(x):
+    """theta in (0, 1) with x = cot(pi theta)/2."""
+    return np.arctan2(1.0, 2.0 * x) / np.pi
+
+
+def test_orbit_is_exact():
+    """The orbit is x_k = cot(pi theta_k)/2 with theta_k doubling mod 1; it
+    starts at x0, is odd and repeatable, stays at 0 from +-0.0, and from
+    1e-300 leaves the height cap for points 1..968, as the float map does."""
+    cauchy = float(cauchy_half_sample(np.random.default_rng(11), 1)[0])
+    for x0 in (1e-300, 0.37, 1e8, cauchy):
         orbit = boole_orbit(x0, 2000)
-        x = x0
-        for i, v in enumerate(orbit):
-            assert np.float64(x).tobytes() == v.tobytes(), (x0, i)
-            x = boole_step(x)
+        assert abs(orbit[0] - x0) <= 4 * np.spacing(abs(x0)), x0
+        theta = _theta(orbit)
+        step = (2.0 * theta[:-1] - theta[1:]) % 1.0
+        assert np.minimum(step, 1.0 - step).max() <= 1e-15, x0
+        assert boole_orbit(-x0, 2000).tobytes() == (-orbit).tobytes(), x0
+        assert boole_orbit(x0, 2000).tobytes() == orbit.tobytes(), x0
+        assert boole_orbit(x0, 700).tobytes() == orbit[:700].tobytes(), x0
+    for zero in (0.0, -0.0):
+        assert (boole_orbit(zero, 100) == 0.0).all()
+    tiny = boole_orbit(1e-300, 1000)
+    above = np.abs(tiny) > ergodic.HEIGHT_CAP
+    assert not above[0] and above[1:969].all() and not above[969:].any()
+
+
+def test_orbit_matches_its_bit_stream():
+    """Point k is cot(pi theta_k)/2 to 4 ulp, theta_k the stream's bits from
+    bit k evaluated in mpmath: the orbit of one real theta_0, not a float
+    pseudo-orbit, which leaves it after some 50 steps."""
+    from mpmath import cot, mpf, pi, workprec
+
+    for x0 in (0.37, 1e-300, 1e22):
+        n = 1200
+        orbit = boole_orbit(x0, n)
+        words, _, _ = ergodic._orbit_stream(abs(x0), n)
+        bits = 64 * len(words)
+        stream = int.from_bytes(words.astype(">u8").tobytes(), "big")
+        with workprec(bits + 64):
+            for k in range(0, n, 7):
+                ref = float(cot(pi * mpf((stream << k) % (1 << bits)) / (1 << bits)) / 2)
+                assert abs(orbit[k] - ref) <= 4 * np.spacing(abs(ref)), (x0, k)
 
 
 def test_invariance_e0_exact():
@@ -79,6 +111,24 @@ def test_birkhoff_run_structure(crit):
     csv = run.to_csv()
     assert csv.splitlines()[0].startswith("checkpoint_N")
     assert len(csv.splitlines()) == 4
+
+
+def test_birkhoff_rejects_empty_runs(crit):
+    with pytest.raises(ValueError):
+        birkhoff_average([(0, 1.0)], 0.37, 0, crit)
+    with pytest.raises(ValueError):
+        birkhoff_average([(0, 1.0)], 0.37, 100, crit, checkpoints=[50, 200])
+
+
+def test_birkhoff_averages_share_one_orbit(crit):
+    """Each run of the several-observable call equals the one-observable
+    call bit for bit, across a chunk boundary and a checkpoint in each chunk."""
+    observables = [[(0, 1.0)], [(-1, 1.0)], [(-5, 1.0), (2, 0.5j)]]
+    n = 60_000
+    runs = birkhoff_averages(observables, 1.234, n, crit, checkpoints=[100, 55_000], seed=3)
+    for terms, run in zip(observables, runs):
+        assert run == birkhoff_average(terms, 1.234, n, crit, checkpoints=[100, 55_000], seed=3)
+        assert len(run.estimates) == 3
 
 
 def test_birkhoff_chunks_equal_one_orbit(crit):
