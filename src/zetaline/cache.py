@@ -1,7 +1,8 @@
 """On-disk cache for the expensive coefficient tables.
 
-Values are serialized as decimal strings carrying the full working precision,
-so a cache hit is numerically identical to a cold computation.  Writes are
+Values are serialized as decimal strings with 25 digits beyond ``digits``,
+so a cache hit agrees with a cold computation to 10^-(digits+24) relative,
+far below any printed digit.  Writes are
 atomic (temp file + rename).  The key, ``stieltjes_k{K}_d{D}``, does not
 carry the schema version; each entry records its schema version and digits.
 An entry is validated on load, not trusted: a mismatch of either, or a

@@ -13,7 +13,7 @@ of its own Taylor data b_k:
 
 * ``line(sigma0)``: the family for Re s = sigma0 > 1/2, sigma0 != 1.  b_k is
   the k-th Taylor coefficient of the entire zeta(s) - 1/(s-1) at
-  sigma0 + 1/2, read off one circle by the trapezoid engine of
+  sigma0 + 1/2, from one Euler-Maclaurin series pass of
   :mod:`zetaline.zeta`; no Stieltjes table enters.  For sigma0 > 1 the pole
   term (-1)**k / (sigma0 - 1/2)**(k+1) is added back.  For 1/2 < sigma0 < 1
   the negative indices follow the closed geometric form from the pole at
@@ -43,9 +43,9 @@ from .precision import PrecisionCtx, binom_exact, hreal_to_str
 from .zeta import (
     LaurentTable,
     StieltjesTable,
-    _contour_wp,
     _g_taylor,
-    _taylor_on_circle,
+    _taylor_series,
+    _taylor_wp,
     zeta_em,
 )
 
@@ -175,12 +175,12 @@ def coeffs_critical(n_max: int, gammas: StieltjesTable, ctx: PrecisionCtx) -> Co
 def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable:
     """The family for the vertical line Re s = sigma0 (sigma0 > 1/2, != 1).
 
-    b_0..b_{n_max} come from one trapezoid contour centred at sigma0 + 1/2,
-    at the Stieltjes table's working precision, with radius 3 while
-    sigma0 <= 5/2 and sigma0 - 3/2 beyond: the circle stays a unit away
-    from s = 1 and right of Re s = -2.  ContourError if 2,048 nodes do not
-    converge.  Entries n <= 0 are closed forms and one zeta_em value, so a
-    table with n_max <= 0 evaluates no contour.
+    b_0..b_{n_max} come from one ``zeta._taylor_series`` pass centred at
+    sigma0 + 1/2, at the Stieltjes table's working precision, on the scale
+    r = 3 while sigma0 <= 5/2 and sigma0 - 3/2 beyond, so the circle the
+    pass is sized for stays a unit away from s = 1 and right of Re s = -2.
+    Entries n <= 0 are closed forms and one zeta_em value, so a table with
+    n_max <= 0 runs no series pass.
     """
     with workdps(ctx.working()):
         sigma0 = mpf(sigma0)
@@ -195,8 +195,8 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
         x = sigma0 - half
         centre = sigma0 + half
         radius = 3 if sigma0 <= mpf("2.5") else sigma0 - mpf("1.5")
-        wp = _contour_wp(n_max, ctx.digits)
-        b = _taylor_on_circle(centre, radius, n_max, wp)[0] if n_max >= 1 else []
+        wp = _taylor_wp(n_max, ctx.digits)
+        b = _taylor_series(centre, radius, n_max, wp)[0] if n_max >= 1 else []
         vals = []
         for n in range(n_min, min(n_max, -1) + 1):
             if sigma0 > 1:
@@ -224,14 +224,14 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
 
 
 def line_coeff_via_derivatives(sigma0, n: int, ctx: PrecisionCtx) -> mpf:
-    """Positive-index line coefficient by contour derivatives at sigma0 + 1/2.
+    """Positive-index line coefficient from the derivatives at sigma0 + 1/2.
 
     The textbook route (-1)^n sum_k C(n-1,k-1) b_k, with every b_k, k <= n,
-    read from one grid of the trapezoid engine as the Taylor coefficient of
-    zeta(s) - 1/(s-1), plus the pole term (-1)^k / (sigma0-1/2)^(k+1) for
-    sigma0 >= 1.  Its grid lies on ``zeta._g_taylor``'s small circle, which
-    excludes the pole, at 2n more digits; ``coeffs_line`` reads the same b_k
-    off a radius-3 circle.  Kept as the tests' cross-check of that route.
+    the Taylor coefficient of zeta(s) - 1/(s-1) from ``zeta._g_taylor``,
+    plus the pole term (-1)^k / (sigma0-1/2)^(k+1) for sigma0 >= 1.  Its
+    series pass runs on the scale of a small circle that excludes the pole,
+    at 2n more digits; ``coeffs_line`` reads the same b_k on the scale 3.
+    Kept as the tests' cross-check of that route.
     """
     if n < 1:
         raise ValueError("derivative route is for n >= 1")

@@ -213,9 +213,9 @@ def cross_moment_wow(sigma, ctx: PrecisionCtx):
     The derivative term is the n = +-1 basis pairing; deriving the value by
     residues (or expanding the coefficient bilinear form) shows it must be
     present, and the quadrature route confirms it numerically.  zeta and zeta'
-    at sigma+1/2 are the first two Taylor coefficients of one contour on
-    ``zeta._g_taylor``'s small circle, which excludes the pole, so it is not
-    the radius-3 circle that ``coeffs_line`` reads.  At sigma = 1/2 the
+    at sigma+1/2 are the first two Taylor coefficients from
+    ``zeta._g_taylor``, on the scale of a small circle that excludes the
+    pole, not the scale 3 that ``coeffs_line`` reads.  At sigma = 1/2 the
     formula degenerates to (gamma0-1)^2 - 2 gamma1.
     """
     with workdps(ctx.working()):

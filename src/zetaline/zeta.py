@@ -1,42 +1,36 @@
 """Riemann zeta on vertical lines, its derivatives, and the Laurent data at s=1.
 
-Everything here reduces to two workhorses:
+Everything here reduces to one Euler-Maclaurin formula, with the cutoff N
+chosen from the working precision and |s|, and Bernoulli corrections to
+matching order.  It runs in fixed-point Python integers (per prime one exp,
+and one cos/sin for complex s; per composite an integer product; ln p and
+B_2k/(2k)! cached per precision) in two forms:
 
-* an Euler-Maclaurin evaluator for zeta(s), with the trapezoid cutoff chosen
-  from the working precision and |Im s|, and Bernoulli corrections to matching
-  order.  Its main sum sum_{n<N} n^-s and its Bernoulli corrections run in
-  fixed-point Python integers with 20 + bitlen(N) guard bits (one exp and
-  one cos/sin per prime, an integer complex product per composite); ln p
-  and the coefficients B_2k/(2k)! are cached per precision; and
-* one trapezoid engine for the Taylor coefficients a_k of the entire function
-  g(s) = zeta(s) - 1/(s-1) at a real centre c, read off the circle |s - c| = r
-  (``_taylor_on_circle``).  It doubles its node count until the coarse and
-  fine coefficients agree to 10^-wp on the circle's scale, evaluating zeta
-  only at the new nodes into one running sum per order, and conjugate
-  symmetry halves each evaluation pass.  A contour that still fails the
-  test at its caller's node cap (2,048, or the a-priori Berndt aliasing
-  bound for the Stieltjes tables) raises ContourError.
+* ``_zeta_em_raw``, zeta at one complex point, with 20 + bitlen(N) guard
+  bits; and
+* ``_taylor_series``, the Taylor coefficients a_k of the entire function
+  g(s) = zeta(s) - 1/(s-1) at a real centre c, from one pass with
+  s = c + r v as a power series in v.  The scale r sets the accuracy
+  contract, r^k |error of a_k| <= 10^-wp, and the circle |s - c| = r the
+  pass is sized for.
 
 ``stieltjes`` is its c = 1, r = 3 case, gamma_k = (-1)^k k! a_k, and
-``coefficients.coeffs_line`` reads it at c = sigma0 + 1/2 on a circle of
-radius 3 (sigma0 - 3/2 beyond sigma0 = 5/2); g is entire, so enclosing the
-pole does no harm.  ``zeta_derivative``,
-``coefficients.line_coeff_via_derivatives`` and ``quadrature.cross_moment_wow``
-read it at c = s0 on a smaller circle that excludes the pole, adding back
-the pole's own Taylor terms (-1)^k / (s0-1)^(k+1) where zeta's are wanted.
+``coefficients.coeffs_line`` reads it at c = sigma0 + 1/2 with r = 3
+(sigma0 - 3/2 beyond sigma0 = 5/2); g is entire, so enclosing the pole does
+no harm.  ``zeta_derivative``, ``coefficients.line_coeff_via_derivatives``
+and ``quadrature.cross_moment_wow`` read it at c = s0 with a smaller r that
+excludes the pole, adding back the pole's own Taylor terms
+(-1)^k / (s0-1)^(k+1) where zeta's are wanted.
 
 The Laurent table is derived from the Stieltjes one: ``StieltjesTable.taylor``
 holds the a_k at s = 1, and ``LaurentTable.taylor`` holds
 [u^m] (1 + u sum_j a_j u^j)^k, computed by exact series multiplication;
 lambda_{m,k} is m! times that.
 
-The radius-3 circle reaches Re s = -2 (the line family's circles stay right
-of it), left of the public evaluation region, so the engine uses the raw
-Euler-Maclaurin path while the public ``zeta_em`` keeps the advertised
-Re s > -1 gate.  The raw path is checked against
-mpmath.zeta for Re s >= -2, the circle's leftmost point, and no further:
-it loses digits as Re s falls (at 35 digits, 6e-14 relative at s = -10 + i
-and none left at s = -29 + 0.5i).
+The public ``zeta_em`` keeps the advertised Re s > -1 gate.  The raw
+point evaluator is checked against mpmath.zeta for Re s >= -2 and no
+further: it loses digits as Re s falls (at 35 digits, 6e-14 relative at
+s = -10 + i and none left at s = -29 + 0.5i).
 """
 
 from __future__ import annotations
@@ -91,7 +85,7 @@ class RegionError(ValueError):
 
 
 class ContourError(ArithmeticError):
-    """A differentiation contour hits the pole, leaves the region or fails to converge."""
+    """No circle around the requested centre excludes the pole and stays in Re s > -1."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +125,8 @@ def _bernoulli_fixed(K: int, wp: int) -> tuple:
 def _zeta_em_raw(s: mpc, dps: int, n_scale: int = 1) -> mpc:
     """Euler-Maclaurin zeta, checked against mpmath.zeta for Re s >= -2.
 
-    Re s = -2 is the leftmost point of the r = 3 Stieltjes contour.  Further
-    left the error grows although the remainder term formally allows
-    Re s > 1 - 2K: relative to mpmath.zeta, 6e-14 at s = -10 + i at 35
+    Left of Re s = -2 the error grows although the remainder term formally
+    allows Re s > 1 - 2K: relative to mpmath.zeta, 6e-14 at s = -10 + i at 35
     digits, 1e18 at s = -29 + 0.5i (1e-18 at 80 digits), and 1.0 at
     s = -79 + 0.5i at 80 digits.  Callers stay at Re s >= -2.
 
@@ -233,55 +226,117 @@ def zeta_minus_pole(s, ctx: PrecisionCtx) -> mpc:
 
 
 # ---------------------------------------------------------------------------
-# Contour Taylor extraction
+# Taylor data of g = zeta - 1/(s-1)
 # ---------------------------------------------------------------------------
 
-def _taylor_on_circle(c, r, k_max: int, wp: int, m_cap: int = 2048):
+def _taylor_series(c, r, k_max: int, wp: int):
     """Taylor coefficients a_0..a_{k_max} of g = zeta - 1/(s-1) at the real c.
 
-    The one trapezoid engine, on s_j = c + r w_j, w_j = exp(2 pi i j / m), at
-    working precision wp + 10.  It keeps one running sum per order,
-    sum_j g(s_j) w_j^-k, and a_k = sum / (m r^k).  The centre is real, so
-    g(s_{m-j}) is the conjugate of g(s_j): the first grid evaluates g at
-    j <= m/2 only, m = max(64, 4 k_max), and each doubling of m adds the new
-    odd nodes.  It stops once max_k r^k |a_k(m) - a_k(m/2)| <= 10^-wp and
-    returns (a(m), err) with err_k = |a_k(m) - a_k(m/2)|; ContourError if
-    the test still fails at the first m >= m_cap.
+    One Euler-Maclaurin pass in power-series arithmetic (Johansson, Numer.
+    Algorithms 69, 2015).  With s = c + r v, L_n = ln n and L = ln N,
+
+      g(s) = sum_{n<N} n^-c e^{-r L_n v} + N^-s / 2 - L phi(L (s - 1))
+             + sum_{j<=K} B_2j/(2j)! s (s+1) ... (s+2j-2) N^{-s-2j+1},
+
+    every term a series in v cut after v^k_max, whose v^k coefficient is
+    r^k a_k.  phi(y) = (1 - e^-y)/y is entire, and its v^k coefficient is
+    (-rL)^k / k! int_0^1 t^k e^{-y0 t} dt with y0 = L (c - 1), so the pole
+    needs no special case.  N (a power of two) and K are sized at wp + 10
+    digits for the circle's farthest point, so by Cauchy's estimate
+    r^k |error of a_k| is at most the largest Euler-Maclaurin remainder on
+    |s - c| = r.
+
+    The pass runs in fixed-point integers with 20 + bitlen(N)
+    + (|c - 1| + r) log2 N guard bits, since its terms reach N^(|c-1| + r)
+    before they cancel: one exp and one log per prime p <= N, sums of prime
+    logs for composites.  Returns (a, err) with err_k = (|v^k coefficient
+    of the first omitted Bernoulli term| + a bound on the rounding) / r^k.
     """
     with workdps(wp + 10):
-        m = max(64, 4 * k_max)
-        new = range(m // 2 + 1)
-        sums = [mpf(0)] * (k_max + 1)
-        scale = [mpf(r) ** k for k in range(k_max + 1)]
-        prev = None
-        while True:
-            w = [mp.expjpi(mpf(2 * j) / m) for j in range(m)]
-            for j in new:
-                g = _zeta_em_raw(c + r * w[j], wp + 10) - 1 / ((c - 1) + r * w[j])
-                if 0 < j < m // 2:
-                    g *= 2  # and its conjugate node m - j
-                for k in range(k_max + 1):
-                    sums[k] += (g * w[(-j * k) % m]).real
-            a = [s / (m * x) for s, x in zip(sums, scale)]
-            if prev is not None:
-                err = [abs(x - y) for x, y in zip(a, prev)]
-                if max(e * x for e, x in zip(err, scale)) <= mpf(10) ** -wp:
-                    return a, err
-                if m >= m_cap:
-                    raise ContourError(
-                        f"contour of radius {r} around {c} not converged at {m} nodes"
-                    )
-            prev, new, m = a, range(1, m, 2), 2 * m
+        c, r = mpf(c), mpf(r)
+        K, N = _em_orders(wp + 10, float(c + r), float(r))
+        N = 1 << (N - 1).bit_length()
+        m = N.bit_length() - 1
+        reach = float(abs(c - 1)) * m  # log2 N^|c-1|
+        bits = mp.prec + 20 + N.bit_length() + math.ceil(reach + float(r) * m)
+        one = 1 << bits
+        cf, rf = to_fixed(c._mpf_, bits), to_fixed(r._mpf_, bits)
+        # n^-c and ln n for n <= N
+        spf = smallest_prime_factors(N)
+        x, ln = [0, one] + [0] * (N - 1), [0] * (N + 1)
+        for n in range(2, N + 1):
+            p = spf[n]
+            if p == n:
+                lp = _ln_prime(p, bits)
+                ln[n] = to_fixed(lp, bits)
+                x[n] = to_fixed(mpf_exp(mpf_neg(mpf_mul(c._mpf_, lp, bits)), bits), bits)
+            else:
+                ln[n] = ln[p] + ln[n // p]
+                x[n] = (x[p] * x[n // p]) >> bits
+
+        def exp_row(t, h, acc):
+            """acc[k] += t h^k / k! until the term underflows."""
+            for k in range(k_max + 1):
+                if not t:
+                    break
+                acc[k] += t
+                t = (t * h >> bits) // (k + 1)
+            return acc
+
+        # sum_{n<N} n^-c (r L_n)^k / k!; the sign (-1)^k comes last
+        total = [0] * (k_max + 1)
+        for n in range(1, N):
+            exp_row(x[n], rf * ln[n] >> bits, total)
+        u = exp_row(one, rf * ln[N] >> bits, [0] * (k_max + 1))  # (rL)^k / k!
+        # int_0^1 t^k e^{-y0 t} dt = sum_i w_i / (i + k + 1), w_i = (-y0)^i / i!
+        y0 = ln[N] * (cf - one) >> bits
+        w, t = [], one
+        while t:
+            w.append(-t if y0 > 0 and len(w) % 2 else t)
+            t = (t * abs(y0) >> bits) // len(w)
+        for k in range(k_max + 1):
+            moment = sum(wi // (i + k + 1) for i, wi in enumerate(w))
+            total[k] += (x[N] * u[k] >> (bits + 1)) - (ln[N] * u[k] >> bits) * moment // one
+            if k % 2:
+                total[k] = -total[k]
+
+        def times(V, a):
+            """(a + r v) V, cut after v^k_max."""
+            return [a * V[0] >> bits] + [
+                (a * V[k] + rf * V[k - 1]) >> bits for k in range(1, k_max + 1)
+            ]
+
+        # Bernoulli terms B_2j/(2j)! V_j, V_j = s (s+1) ... (s+2j-2) N^{-s-2j+1}
+        V = times([(-1) ** k * (x[N] * u[k] >> bits) >> m for k in range(k_max + 1)], cf)
+        for j, b in enumerate(_bernoulli_fixed(K + 1, bits), 1):
+            if j > 1:
+                V = times(times(V, cf + ((2 * j - 3) << bits)), cf + ((2 * j - 2) << bits))
+                V = [v >> 2 * m for v in V]
+            if j <= K:
+                total = [t + (b * v >> bits) for t, v in zip(total, V)]
+        # fixed-point rounding, in units of 2^-bits: each of the N + len(w) + K
+        # rows errs by O(bitlen(N) + k) units of its largest term, at most
+        # N^|c-1| (rL)^k / k!; then 8 units in the last place of a_k, for its
+        # rounding to wp + 10 digits and one rescaling by the caller
+        slack = 8 * (N + len(w) + K) * mpf(2) ** reach
+        ulp = mpf(2) ** (3 - mp.prec)
+        a, err = [], []
+        for k in range(k_max + 1):
+            scale = r ** k
+            a.append(mp.make_mpf(from_man_exp(total[k], -bits)) / scale)
+            bound = abs(b * V[k] >> bits) + slack * (N.bit_length() + k + 1) * max(1, u[k] / one)
+            err.append(bound / one / scale + ulp * abs(a[k]))
+        return a, err
 
 
 @dataclass(frozen=True)
 class StieltjesTable:
-    """gamma_0 .. gamma_{k_max} from the contour, with accuracy metadata."""
+    """gamma_0 .. gamma_{k_max} with a bound on the error of each."""
 
     k_max: int
     gammas: tuple
     digits: int
-    est_errors: tuple = ()
+    est_errors: tuple
 
     def __post_init__(self):
         g0 = self.gammas[0]
@@ -304,10 +359,11 @@ class StieltjesTable:
         payload = {
             "schema_version": 1,
             "digits": self.digits,
-            "method": "contour",
+            "method": "euler-maclaurin series",
             "values": [
-                {"k": k, "gamma": hreal_to_str(g, self.digits)}
-                for k, g in enumerate(self.gammas)
+                {"k": k, "gamma": hreal_to_str(g, self.digits),
+                 "est_error": mp.nstr(e, 3, min_fixed=1, max_fixed=0)}
+                for k, (g, e) in enumerate(zip(self.gammas, self.est_errors))
             ],
         }
         return json.dumps(payload, indent=1)
@@ -319,15 +375,15 @@ def berndt_bound_holds(gamma_k, k: int) -> bool:
         return abs(gamma_k) / mp.factorial(k) <= 4 / (k * mp.pi ** k)
 
 
-def _contour_wp(k_max: int, digits: int) -> int:
-    """Working digits for Taylor data through k_max read off a radius-3 circle.
+def _taylor_wp(k_max: int, digits: int) -> int:
+    """Working digits for Taylor data through k_max on the scale r = 3.
 
     digits + max(10, ceil(0.05 k_max) + 10): the guard absorbs the (pi/3)^k
-    extraction loss of the Stieltjes circle.
+    loss of a_k ~ pi^-k measured to 10^-wp / 3^k.
     """
     wp = digits + max(10, int(math.ceil(0.05 * k_max)) + 10)
     if wp > 50_000:
-        raise PrecisionUnachievableError(f"contour working precision {wp} too large")
+        raise PrecisionUnachievableError(f"Taylor working precision {wp} too large")
     return wp
 
 
@@ -335,7 +391,7 @@ def _contour_wp(k_max: int, digits: int) -> int:
 def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     from . import cache as _cache
 
-    wp = _contour_wp(k_max, digits)
+    wp = _taylor_wp(k_max, digits)
     key = f"stieltjes_k{k_max}_d{digits}"
     gammas = _cache.load_values(key, digits)
     errs = _cache.load_values(key + "_err", digits) if gammas is not None else None
@@ -346,13 +402,9 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
         except ValueError:
             pass
         _cache.report_stale(key)
-    # Berndt, |a_n| <= 4 / (n pi^n), puts the aliasing of n_berndt nodes below
-    # 10^-(wp+5) a priori: a grid that large that still fails the test is not
-    # converging, and the engine refuses it.
-    n_berndt = int((wp + 5) * math.log(10) / math.log(math.pi / 3.0)) + 1
-    a, err = _taylor_on_circle(1, 3, k_max, wp, n_berndt)
+    a, err = _taylor_series(1, 3, k_max, wp)
     with workdps(wp + 10):
-        scale = [(-1) ** k * mp.factorial(k) for k in range(k_max + 1)]  # gamma_k / a_k
+        scale = [(-1) ** k * math.factorial(k) for k in range(k_max + 1)]  # gamma_k / a_k
         gammas = tuple(+(ak * x) for ak, x in zip(a, scale))
         errs = tuple(+abs(e * x) for e, x in zip(err, scale))
     table = StieltjesTable(k_max, gammas, digits, errs)
@@ -362,17 +414,15 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
 
 
 def stieltjes(k_max: int, ctx: PrecisionCtx) -> StieltjesTable:
-    """Stieltjes constants gamma_0..gamma_{k_max} by contour extraction.
+    """Stieltjes constants gamma_0..gamma_{k_max} from one series pass.
 
-    gamma_k = (-1)^k k! a_k, with the a_k from the trapezoid engine on
-    |s - 1| = 3: m nodes, m doubling from max(64, 4 k_max) until
-    max_k 3^k |a_k(m) - a_k(m/2)| <= 10^-wp.  The values are the m-node ones,
-    and ``est_errors`` holds |gamma_k(m) - gamma_k(m/2)|.  ContourError if
-    the test still fails once m meets the a-priori Berndt aliasing bound
-    (3/pi)^m < 10^-(wp+5); a cached entry that is malformed or fails
-    ``StieltjesTable``'s checks counts as stale and is recomputed.
-    The working precision wp is digits + max(10, ceil(0.05 k_max) + 10), to
-    absorb the (pi/3)^k extraction loss.
+    gamma_k = (-1)^k k! a_k, with the a_k of g = zeta - 1/(s-1) at s = 1
+    from ``_taylor_series`` on the scale r = 3, so
+    max_k 3^k |error of a_k| <= 10^-wp; ``est_errors`` holds k! times its
+    per-order bound.  The working precision wp is
+    digits + max(10, ceil(0.05 k_max) + 10), to absorb the (pi/3)^k loss.
+    A cached entry that is malformed or fails ``StieltjesTable``'s checks
+    counts as stale and is recomputed.
     """
     if k_max > 400:
         raise PrecisionUnachievableError("stieltjes supports k_max <= 400")
@@ -389,7 +439,7 @@ def stieltjes_limit_oracle(k_max: int, ctx: PrecisionCtx, n_terms: int = 10_000)
     P_{r+1} = P_r' - (r+1) P_r on polynomials in log x).
 
     Suitable for k_max up to ~30; the asymptotic correction series degrades
-    beyond that.  Fully independent of the contour route.
+    beyond that.  Fully independent of the Euler-Maclaurin series route.
     """
     if k_max > 40:
         raise PrecisionUnachievableError("limit-definition oracle supports k_max <= 40")
@@ -429,29 +479,29 @@ def stieltjes_limit_oracle(k_max: int, ctx: PrecisionCtx, n_terms: int = 10_000)
 def _g_taylor(s0, k_max: int, ctx: PrecisionCtx) -> list:
     """a_0..a_{k_max} of g = zeta - 1/(s-1) at the real s0 (see zeta_derivative).
 
-    The working precision widens by k_max log10(1/radius) to absorb the
-    radius**-k amplification.
+    One ``_taylor_series`` pass on the scale of a circle around s0 that
+    excludes s = 1 and stays in Re s > -1: its radius is half the headroom
+    to both, at most 2, and ContourError where there is none (s0 = 1 or
+    s0 <= -1).  The working precision widens by k_max log10(1/radius) to
+    absorb the radius**-k amplification.
     """
     with workdps(ctx.working()):
         s0 = mpf(s0)
         headroom = min(abs(s0 - 1), s0 + 1)
         if headroom <= 0:
-            raise ContourError(f"no contour around {s0} excludes the pole and stays in Re s > -1")
+            raise ContourError(f"no circle around {s0} excludes the pole and stays in Re s > -1")
         radius = min(headroom / 2, mpf(2))
     amp = int(k_max * math.log10(1.0 / float(radius))) + 1 if radius < 1 else 0
-    return _taylor_on_circle(s0, radius, k_max, ctx.working() + amp)[0]
+    return _taylor_series(s0, radius, k_max, ctx.working() + amp)[0]
 
 
 def zeta_derivative(s0, k: int, ctx: PrecisionCtx) -> mpc:
-    """k-th derivative of zeta at the real point s0 by contour differentiation.
+    """k-th derivative of zeta at the real point s0 from its Taylor series.
 
     zeta^(k)(s0) = k! (a_k + (-1)^k / (s0-1)^(k+1)), with a_k the Taylor
-    coefficient of zeta - 1/(s-1) from the trapezoid engine on a circle
-    around s0 that excludes s = 1 and stays in Re s > -1: its radius is half
-    the headroom to both constraints, at most 2 (ContourError at s0 = 1 or
-    s0 <= -1).  Relative error <= 10**(5 - digits); ContourError when 2,048
-    nodes do not converge.  It never reads the Stieltjes table, so it is an
-    independent cross-check.
+    coefficient of zeta - 1/(s-1) at s0 from ``_g_taylor`` (ContourError at
+    s0 = 1 or s0 <= -1).  Relative error <= 10**(5 - digits).  It never
+    reads the Stieltjes table.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
