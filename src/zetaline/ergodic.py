@@ -4,7 +4,8 @@ The map T x = (x - 1/(4x))/2 (T 0 = 0) preserves the Cauchy probability
 measure with scale 1/2 and is ergodic for it, so for mu-integrable F the time
 averages (1/N) sum F(T^n x) converge to the space average for almost every
 starting point.  With F(t) = zeta(1/2 + it) g(t) and g a finite combination
-of the basis functions e_m, the space average is the coefficient pairing
+of the basis functions e_m = ((1 - 2it)/(1 + 2it))^m, rational in t and
+computed as complex powers, the space average is the coefficient pairing
 -a_1 + sum_{m>=0} ell_m a_{-m}.
 
 Orbits are exact.  x = cot(pi theta)/2 conjugates T to the doubling map
@@ -182,11 +183,19 @@ def cauchy_half_sample(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def basis_combination_value(terms: Sequence[tuple], t: np.ndarray) -> np.ndarray:
-    """g(t) = sum a_m e_m(t) for terms = [(m, a_m), ...]."""
-    phase = np.arctan(2.0 * t)
+    """g(t) = sum a_m e_m(t) for terms = [(m, a_m), ...]: e_m = u^m, e_{-m} = conj(u)^m,
+    u = r - 1 - 2irt with r = 2/(1 + 4t^2) (u = -1 where 4t^2 overflows); within
+    2.7e-15 of exp(-2im arctan 2t) at |m| = 5 and 2.1e-14 at |m| = 40."""
+    with np.errstate(over="ignore"):
+        r = 2.0 / (1.0 + 4.0 * t * t)
+    u = (r - 1.0) - 2j * (r * t)
     acc = np.zeros(len(t), dtype=complex)
     for m, a in terms:
-        acc += a * np.exp(-2j * m * phase)
+        w = u if m > 0 else u.conj()
+        p = np.full(len(t), complex(a))
+        for _ in range(abs(m)):
+            p *= w
+        acc += p
     return acc
 
 
@@ -272,10 +281,8 @@ def prediction_from_table(terms: Sequence[tuple], coeffs: CoeffTable) -> complex
 
 
 def _zeta_at_heights(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + i t) for signed heights, conjugate symmetry for t < 0."""
-    out = fastzeta.zeta_critical(np.abs(t))
-    np.conjugate(out, out=out, where=t < 0)
-    return out
+    """zeta(1/2 + i t) for signed heights; zeta_critical conjugates t < 0."""
+    return fastzeta.zeta_critical(t)
 
 
 def birkhoff_averages(

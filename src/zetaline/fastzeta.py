@@ -1,29 +1,17 @@
 """Vectorized machine-precision zeta on and to the right of the critical line.
 
-Three routes on the critical line, dispatched on height at T_CHEB = 10 and
-RS_CROSSOVER = 200:
+Two routes on the critical line, dispatched on |t| at RS_CROSSOVER = 200
+(negative t by conjugate symmetry):
 
-* below T_CHEB, the pole 1/(s - 1) = (-1/2 - it)/(1/4 + t^2) plus a
-  Chebyshev series in t of g(s) = zeta(s) - 1/(s - 1), summed by Clenshaw.
-  Zeta itself has its pole at t = -i/2, half a unit from [0, T_CHEB], so
-  its Chebyshev coefficients shrink only by a factor of about 1.4 per term;
-  g is entire (its Taylor coefficients at s = 1 are the Stieltjes
-  constants), so 26 terms reach float64.  The coefficients are fitted once
-  per process to Euler-Maclaurin values, and the route is as accurate as
-  they are: at most 3.8e-15 against mpmath.zeta on 400 random heights in
-  [0, 10] (median 1.1e-15), at about a tenth of Euler-Maclaurin's cost;
-* Euler-Maclaurin with cutoff N ~ 1.1 |t| and ten Bernoulli corrections,
-  up to RS_CROSSOVER.  On the critical line the error is at most 3.2e-13
-  on 2,000 random heights in [10, 200] (median 2.1e-14) and 9.3e-13 on
-  1,000 in [200, 600]; on 150 random heights in [-200, 600] plus both sides
-  of each height where N crosses a power of two it is at most 2.8e-13 for
-  sigma in {1/2, 3/4, 3/2, 2}, relative where |zeta| > 1.  The phase
-  t ln n rounded in float64 sets it, and it grows with t.  zeta_em_line
-  also takes sigma as an array, so any complex s right of the critical
-  line: the moment oracle's pass reaches Re s = 8.3e4, where the cutoff's
-  sigma term, capped at sigma = 2, keeps N at ~1.1 |t|.  It is within
-  2.6e-15 of mpmath.zeta on the rays up to Re s = 1.7e5, and 3.4e-15 on the
-  circle s = 1/(1+z), |z| = 0.99, relative where |zeta| > 1;
+* below it, the pole 1/(s - 1) = (-1/2 - it)/(1/4 + t^2) plus a polynomial
+  table of the entire g(s) = zeta(s) - 1/(s - 1), by Horner in the local
+  x in [-1, 1] of a segment: 25 terms on [0, T_CHEB = 10], 17 on each unit
+  segment above; zeta itself, its pole at t = -i/2, would need over a
+  hundred on [0, T_CHEB].  _fit builds both from Euler-Maclaurin samples at
+  Chebyshev nodes, once per process (the unit table's 6,080 take about
+  10 ms).  A point costs 2 numpy operations per term, 3 with the unit
+  table's gather: 23M points/s on [0, 10] and 4.4M on [10, 200], against
+  Euler-Maclaurin's 1.2M, in batches of 3e4 on 2 vCPUs;
 * the Riemann-Siegel main sum plus Gabcke's remainder terms C0..C5, above
   it.  Against mpmath.siegelz, max over 80 random heights per band, the
   error in Z is 3.4e-10 on [200, 300] (the dropped C6 sets it), 6.8e-11 on
@@ -31,6 +19,18 @@ RS_CROSSOVER = 200:
   [2e4, 6e4], and 2.8e-9 on 20 heights near 1e6: above 2000 the float64
   phase t ln p sets it again.  The leading term C0 alone left 1.8e-3 on
   [200, 600] and 9.7e-4 on [600, 2000].
+
+Euler-Maclaurin (zeta_em_line), with cutoff N ~ 1.1 |t| and ten Bernoulli
+corrections, serves the tables' samples and every s off the critical line.
+On the critical line its error is at most 3.2e-13 on 2,000 random heights
+in [10, 200] (median 2.1e-14) and 9.3e-13 on 1,000 in [200, 600]; on 150
+random heights in [-200, 600] plus both sides of each height where N
+crosses a power of two it is at most 2.8e-13 for sigma in {1/2, 3/4, 3/2,
+2}, relative where |zeta| > 1.  The phase t ln n rounded in float64 sets
+it, and it grows with t.  The moment oracle's pass reaches Re s = 8.3e4,
+where the cutoff's sigma term, capped at sigma = 2, keeps N at ~1.1 |t|;
+it is within 2.6e-15 of mpmath.zeta on the rays up to Re s = 1.7e5, and
+3.4e-15 on the circle s = 1/(1+z), |z| = 0.99, relative where |zeta| > 1.
 
 Both main sums come from one prime fill (_prime_fill) of
 sum_{n <= count} n^-s: one tan of the half phase per prime, one complex
@@ -122,6 +122,7 @@ def _prime_fill(t: np.ndarray, count: np.ndarray, sigma=0.5):
                 np.multiply(F[a:a + c], F[b:b + c], out=row)
             S[:c] += row
         yield idx, S
+        del F  # before the next chunk allocates its own
         i += k
 
 
@@ -159,53 +160,60 @@ def zeta_em_line(t, sigma=0.5) -> np.ndarray:
     return out
 
 
-_CHEB_NODES = 48  # samples of g on [0, T_CHEB]; its coefficients reach the float64 floor by degree 25
-_CHEB_TAIL = 1e-15  # where the series is cut: 4.5 ulps of max |g| = 1.55, above the samples' noise
-_CHEB_BLOCK = 16_384  # points per Clenshaw pass: its working set stays under 1 MB
+# (lo, width, segments, nodes, tail) of the two tables of g.  On [0, T_CHEB]
+# the tail is 4.5 ulps of max |g| = 1.55; on the unit segments, above the
+# samples' noise, which grows with t to 6e-14.
+_CHEB = (0.0, T_CHEB, 1, 48, 1e-15)
+_UNIT = (T_CHEB, 1.0, int(RS_CROSSOVER - T_CHEB), 32, 1e-13)
+_BLOCK = 16_384  # points per Horner pass: its working set stays under 1 MB
 
 
-@lru_cache(maxsize=1)
-def _cheb_coeffs() -> np.ndarray:
-    """Chebyshev coefficients of g(1/2 + it) = zeta - 1/(s - 1) in x = 2t/T_CHEB - 1.
+@lru_cache(maxsize=2)
+def _fit(lo: float, width: float, count: int, nodes: int, tail: float) -> np.ndarray:
+    """Coefficients of g(1/2 + it) = zeta - 1/(s - 1) on `count` segments.
 
-    Row k holds (Re, Im) of the coefficient of T_k.  They come from a DCT of
-    zeta_em_line minus the pole at _CHEB_NODES Chebyshev points of [0, T_CHEB].
-    The pole s = 1 sits at t = -i/2, so zeta itself would need over a hundred
-    terms; g is entire, and its coefficients shrink by a factor of 5 to 8
-    per term from degree 20 until they reach the noise of the samples, a
-    few 1e-16.  The series keeps every coefficient up to the first below
-    _CHEB_TAIL, so what it drops is below 3e-16.
+    Entry [k, :, i] holds (Re, Im) of the coefficient of x^k on segment i,
+    t = lo + width (i + (1 + x)/2).  A DCT of zeta_em_line minus the pole at
+    `nodes` Chebyshev points per segment gives the Chebyshev series, cut at
+    the first degree where every segment's coefficient is below `tail`;
+    T_{k+1} = 2x T_k - T_{k-1} turns it into powers of x.
     """
-    n = _CHEB_NODES
-    j = np.arange(n) + 0.5
-    t = (np.cos(np.pi * j / n) + 1) * (T_CHEB / 2)
-    g = zeta_em_line(t) - (-0.5 - 1j * t) / (0.25 + t * t)  # the pole as _zeta_cheb adds it back
+    j = np.arange(nodes) + 0.5
+    t = lo + width * (np.arange(count) + (np.cos(np.pi * j / nodes)[:, None] + 1) / 2)
+    g = zeta_em_line(t.ravel()).reshape(t.shape) - (-0.5 - 1j * t) / (0.25 + t * t)
     # a plain DCT, since numpy.fft would be one more module in every process
-    c = np.cos(np.pi / n * np.outer(np.arange(n), j)) @ np.stack([g.real, g.imag], axis=1) * (2 / n)
+    c = np.cos(np.pi / nodes * np.outer(np.arange(nodes), j)) @ np.hstack([g.real, g.imag]) * (2 / nodes)
     c[0] /= 2
-    return c[: int(np.argmax(np.abs(c).max(axis=1) < _CHEB_TAIL)) + 1]
+    small = np.append(np.abs(c).max(axis=1) < tail, True)  # all of c if no degree is
+    c = c[: int(np.argmax(small)) + 1]
+    cheb = np.eye(len(c))  # row k: T_k in powers of x
+    for k in range(2, len(c)):
+        cheb[k] = np.roll(2 * cheb[k - 1], 1) - cheb[k - 2]
+    return (cheb.T @ c).reshape(len(c), 2, count)
 
 
-def _zeta_cheb(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) for 0 <= t < T_CHEB: the pole (-1/2 - it)/(1/4 + t^2)
-    plus g by Clenshaw, its real and imaginary parts carried as two rows,
-    _CHEB_BLOCK points at a time."""
-    c = _cheb_coeffs()
+def _zeta_table(t: np.ndarray, fit: tuple) -> np.ndarray:
+    """zeta(1/2 + it) from a table of _fit: the pole (-1/2 - it)/(1/4 + t^2)
+    plus g by Horner in the local x of each point's segment, its real and
+    imaginary parts carried as two rows, _BLOCK points at a time.  With more
+    than one segment each term's coefficients are gathered by segment."""
+    lo, width = fit[:2]
+    c = _fit(*fit)
+    gather = c.shape[2] > 1
     out = np.empty(len(t), dtype=complex)
-    for i in range(0, len(t), _CHEB_BLOCK):
-        tb = t[i:i + _CHEB_BLOCK]
-        y = tb * (4 / T_CHEB) - 2  # 2x
-        b1, b2, b0 = np.zeros((3, 2, len(tb)))
-        for ck in c[:0:-1]:  # b_k = c_k + 2x b_{k+1} - b_{k+2}
-            np.multiply(y, b1, out=b0)
-            b0 -= b2
-            b0 += ck[:, None]
-            b1, b2, b0 = b0, b1, b2
-        np.multiply(y / 2, b1, out=b0)  # g = c_0 + x b_1 - b_2
-        b0 -= b2
+    for i in range(0, len(t), _BLOCK):
+        tb = t[i:i + _BLOCK]
+        u = (tb - lo) / width
+        seg = u.astype(np.intp)
+        x = 2 * (u - seg) - 1
+        acc = c[-1][:, seg] if gather else np.repeat(c[-1], len(tb), axis=1)
+        row = np.empty_like(acc)
+        for ck in c[-2::-1]:
+            acc *= x
+            acc += ck.take(seg, axis=1, out=row) if gather else ck
         d = 0.25 + tb * tb
-        out.real[i:i + _CHEB_BLOCK] = b0[0] + (c[0, 0] - 0.5 / d)
-        out.imag[i:i + _CHEB_BLOCK] = b0[1] + (c[0, 1] - tb / d)
+        out.real[i:i + _BLOCK] = acc[0] - 0.5 / d
+        out.imag[i:i + _BLOCK] = acc[1] - tb / d
     return out
 
 
@@ -278,13 +286,16 @@ def _rs_term(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def hardy_Z(t) -> np.ndarray:
-    """The real Hardy function Z(t) = e^{i theta} zeta(1/2 + it), t >= 10."""
+    """The real Hardy function Z(t) = e^{i theta} zeta(1/2 + it), t >= 10.
+
+    Below RS_CROSSOVER it rotates zeta_critical's table value, within
+    1.2e-13 of mpmath.siegelz on 400 random heights in [10, 200].
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(t.shape)
     lo = t < RS_CROSSOVER
     if lo.any():
-        th = hardy_theta(t[lo])
-        out[lo] = (np.exp(1j * th) * zeta_em_line(t[lo])).real
+        out[lo] = (np.exp(1j * hardy_theta(t[lo])) * zeta_critical(t[lo])).real
     hi = ~lo
     if hi.any():
         out[hi] = _hardy_Z_rs(t[hi])[0]
@@ -346,25 +357,27 @@ def zeta_rs_line(t) -> np.ndarray:
 
 
 def zeta_critical(t) -> np.ndarray:
-    """zeta(1/2 + it) for t >= 0, by three routes.
+    """zeta(1/2 + it) for real t, by two routes (see the module notes).
 
-    * 0 <= t < T_CHEB: 1/(s - 1) plus a 26-term Chebyshev series of the
-      entire g(s) = zeta(s) - 1/(s - 1); with the pole left in, the series
-      would converge only at the rate its distance from the line allows,
-      about 1.4 per term.  Within 3.8e-15 of mpmath.zeta.
-    * T_CHEB <= t < RS_CROSSOVER: Euler-Maclaurin, within 3.2e-13.
-    * t >= RS_CROSSOVER: Riemann-Siegel with C0..C5, within 3.4e-10 on
+    * |t| < RS_CROSSOVER: the pole plus a polynomial table of g.  Within
+      3.9e-15 of mpmath.zeta on 400 random heights in [0, 10]; on 2,000 in
+      [10, 200], within 1.0e-13 (median 1.3e-14), relative where |zeta| > 1,
+      where Euler-Maclaurin, the table's samples, is within 1.6e-13.
+    * |t| >= RS_CROSSOVER: Riemann-Siegel with C0..C5, within 3.4e-10 on
       [200, 300], 7e-11 on [300, 2e4] and 3.3e-10 on [2e4, 6e4]; the
       float64 phase loosens it further up (2.8e-9 near 1e6).
 
-    Each height's value depends on that height alone, not on the batch.
-    Negative t, outside the series' interval, take Euler-Maclaurin.
+    Negative t and -0.0 take the conjugate of the value at |t|, bit for
+    bit.  Each height's value depends on that height alone, not on the batch.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    a = np.abs(t)
     out = np.empty(t.shape, dtype=complex)
-    rs = ~(t < RS_CROSSOVER)
-    cheb = (t >= 0) & (t < T_CHEB)
-    for mask, route in ((cheb, _zeta_cheb), (~(cheb | rs), zeta_em_line), (rs, zeta_rs_line)):
+    rs = ~(a < RS_CROSSOVER)
+    cheb = a < T_CHEB
+    for mask, route in ((cheb, lambda u: _zeta_table(u, _CHEB)),
+                        (~(cheb | rs), lambda u: _zeta_table(u, _UNIT)), (rs, zeta_rs_line)):
         if mask.any():
-            out[mask] = route(t[mask])
+            out[mask] = route(a[mask])
+    np.conjugate(out, out=out, where=np.signbit(t))
     return out

@@ -395,7 +395,7 @@ def identity_hnorm(T2: float = 6.0e4) -> QuadratureResult:
     """int |zeta(1/2+it) - s/(s-1)|^2 dmu: closed form log(2 pi) - gamma0 - 1."""
     value, est, nodes = _line_integral(_hnorm, [(0.0, T2)], _osc_width, 3e-7)
     return QuadratureResult(value=value.real, est_error=est,
-                            trunc_bound=_mean_square_tail(T2, extra=1.0),
+                            trunc_bound=_mean_square_tail(T2, extra=-1.0),
                             nodes_used=nodes, notes={"T2": T2})
 
 

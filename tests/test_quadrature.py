@@ -70,6 +70,16 @@ def test_identity_hnorm_quick():
     assert not isinstance(r.value, mpc)
 
 
+def test_identity_hnorm_tail_closes_the_identity():
+    """On |s/(s-1)| = 1 the mean of |zeta - s/(s-1)|^2 has density
+    log(t/2pi) + 2 gamma0 - 1, so value + trunc_bound meets the closed form
+    to within 1e-7 at T2 = 6e4 (with the density's +1 it overshot by
+    1.06e-5)."""
+    r = identity_hnorm(T2=6.0e4)
+    with workdps(35):
+        assert abs(mpf(r.value) + mpf(r.trunc_bound) - mpf(PARSEVAL_SQ_CEILING)) <= mpf("1e-7")
+
+
 def test_cross_quadrature_vs_corrected_closed_form():
     """The value is within its adaptive estimate of the closed form, up to a
     float64 floor of 1e-14: there the estimate, 6.6e-16, falls below the

@@ -257,10 +257,45 @@ def test_zeta_critical_batch_independent():
     assert batch.tobytes() == alone.tobytes()
 
 
+def test_table_route_against_mpmath():
+    """On [T_CHEB, RS_CROSSOVER) zeta is the pole plus a polynomial table of
+    the entire part on unit segments: within 1.5e-13 of mpmath.zeta,
+    relative where |zeta| > 1, at 150 random heights and on both sides of
+    20 segment edges."""
+    edges = T_CHEB + np.linspace(1, RS_CROSSOVER - T_CHEB - 1, 20).round()
+    ts = np.concatenate([np.random.default_rng(17).uniform(T_CHEB, RS_CROSSOVER, 150),
+                         np.nextafter(edges, 0.0), edges])
+    vals = zeta_critical(ts)
+    with workdps(30):
+        for t, v in zip(ts, vals):
+            ref = complex(mpmath.zeta(mpc(0.5, t)))
+            assert abs(v - ref) <= 1.5e-13 * max(1.0, abs(ref)), t
+
+
+def test_zeta_critical_negative_heights_are_conjugates():
+    """zeta(1/2 - it) is the conjugate of zeta(1/2 + it) bit for bit, on
+    every route."""
+    rng = np.random.default_rng(19)
+    ts = np.concatenate([rng.uniform(0.0, T_CHEB, 20), rng.uniform(T_CHEB, RS_CROSSOVER, 20),
+                         rng.uniform(RS_CROSSOVER, 3000.0, 10), [0.0, T_CHEB, RS_CROSSOVER]])
+    assert zeta_critical(-ts).tobytes() == np.conj(zeta_critical(ts)).tobytes()
+
+
+def test_hardy_Z_below_crossover_against_siegelz():
+    """Below RS_CROSSOVER Z rotates the table's zeta: within 1.5e-13 of
+    mpmath.siegelz on [10, 200], relative where |Z| > 1."""
+    ts = np.random.default_rng(23).uniform(10.0, RS_CROSSOVER, 60)
+    vals = hardy_Z(ts)
+    with workdps(25):
+        for t, v in zip(ts, vals):
+            ref = float(mpmath.siegelz(t))
+            assert abs(v - ref) <= 1.5e-13 * max(1.0, abs(ref)), t
+
+
 def test_cheb_route_loads_no_fft():
-    """The Chebyshev coefficients come from an inline DCT: after a call at a
-    small height, neither numpy.fft nor numpy.polynomial has been imported."""
-    code = ("import sys; from zetaline.fastzeta import zeta_critical; zeta_critical([0.5, 3.0]); "
+    """The table coefficients come from an inline DCT: after calls on both
+    tables, neither numpy.fft nor numpy.polynomial has been imported."""
+    code = ("import sys; from zetaline.fastzeta import zeta_critical; zeta_critical([0.5, 3.0, 50.0]); "
             "print([m for m in ('numpy.fft', 'numpy.polynomial') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -258,6 +258,19 @@ def test_cold_stieltjes_errors_bound_mpmath(cold_cache):
         assert err <= table.est_errors[k], k
 
 
+def test_warm_stieltjes_errors_cover_the_cache_rounding(cold_cache):
+    """The cache keeps digits + 25 significant digits, and stieltjes(400, 120)
+    is computed at 160: its reloaded gamma_0 moves by 4e-147 relative.  The
+    warm table's est_errors still cover the distance to the cold one."""
+    cold = stieltjes(400, PrecisionCtx(120))
+    zeta_mod._stieltjes_cached.cache_clear()
+    warm = stieltjes(400, PrecisionCtx(120))
+    assert warm is not cold
+    with workdps(180):
+        for k, (c, w, e) in enumerate(zip(cold.gammas, warm.gammas, warm.est_errors)):
+            assert abs(c - w) <= e, k
+
+
 @pytest.mark.parametrize("c, r", [("0.5", "0.25"), ("1", "3"), ("1.25", "3"), ("4", "2")])
 def test_taylor_series_against_mpmath(c, r):
     """_taylor_series against mpmath.zeta's derivatives less the pole's own
