@@ -6,7 +6,9 @@ far below any printed digit.  Writes are
 atomic (temp file + rename).  The key, ``stieltjes_k{K}_d{D}``, does not
 carry the schema version; each entry records its schema version and digits.
 An entry is validated on load, not trusted: a mismatch of either, or a
-malformed entry, is reported as stale and recomputed.
+malformed entry, is reported as stale and recomputed.  A directory that
+cannot be read or written never fails a computation: a load from it misses
+and a store to it is skipped, each with a one-line stderr notice.
 """
 
 from __future__ import annotations
@@ -24,13 +26,9 @@ ENV_VAR = "ZETALINE_CACHE_DIR"
 
 
 def cache_dir() -> Path:
+    """$ZETALINE_CACHE_DIR, else ~/.cache/zetaline; made on the first store."""
     root = os.environ.get(ENV_VAR)
-    if root:
-        p = Path(root)
-    else:
-        p = Path.home() / ".cache" / "zetaline"
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    return Path(root) if root else Path.home() / ".cache" / "zetaline"
 
 
 def _path(key: str) -> Path:
@@ -51,9 +49,9 @@ def load_values(key: str, digits: int) -> list | None:
     stderr.
     """
     path = _path(key)
-    if not path.exists():
-        return None
     try:
+        if not path.exists():
+            return None
         payload = json.loads(path.read_text())
         values = payload["values"]
         if (payload["schema_version"] == SCHEMA_VERSION and payload["digits"] == digits
@@ -78,13 +76,17 @@ def store_values(key: str, digits: int, values) -> None:
 
         payload["values"] = [nstr(mpf(v), digits + 25) for v in values]
     path = _path(key)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh)
         os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except OSError as e:
+        sys.stderr.write(f"zetaline cache: cannot store {key} in {path.parent} ({e.strerror})\n")
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from mpmath import mpf, workdps
@@ -188,11 +187,6 @@ def cmd_ergodic(args) -> int:
     if args.iters < 1 or args.seeds < 1:
         sys.stderr.write("--iters and --seeds must be at least 1\n")
         return EXIT_USAGE
-    from .cache import cache_dir
-
-    cache = cache_dir()
-    if not os.access(cache, os.W_OK):
-        raise ValueError(f"cache directory {cache} is not writable")
     m = int(observable[3:])
     n_max = max(8, abs(m))
     table = _table_for(n_max, max(66, coeffs_mod.reserve_digits(n_max)))
@@ -292,7 +286,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (PrecisionUnachievableError, quad_mod.ToleranceNotMetError, zeta_mod.ContourError,
+    except (PrecisionUnachievableError, quad_mod.ToleranceNotMetError,
             coeffs_mod.InsufficientPrecisionError, coeffs_mod.InsufficientTableError) as e:
         sys.stderr.write(f"precision/tolerance unreachable: {e}\n")
         return EXIT_PRECISION

@@ -40,14 +40,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpc, mpf, workdps
 
 from .precision import PrecisionCtx, binom_exact, hreal_to_str
-from .zeta import (
-    LaurentTable,
-    StieltjesTable,
-    _g_taylor,
-    _taylor_series,
-    _taylor_wp,
-    zeta_em,
-)
+from .zeta import LaurentTable, StieltjesTable, taylor_minus_pole
 
 __all__ = [
     "CoeffTable",
@@ -175,12 +168,11 @@ def coeffs_critical(n_max: int, gammas: StieltjesTable, ctx: PrecisionCtx) -> Co
 def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable:
     """The family for the vertical line Re s = sigma0 (sigma0 > 1/2, != 1).
 
-    b_0..b_{n_max} come from one ``zeta._taylor_series`` pass centred at
-    sigma0 + 1/2, at the Stieltjes table's working precision, on the scale
-    r = 3 while sigma0 <= 5/2 and sigma0 - 3/2 beyond, so the circle the
-    pass is sized for stays a unit away from s = 1 and right of Re s = -2.
-    Entries n <= 0 are closed forms and one zeta_em value, so a table with
-    n_max <= 0 runs no series pass.
+    b_0..b_{n_max} are the Taylor coefficients of zeta(s) - 1/(s-1) at
+    sigma0 + 1/2 from ``zeta.taylor_minus_pole``, the pass the Stieltjes
+    table reads at s = 1.  Entry 0 is b_0 + 1/(sigma0 - 1/2), which is
+    zeta(sigma0 + 1/2), for sigma0 > 1, and b_0 - 1/(3/2 - sigma0) below 1;
+    the negative entries are closed forms.
     """
     with workdps(ctx.working()):
         sigma0 = mpf(sigma0)
@@ -193,10 +185,7 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
     with workdps(ctx.working(15)):
         half = mpf("0.5")
         x = sigma0 - half
-        centre = sigma0 + half
-        radius = 3 if sigma0 <= mpf("2.5") else sigma0 - mpf("1.5")
-        wp = _taylor_wp(n_max, ctx.digits)
-        b = _taylor_series(centre, radius, n_max, wp)[0] if n_max >= 1 else []
+        b = taylor_minus_pole(sigma0 + half, max(n_max, 0), ctx)[0]
         vals = []
         for n in range(n_min, min(n_max, -1) + 1):
             if sigma0 > 1:
@@ -204,14 +193,10 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
             else:
                 sign = 1 if n % 2 == 0 else -1
                 vals.append(+(sign / x ** 2 * ((sigma0 - mpf("1.5")) / x) ** (n - 1)))
-        if n_min <= 0 <= n_max:
-            z_val = zeta_em(centre, ctx)
-            if sigma0 > 1:
-                vals.append(+z_val.real)
-            else:
-                vals.append(+(z_val.real - 1 / x - 1 / (mpf("1.5") - sigma0)))
         if sigma0 > 1:
             b = [c + (-1) ** k / x ** (k + 1) for k, c in enumerate(b)]
+        if n_min <= 0 <= n_max:
+            vals.append(b[0] if sigma0 > 1 else +(b[0] - 1 / (mpf("1.5") - sigma0)))
     vals += _binomial_sums(b, max(n_min, 1), n_max, ctx)
     return CoeffTable(
         family="line",
@@ -221,32 +206,6 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
         digits=ctx.digits,
         sigma0=sigma0,
     )
-
-
-def line_coeff_via_derivatives(sigma0, n: int, ctx: PrecisionCtx) -> mpf:
-    """Positive-index line coefficient from the derivatives at sigma0 + 1/2.
-
-    The textbook route (-1)^n sum_k C(n-1,k-1) b_k, with every b_k, k <= n,
-    the Taylor coefficient of zeta(s) - 1/(s-1) from ``zeta._g_taylor``,
-    plus the pole term (-1)^k / (sigma0-1/2)^(k+1) for sigma0 >= 1.  Its
-    series pass runs on the scale of a small circle that excludes the pole,
-    at 2n more digits; ``coeffs_line`` reads the same b_k on the scale 3.
-    Kept as the tests' cross-check of that route.
-    """
-    if n < 1:
-        raise ValueError("derivative route is for n >= 1")
-    wp = ctx.working(15)
-    with workdps(wp):
-        sigma0 = mpf(sigma0)
-        x = sigma0 - mpf("0.5")
-        a = _g_taylor(sigma0 + mpf("0.5"), n, PrecisionCtx(ctx.digits + 2 * n))
-        acc = mpf(0)
-        for k in range(1, n + 1):
-            term = a[k]
-            if sigma0 >= 1:
-                term += (-1) ** k / x ** (k + 1)
-            acc += binom_exact(n - 1, k - 1) * term
-        return +(acc * (-1) ** n)
 
 
 def coeffs_power(

@@ -280,11 +280,6 @@ def prediction_from_table(terms: Sequence[tuple], coeffs: CoeffTable) -> complex
     return acc
 
 
-def _zeta_at_heights(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + i t) for signed heights; zeta_critical conjugates t < 0."""
-    return fastzeta.zeta_critical(t)
-
-
 def birkhoff_averages(
     observables: Sequence[Sequence[tuple]],
     x0: float,
@@ -317,7 +312,7 @@ def birkhoff_averages(
         ok = np.abs(orbit) <= HEIGHT_CAP
         skipped += int((~ok).sum())
         tt = orbit[ok]
-        zeta_vals = _zeta_at_heights(tt)
+        zeta_vals = fastzeta.zeta_critical(tt)
         kept_prefix = np.cumsum(ok)
         k_ins = [int(kept_prefix[ck - produced - 1])
                  for ck in checkpoints if produced < ck <= produced + m]

@@ -43,7 +43,7 @@ from mpmath import mp, mpf, workdps
 from . import fastzeta, zeros
 from .coefficients import PARSEVAL_SQ_CEILING, CoeffTable
 from .precision import PrecisionCtx
-from .zeta import _g_taylor, stieltjes, zeta_em
+from .zeta import taylor_minus_pole, zeta_em
 
 __all__ = [
     "QuadratureResult",
@@ -214,19 +214,18 @@ def cross_moment_wow(sigma, ctx: PrecisionCtx):
     residues (or expanding the coefficient bilinear form) shows it must be
     present, and the quadrature route confirms it numerically.  zeta and zeta'
     at sigma+1/2 are the first two Taylor coefficients from
-    ``zeta._g_taylor``, on the scale of a small circle that excludes the
-    pole, not the scale 3 that ``coeffs_line`` reads.  At sigma = 1/2 the
-    formula degenerates to (gamma0-1)^2 - 2 gamma1.
+    ``zeta.taylor_minus_pole``, the pole's own terms added back.  At
+    sigma = 1/2 the formula degenerates to (gamma0-1)^2 - 2 gamma1, with
+    gamma1 = -a_1 from the same pass at s = 1.
     """
     with workdps(ctx.working()):
         sigma = mpf(sigma)
         if not mpf("0.5") <= sigma < 1:
             raise ValueError("sigma in [1/2, 1) required")
+        a = taylor_minus_pole(sigma + mpf("0.5"), 1, ctx)[0]
         if sigma == mpf("0.5"):
-            g1 = stieltjes(2, PrecisionCtx(max(30, ctx.digits))).gammas[1]
-            return +((mp.euler - 1) ** 2 - 2 * g1)
+            return +((mp.euler - 1) ** 2 + 2 * a[1])
         x = sigma - mpf("0.5")
-        a = _g_taylor(sigma + mpf("0.5"), 1, ctx)
         zv = a[0] + 1 / x
         zp = a[1] - 1 / x ** 2
         zr = zeta_em(mpf("1.5") - sigma, ctx).real

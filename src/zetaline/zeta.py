@@ -11,15 +11,15 @@ B_2k/(2k)! cached per precision) in two forms:
 * ``_taylor_series``, the Taylor coefficients a_k of the entire function
   g(s) = zeta(s) - 1/(s-1) at a real centre c, from one pass with
   s = c + r v as a power series in v.  The scale r sets the accuracy
-  contract, r^k |error of a_k| <= 10^-wp, and the circle |s - c| = r the
-  pass is sized for.
+  contract, r^k |error of a_k| <= 10^-wp.
 
-``stieltjes`` is its c = 1, r = 3 case, gamma_k = (-1)^k k! a_k, and
-``coefficients.coeffs_line`` reads it at c = sigma0 + 1/2 with r = 3
-(sigma0 - 3/2 beyond sigma0 = 5/2); g is entire, so enclosing the pole does
-no harm.  ``zeta_derivative``, ``coefficients.line_coeff_via_derivatives``
-and ``quadrature.cross_moment_wow`` read it at c = s0 with a smaller r that
-excludes the pole, adding back the pole's own Taylor terms
+``taylor_minus_pole`` is its one entry point: every reader of Taylor data
+gets the pass on the scale r = 3, at the working precision ``_taylor_wp``
+sets from k_max and the digits.  g is entire, so the centre may sit
+anywhere on the real axis, s = 1 included.  ``stieltjes`` reads it at
+c = 1, gamma_k = (-1)^k k! a_k, and ``coefficients.coeffs_line`` at
+c = sigma0 + 1/2.  ``zeta_derivative`` and ``quadrature.cross_moment_wow``
+read it at c = s0 and add back the pole's own Taylor terms
 (-1)^k / (s0-1)^(k+1) where zeta's are wanted.
 
 The Laurent table is derived from the Stieltjes one: ``StieltjesTable.taylor``
@@ -63,11 +63,11 @@ from .precision import (
 __all__ = [
     "ZetaPoleError",
     "RegionError",
-    "ContourError",
     "StieltjesTable",
     "LaurentTable",
     "zeta_em",
     "zeta_minus_pole",
+    "taylor_minus_pole",
     "zeta_derivative",
     "stieltjes",
     "stieltjes_limit_oracle",
@@ -82,10 +82,6 @@ class ZetaPoleError(ZeroDivisionError):
 
 class RegionError(ValueError):
     """Evaluation requested outside the implemented region Re s > -1."""
-
-
-class ContourError(ArithmeticError):
-    """No circle around the requested centre excludes the pole and stays in Re s > -1."""
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +383,16 @@ def _taylor_wp(k_max: int, digits: int) -> int:
     return wp
 
 
+def taylor_minus_pole(c, k_max: int, ctx: PrecisionCtx):
+    """(a, err): a_0..a_{k_max} of g = zeta - 1/(s-1) at the real c, with error bounds.
+
+    One ``_taylor_series`` pass on the scale r = 3 at ``_taylor_wp(k_max,
+    ctx.digits)`` working digits, so 3^k |error of a_k| <= 10^-wp.  g is
+    entire: any real c will do, the pole s = 1 included.
+    """
+    return _taylor_series(c, 3, k_max, _taylor_wp(k_max, ctx.digits))
+
+
 @lru_cache(maxsize=32)
 def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     from . import cache as _cache
@@ -402,7 +408,7 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
         except ValueError:
             pass
         _cache.report_stale(key)
-    a, err = _taylor_series(1, 3, k_max, wp)
+    a, err = taylor_minus_pole(1, k_max, PrecisionCtx(digits))
     with workdps(wp + 10):
         scale = [(-1) ** k * math.factorial(k) for k in range(k_max + 1)]  # gamma_k / a_k
         gammas = tuple(+(ak * x) for ak, x in zip(a, scale))
@@ -423,7 +429,7 @@ def stieltjes(k_max: int, ctx: PrecisionCtx) -> StieltjesTable:
     """Stieltjes constants gamma_0..gamma_{k_max} from one series pass.
 
     gamma_k = (-1)^k k! a_k, with the a_k of g = zeta - 1/(s-1) at s = 1
-    from ``_taylor_series`` on the scale r = 3, so
+    from ``taylor_minus_pole``, on the scale r = 3, so
     max_k 3^k |error of a_k| <= 10^-wp; ``est_errors`` holds k! times its
     per-order bound.  The working precision wp is
     digits + max(10, ceil(0.05 k_max) + 10), to absorb the (pi/3)^k loss.
@@ -484,42 +490,30 @@ def stieltjes_limit_oracle(k_max: int, ctx: PrecisionCtx, n_terms: int = 10_000)
 # Derivatives and the lambda_{m,k} family
 # ---------------------------------------------------------------------------
 
-def _g_taylor(s0, k_max: int, ctx: PrecisionCtx) -> list:
-    """a_0..a_{k_max} of g = zeta - 1/(s-1) at the real s0 (see zeta_derivative).
-
-    One ``_taylor_series`` pass on the scale of a circle around s0 that
-    excludes s = 1 and stays in Re s > -1: its radius is half the headroom
-    to both, at most 2, and ContourError where there is none (s0 = 1 or
-    s0 <= -1).  The working precision widens by k_max log10(1/radius) to
-    absorb the radius**-k amplification.
-    """
-    with workdps(ctx.working()):
-        s0 = mpf(s0)
-        headroom = min(abs(s0 - 1), s0 + 1)
-        if headroom <= 0:
-            raise ContourError(f"no circle around {s0} excludes the pole and stays in Re s > -1")
-        radius = min(headroom / 2, mpf(2))
-    amp = int(k_max * math.log10(1.0 / float(radius))) + 1 if radius < 1 else 0
-    return _taylor_series(s0, radius, k_max, ctx.working() + amp)[0]
-
-
 def zeta_derivative(s0, k: int, ctx: PrecisionCtx) -> mpc:
-    """k-th derivative of zeta at the real point s0 from its Taylor series.
+    """k-th derivative of zeta at the real point s0 > -1, s0 != 1.
 
     zeta^(k)(s0) = k! (a_k + (-1)^k / (s0-1)^(k+1)), with a_k the Taylor
-    coefficient of zeta - 1/(s-1) at s0 from ``_g_taylor`` (ContourError at
-    s0 = 1 or s0 <= -1).  Relative error <= 10**(5 - digits).  It never
-    reads the Stieltjes table.
+    coefficient of zeta - 1/(s-1) at s0 from ``taylor_minus_pole``.  Like
+    ``zeta_em``, it raises ZetaPoleError at s0 = 1 and RegionError for
+    s0 <= -1.  Relative error <= 10**(5 - digits).  It never reads the
+    Stieltjes table.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    if mpc(s0).imag:
-        raise ValueError(f"zeta_derivative needs a real s0, got {s0}")
+    with workdps(ctx.working()):
+        s = mpc(s0)
+        if s.imag:
+            raise ValueError(f"zeta_derivative needs a real s0, got {s0}")
+        if s == 1:
+            raise ZetaPoleError("zeta has a simple pole at s = 1")
+        if s.real <= -1:
+            raise RegionError(f"zeta_derivative implements s0 > -1 only, got {s0}")
     if k == 0:
         return zeta_em(s0, ctx)
-    a = _g_taylor(s0, k, ctx)
+    a = taylor_minus_pole(s.real, k, ctx)[0]
     with workdps(ctx.working()):
-        return mpc(mp.factorial(k) * (a[k] + (-1) ** k / (mpf(s0) - 1) ** (k + 1)))
+        return mpc(mp.factorial(k) * (a[k] + (-1) ** k / (s.real - 1) ** (k + 1)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from zetaline import cache, cli
 from zetaline.cli import main
 from zetaline.coefficients import coeffs_line
@@ -106,7 +108,7 @@ def test_power_table_reads_one_stieltjes_table(capsys, monkeypatch):
 
 
 def test_coeffs_sigma_reads_no_stieltjes_table(capsys, monkeypatch):
-    """The line family reads its Taylor data off its own contour."""
+    """The line family reads its Taylor data off its own series pass."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the line family must not read a Stieltjes table")
@@ -180,10 +182,24 @@ def test_ergodic_table_meets_the_reserve(capsys):
     assert '"prediction_re"' in out
 
 
-def test_ergodic_refuses_unwritable_cache(capsys, monkeypatch):
-    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
-    assert main(["ergodic", "--g", "em:1", "--iters", "100", "--seeds", "1"]) == 2
-    assert "not writable" in capsys.readouterr().err
+@pytest.mark.parametrize("args", [
+    ["stieltjes", "--kmax", "3", "--digits", "30"],
+    ["ergodic", "--g", "em:1", "--iters", "100", "--seeds", "1"],
+])
+def test_file_as_cache_dir_runs_uncached(args, cold_cache, capsys, monkeypatch):
+    """A cache directory that cannot be made is a skipped store, not a
+    failure: the same stdout as with a good cache, and a notice on stderr."""
+    code, good = run_cli(args, capsys)
+    assert code == 0
+    blocker = cold_cache / "not_a_dir"
+    blocker.write_text("")
+    monkeypatch.setenv(cache.ENV_VAR, str(blocker))
+    cli.zeta_mod._stieltjes_cached.cache_clear()
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == good
+    assert "cannot store stieltjes_k" in captured.err and str(blocker) in captured.err
+    assert blocker.read_text() == ""
 
 
 def test_ergodic_refuses_empty_runs(capsys, monkeypatch):

@@ -142,7 +142,7 @@ def test_birkhoff_chunks_equal_one_orbit(crit):
     orbit = boole_orbit(0.37, n)
     for ck, est in zip(run.checkpoints, run.estimates):
         x = orbit[:ck][np.abs(orbit[:ck]) <= ergodic.HEIGHT_CAP]
-        mean = (ergodic._zeta_at_heights(x) * basis_combination_value(terms, x)).mean()
+        mean = (fastzeta.zeta_critical(x) * basis_combination_value(terms, x)).mean()
         assert abs(est - mean) < 1e-12, ck
 
 
@@ -158,9 +158,10 @@ def test_rational_basis_matches_the_exp_form(m):
     assert np.array_equal(far, np.full(2, (-1.0) ** m))
 
 
-def test_zeta_at_heights_is_two_calls():
-    """One zeta_critical call on |t|, conjugated where t < 0, equals bit for
-    bit the two-call form on a mixed-sign orbit that reaches every route."""
+def test_zeta_critical_on_mixed_signs_is_two_calls():
+    """One zeta_critical call on signed heights, which conjugates t < 0,
+    equals bit for bit the two-call form on a mixed-sign orbit that reaches
+    every route."""
     t = boole_orbit(0.37, 20_000)
     t = t[np.abs(t) <= ergodic.HEIGHT_CAP]
     assert (t < 0).any() and (t >= 0).any() and np.abs(t).max() >= fastzeta.RS_CROSSOVER
@@ -168,7 +169,7 @@ def test_zeta_at_heights_is_two_calls():
     pos = t >= 0
     ref[pos] = fastzeta.zeta_critical(t[pos])
     ref[~pos] = np.conj(fastzeta.zeta_critical(-t[~pos]))
-    assert ergodic._zeta_at_heights(t).tobytes() == ref.tobytes()
+    assert fastzeta.zeta_critical(t).tobytes() == ref.tobytes()
 
 
 def test_birkhoff_conjugate_estimates(crit):

@@ -3,6 +3,7 @@ import pytest
 from mpmath import mp, mpc, mpf, workdps
 
 from zetaline import fastzeta, quadrature, zeros
+from zetaline import zeta as zeta_mod
 from zetaline.coefficients import PARSEVAL_SQ_CEILING, coeffs_critical, coeffs_line
 from zetaline.precision import PrecisionCtx
 from zetaline.quadrature import (
@@ -114,6 +115,21 @@ def test_cross_moment_limit_at_half():
         assert abs(mpf(q.value) - expect) < mpf("1e-8")
 
 
+def test_cross_moment_at_half_builds_no_table(tmp_path, monkeypatch):
+    """At sigma = 1/2, gamma_1 = -a_1 comes from one series pass at s = 1:
+    no Stieltjes table is built, and nothing is written to the cache."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("cross_moment_wow built a Stieltjes table")
+
+    monkeypatch.setenv("ZETALINE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(zeta_mod, "stieltjes", no_table)
+    monkeypatch.setattr(zeta_mod, "_stieltjes_cached", no_table)
+    wow = cross_moment_wow("0.5", PrecisionCtx(30))
+    with workdps(40):
+        assert abs(wow - ((mp.euler - 1) ** 2 - 2 * mp.stieltjes(1))) < mpf("1e-28")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_phi_l2_halfline_quick():
     r = phi_l2_halfline(T2=8000.0)
     with workdps(35):
@@ -131,11 +147,12 @@ def test_log_disk_window_quick():
 
 
 def test_log_disk_needs_no_stieltjes_table(monkeypatch):
-    """gamma_0 in the notes is Euler's constant; no contour table is built."""
+    """gamma_0 in the notes is Euler's constant; no Stieltjes table is built."""
     def no_table(*args, **kwargs):
         raise AssertionError("log_integral_disk built a Stieltjes table")
 
-    monkeypatch.setattr(quadrature, "stieltjes", no_table)
+    monkeypatch.setattr(zeta_mod, "stieltjes", no_table)
+    monkeypatch.setattr(zeta_mod, "_stieltjes_cached", no_table)
     r = log_integral_disk(T2=600.0)
     with workdps(40):
         assert abs(mpf(repr(r.notes["lower_bound_log1mgamma0"])) - mp.log(1 - mp.euler)) < mpf("1e-15")

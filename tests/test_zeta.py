@@ -6,11 +6,9 @@ from mpmath import mp, mpc, mpf, workdps
 
 from zetaline import cache
 from zetaline import zeta as zeta_mod
-from zetaline.coefficients import line_coeff_via_derivatives
 from zetaline.precision import PrecisionCtx
 from zetaline.quadrature import cross_moment_wow
 from zetaline.zeta import (
-    ContourError,
     LaurentTable,
     RegionError,
     StieltjesTable,
@@ -369,13 +367,18 @@ def test_laurent_k3_against_mpmath_taylor():
             assert abs(lam.coeff(m) - ref[m]) < mpf("1e-24")
 
 
-@pytest.mark.parametrize("s0, k", [(2, 1), ("1.25", 2), ("1.75", 3)])
+@pytest.mark.parametrize("s0, k", [
+    (2, 1), ("1.25", 2), ("1.75", 3), ("1.001", 5), ("0.5", 4), ("-0.5", 3),
+])
 def test_derivative_against_mpmath_zeta(s0, k):
-    """The contour derivative against mpmath's own zeta derivative routine."""
+    """The series-pass derivative against mpmath's own zeta derivative
+    routine, on one scale at every centre: near the pole, in the critical
+    strip and left of it."""
     ctx = PrecisionCtx(30)
-    d = zeta_derivative(mpf(s0), k, ctx)
+    s0 = mpf(s0)
+    d = zeta_derivative(s0, k, ctx)
     with workdps(50):
-        ref = mp.zeta(mpf(s0), 1, k)
+        ref = mp.zeta(s0, 1, k)
         assert abs(d - ref) <= mpf(10) ** (5 - ctx.digits) * abs(ref)
 
 
@@ -383,19 +386,16 @@ def test_derivative_needs_real_centre_and_convergence():
     ctx = PrecisionCtx(30)
     with pytest.raises(ValueError):
         zeta_derivative(mpc(2, 1), 1, ctx)
-    with pytest.raises(ContourError):
-        zeta_derivative(1, 1, ctx)
+    with pytest.raises(ZetaPoleError):
+        zeta_derivative(1, 2, ctx)
+    with pytest.raises(RegionError):
+        zeta_derivative(mpf("-1.5"), 2, ctx)
 
 
 @pytest.mark.parametrize(
     "call, points",
     [
         pytest.param(lambda: zeta_derivative(2, 1, PrecisionCtx(30)), 0, id="zeta_derivative"),
-        pytest.param(
-            lambda: line_coeff_via_derivatives(mpf("0.75"), 3, PrecisionCtx(30)),
-            0,
-            id="line_coeff_via_derivatives",
-        ),
         pytest.param(
             lambda: cross_moment_wow(mpf("0.75"), PrecisionCtx(30)), 1, id="cross_moment_wow"
         ),
