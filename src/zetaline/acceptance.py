@@ -51,9 +51,9 @@ class CriterionResult:
 @lru_cache(maxsize=1)
 def _ctx50_tables():
     ctx = PrecisionCtx(50)
-    contour = Z.stieltjes(100, ctx)
+    series = Z.stieltjes(100, ctx)
     limit = Z.stieltjes_limit_oracle(20, ctx)
-    return contour, limit
+    return series, limit
 
 
 @lru_cache(maxsize=1)
@@ -79,12 +79,12 @@ def _line075_table():
 def criterion_1() -> CriterionResult:
     """Stieltjes oracle equivalence + Berndt bound."""
     t0 = time.time()
-    contour, limit = _ctx50_tables()
+    series, limit = _ctx50_tables()
     with workdps(70):
-        worst = max(abs(contour.gammas[k] - limit[k]) for k in range(21))
-        berndt = all(Z.berndt_bound_holds(contour.gammas[k], k) for k in range(1, 101))
+        worst = max(abs(series.gammas[k] - limit[k]) for k in range(21))
+        berndt = all(Z.berndt_bound_holds(series.gammas[k], k) for k in range(1, 101))
     passed = worst <= mpf("1e-20") and berndt
-    return CriterionResult(1, "stieltjes contour vs limit oracle, Berndt bound", bool(passed),
+    return CriterionResult(1, "stieltjes series pass vs limit oracle, Berndt bound", bool(passed),
                            {"worst_gamma_diff": f"{float(worst):.2e}", "berndt_1_100": berndt},
                            time.time() - t0)
 

@@ -13,12 +13,14 @@ Two routes on the critical line, dispatched on |t| at RS_CROSSOVER = 200
   table's gather: 23M points/s on [0, 10] and 4.4M on [10, 200], against
   Euler-Maclaurin's 1.2M, in batches of 3e4 on 2 vCPUs;
 * the Riemann-Siegel main sum plus Gabcke's remainder terms C0..C5, above
-  it.  Against mpmath.siegelz, max over 80 random heights per band, the
-  error in Z is 3.4e-10 on [200, 300] (the dropped C6 sets it), 6.8e-11 on
-  [300, 600], 8.1e-12 on [600, 2000], 7.0e-11 on [2000, 2e4] and 3.3e-10 on
-  [2e4, 6e4], and 2.8e-9 on 20 heights near 1e6: above 2000 the float64
-  phase t ln p sets it again.  The leading term C0 alone left 1.8e-3 on
-  [200, 600] and 9.7e-4 on [600, 2000].
+  it, each a polynomial in (p - 1/2)^2 economized on |p - 1/2| <= 1/2 to
+  13, 13, 13, 12, 11 and 11 terms (_rs_polys).  Against mpmath.siegelz,
+  max over 80 random heights per band, the error in Z is 3.4e-10 on
+  [200, 300] (the dropped C6 sets it), 6.8e-11 on [300, 600], 8.1e-12 on
+  [600, 2000], 7.0e-11 on [2000, 2e4] and 3.3e-10 on [2e4, 6e4], and 2.8e-9
+  on 20 heights near 1e6: above 2000 the float64 phase t ln p sets it
+  again.  The leading term C0 alone left 1.8e-3 on [200, 600] and 9.7e-4
+  on [600, 2000].
 
 Euler-Maclaurin (zeta_em_line), with cutoff N ~ 1.1 |t| and ten Bernoulli
 corrections, serves the tables' samples and every s off the critical line.
@@ -186,10 +188,15 @@ def _fit(lo: float, width: float, count: int, nodes: int, tail: float) -> np.nda
     c[0] /= 2
     small = np.append(np.abs(c).max(axis=1) < tail, True)  # all of c if no degree is
     c = c[: int(np.argmax(small)) + 1]
-    cheb = np.eye(len(c))  # row k: T_k in powers of x
-    for k in range(2, len(c)):
+    return (_cheb_powers(len(c)).T @ c).reshape(len(c), 2, count)
+
+
+def _cheb_powers(n: int) -> np.ndarray:
+    """Row k < n: T_k in powers of x, by T_{k+1} = 2x T_k - T_{k-1}."""
+    cheb = np.eye(n)
+    for k in range(2, n):
         cheb[k] = np.roll(2 * cheb[k - 1], 1) - cheb[k - 2]
-    return (cheb.T @ c).reshape(len(c), 2, count)
+    return cheb
 
 
 def _zeta_table(t: np.ndarray, fit: tuple) -> np.ndarray:
@@ -242,23 +249,28 @@ _RS_TERMS = (
 _RS_TAIL = 1e-17  # dropped polynomial tail, absolute on Z at RS_CROSSOVER, |x| <= 1/2
 
 
-@lru_cache(maxsize=1)
-def _rs_polys() -> tuple:
+@lru_cache(maxsize=2)
+def _rs_polys(economized: bool = True) -> tuple:
     """C_0..C_5 as polynomials in y = x^2, x = p - 1/2, low order first.
 
     In x, Psi = -cos(2 pi x^2 - 5 pi/8) / cos(2 pi x) is entire and even, so
     C_k is a polynomial in x^2, times x for odd k.  The Taylor coefficients
     of Psi come from a 128-node trapezoid rule on |x| = 1, which keeps the
-    float64 error of every C_k below 2e-15 on |x| <= 1/2; each C_k is cut
-    where the rest of it is below _RS_TAIL at tau = sqrt(RS_CROSSOVER / 2 pi).
+    float64 error of every C_k below 2e-15 on |x| <= 1/2; each C_k has 32
+    terms in y.  Economized, C_k sheds its top Chebyshev terms c_j T_j(8y - 1) on
+    [0, 1/4] while the sum of the shed |c_j| stays below _RS_TAIL
+    tau^(k + 1/2), tau = sqrt(RS_CROSSOVER / 2 pi): 13, 13, 13, 12, 11 and 11
+    terms are left, where the same cut of the Taylor series left 116.
     """
-    nodes, deg = 128, 64  # deg in x; every C_k is cut below degree 40
+    nodes, deg = 128, 64  # deg in x
     node = np.arange(nodes)
     x = np.exp(2j * np.pi * node / nodes)
     psi = -np.cos(2 * np.pi * x * x - 5 * np.pi / 8) / np.cos(2 * np.pi * x)
     # a plain DFT, since numpy.fft would be one more module in every process
     q = np.array([(psi * x[-n * node % nodes]).sum().real for n in range(deg + 16)]) / nodes
     ramp = np.arange(1, deg + 16, dtype=float)
+    # row j: T_j(8y - 1) = T_2j(2x), its powers (2x)^2i = 4^i y^i
+    cheb = _cheb_powers(deg)[::2, ::2] * 4.0 ** np.arange(deg // 2)
     tau_min = math.sqrt(RS_CROSSOVER / (2 * math.pi))
     out = []
     for k, terms in enumerate(_RS_TERMS):
@@ -269,9 +281,11 @@ def _rs_polys() -> tuple:
                 d *= ramp[i:i + deg]
             a += c / math.pi ** e * d
         a = a[k % 2::2]  # the parity of C_k, as a polynomial in x^2
-        size = np.abs(a) * 0.25 ** np.arange(len(a)) * tau_min ** (-k - 0.5)
-        tail = np.cumsum(size[::-1])[::-1]
-        out.append(a[: int(np.argmax(tail < _RS_TAIL))])
+        budget = _RS_TAIL * tau_min ** (k + 0.5) if economized else 0.0
+        while abs(top := a[-1] / cheb[len(a) - 1, len(a) - 1]) < budget:
+            budget -= abs(top)
+            a = a[:-1] - top * cheb[len(a) - 1, :len(a) - 1]
+        out.append(a)
     return tuple(out)
 
 
@@ -321,15 +335,17 @@ def _cis(half: np.ndarray, w: float, out: np.ndarray, u2: np.ndarray) -> np.ndar
 
 def _rs_remainder(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(-1)^(m-1) tau^(-1/2) sum_{k <= 5} C_k(p) tau^(-k), tau = sqrt(t / 2 pi),
-    p = tau - m."""
+    p = tau - m, by Horner in 1/tau over the six Horner loops of _rs_term."""
     tau = np.sqrt(t / (2 * np.pi))
     x = (tau - m) - 0.5
     y = x * x
+    inv = 1 / tau
     rem = _rs_term(len(_RS_TERMS) - 1, x, y)
     for k in range(len(_RS_TERMS) - 2, -1, -1):
-        rem = rem / tau + _rs_term(k, x, y)
+        rem *= inv
+        rem += _rs_term(k, x, y)
     rem *= np.where(m & 1, 1.0, -1.0)
-    return rem / np.sqrt(tau)
+    return rem * np.sqrt(inv)
 
 
 def _hardy_Z_rs(t: np.ndarray) -> tuple:

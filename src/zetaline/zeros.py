@@ -4,8 +4,9 @@ The package bundles the first 100 ordinates (data/zeta_zeros_100.txt,
 refined by Newton iteration on the package's own evaluator; see the file
 header for residuals).  Heights beyond the bundled range are covered on
 demand by a sign-change scan of the Hardy Z function at machine precision,
-good to ~1e-6 in each ordinate, which is far below what the quadrature's
-singular panels can feel.
+each sign change refined by Illinois steps to a bracket of width 1e-11.
+The ordinates on [236.75, 300] are within 1e-10 of mpmath.zetazero, far
+below what the quadrature's singular panels can feel.
 """
 
 from __future__ import annotations
@@ -60,9 +61,16 @@ def expected_zero_count(T: float) -> float:
 
 
 def scan_ordinates(a: float, b: float, step: float = 0.025) -> np.ndarray:
-    """All Hardy-Z sign changes in [a, b], bisected to ~1e-9.
+    """All Hardy-Z sign changes in [a, b], each refined to a bracket of width
+    at most 1e-11, or 4 ulps of t above 16384 (or by 12 sweeps), and its zero
+    interpolated linearly.
 
     step must undercut the closest zero pair in range (0.0377 below 1e4).
+    All brackets take Illinois steps together, one hardy_Z call per sweep
+    (Dowell & Jarratt, BIT 11, 1971): regula falsi between the newest point
+    b and the other end a, whose value is halved each time a is kept.  A
+    step lands at least 0.4 widths inside, so once one end sits on the zero
+    the next step closes the bracket: up to 2000, 7 sweeps.
     """
     a = max(a, 10.0)
     if b <= a:
@@ -72,19 +80,22 @@ def scan_ordinates(a: float, b: float, step: float = 0.025) -> np.ndarray:
     for i in range(0, len(grid), 50_000):
         vals[i:i + 50_000] = hardy_Z(grid[i:i + 50_000])
     sgn = np.sign(vals)
-    idx = np.where(sgn[:-1] * sgn[1:] < 0)[0]
-    los, his = grid[idx].copy(), grid[idx + 1].copy()
-    flo = vals[idx].copy()
-    for _ in range(35):
-        mid = 0.5 * (los + his)
-        fm = np.empty(len(mid))
-        for i in range(0, len(mid), 50_000):
-            fm[i:i + 50_000] = hardy_Z(mid[i:i + 50_000])
-        left = flo * fm < 0
-        his = np.where(left, mid, his)
-        los = np.where(left, los, mid)
-        flo = np.where(left, flo, fm)
-    return 0.5 * (los + his)
+    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
+    a, b, fa, fb = grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
+    width = np.maximum(1e-11, 4 * np.spacing(b))
+    half = np.ones(len(idx))  # the weight of fa in the steps
+    for _ in range(12):
+        live = np.flatnonzero(np.abs(b - a) > width)
+        if not len(live):
+            break
+        al, bl, fal, fbl, w = a[live], b[live], fa[live] * half[live], fb[live], 0.4 * width[live]
+        x = np.clip(bl - fbl * (bl - al) / (fbl - fal), np.minimum(al, bl) + w, np.maximum(al, bl) - w)
+        fx = hardy_Z(x)
+        keep = np.sign(fx) == np.sign(fbl)  # a stays the other end
+        a[live], fa[live] = np.where(keep, al, bl), np.where(keep, fa[live], fbl)
+        half[live] = np.where(keep, half[live] / 2, 1.0)
+        b[live], fb[live] = x, fx
+    return b - fb * (b - a) / (fb - fa)
 
 
 def ordinates_below(T_cutoff: float, supplied: list[float] | None = None) -> np.ndarray:
@@ -121,20 +132,24 @@ def coverage_gaps(ordinates: np.ndarray, T_cutoff: float, step: float = 0.05) ->
 
     Scans the gaps between consecutive listed ordinates; any sign change not
     accounted for by the list is reported as a missing interval.  The grids
-    of all gaps are evaluated in one hardy_Z call.
+    of all gaps, each np.linspace(lo + step, hi - step, max(gap/step, 8))
+    point for point, are built in one numpy pass and evaluated in one
+    hardy_Z call.
     """
     ords = np.asarray(sorted(o for o in ordinates if o <= T_cutoff))
     edges = np.concatenate([[10.0], ords, [T_cutoff]])
-    grids = [np.linspace(lo + step, hi - step, max(int((hi - lo) / step), 8))
-             for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo >= 4 * step]
-    missing = []
-    if grids:
-        grid = np.concatenate(grids)
-        sgn = np.sign(hardy_Z(grid))
-        flip = sgn[:-1] * sgn[1:] < 0
-        ends = np.cumsum([len(g) for g in grids])
-        flip[ends[:-1] - 1] = False  # no pair across two gaps
-        missing = [(float(grid[f]), float(grid[f + 1])) for f in np.flatnonzero(flip)]
+    gap = np.diff(edges)
+    wide = gap >= 4 * step
+    first, last = edges[:-1][wide] + step, edges[1:][wide] - step
+    num = np.maximum((gap[wide] / step).astype(int), 8)
+    ends = np.cumsum(num)  # np.linspace(first, last, num) per gap, point for point:
+    grid = np.arange(num.sum()) - np.repeat(ends - num, num)  # the index within its gap
+    grid = grid * np.repeat((last - first) / (num - 1), num) + np.repeat(first, num)
+    grid[ends - 1] = last
+    sgn = np.sign(hardy_Z(grid))
+    flip = sgn[:-1] * sgn[1:] < 0
+    flip[ends[:-1] - 1] = False  # no pair across two gaps
+    missing = [(float(grid[f]), float(grid[f + 1])) for f in np.flatnonzero(flip)]
     return CoverageReport(
         missing_intervals=missing,
         found=len(ords),

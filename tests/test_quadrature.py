@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf, workdps
@@ -179,10 +181,36 @@ def test_T1_has_no_effect():
     assert identity_coffey(T1=6.0, T2=600.0).value == identity_coffey(T2=600.0).value
 
 
+def _panels_per_call(segs, width):
+    """The panel builder as it was, one width(a) call per panel: the
+    reference for _panels."""
+    out = []
+    for a, b in segs:
+        while a < b:
+            out.append((a, min(b, a + width(a))))
+            a = out[-1][1]
+    return out
+
+
+def _osc_width(t, periods=2.5, cap=4.0):
+    return max(0.4, min(cap, periods * quadrature.TWO_PI / math.log(max(t, 20.0) / quadrature.TWO_PI)))
+
+
+def test_panels_match_the_per_panel_loop():
+    """coffey's, log-disk's and bsy's starting panels equal, bit for bit, those
+    of the per-panel loop with each one's width capped at max(0.5, t/2)."""
+    _, bsy_segs = quadrature._bsy_pieces(zeros.ordinates_below(2000.0), 2000.0)
+    for segs, periods, cap in (([(0.0, 2.0e4)], 2.5, 4.0), ([(0.0, 2.0e3)], 1.5, 2.0),
+                               (bsy_segs, 1.2, 1.5)):
+        ref = _panels_per_call(segs, lambda t: min(_osc_width(t, periods, cap), max(0.5, t / 2)))
+        got = quadrature._panels(segs, periods, cap)
+        assert got.tolist() == [list(p) for p in ref], (periods, cap)
+
+
 def test_native_adaptive_complex_integrand():
     """The imaginary part of a complex integrand is integrated, not dropped."""
     value, est, _ = quadrature._native_adaptive(
-        lambda t: np.exp(1j * t), [(0.0, 4.0), (4.0, 10.0)], lambda t: 1.0, 1e-12)
+        lambda t: np.exp(1j * t), [(a, a + 1.0) for a in range(10)], 1e-12)
     assert abs(value - (np.exp(10j) - 1) / 1j) < 1e-12
     assert est < 1e-10
 
@@ -193,7 +221,7 @@ def test_native_adaptive_rows():
     each within its own estimate plus a float64 floor."""
     ns = np.arange(6)[:, None]
     value, est, nodes = quadrature._native_adaptive(
-        lambda t: np.cos(ns * t), [(0.0, np.pi)], lambda t: 1.0, 1e-12)
+        lambda t: np.cos(ns * t), [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, np.pi)], 1e-12)
     assert value.shape == est.shape == (6,)
     assert nodes == 4 * 36  # four starting panels, each accepted at once: nodes, not rows
     for n in range(6):

@@ -301,6 +301,47 @@ def test_cheb_route_loads_no_fft():
     assert proc.stdout.strip() == "[]"
 
 
+def test_rs_route_loads_no_fft():
+    """The Riemann-Siegel remainder polynomials come from an inline DFT and an
+    economization in plain numpy: after zeta_critical and hardy_Z above
+    RS_CROSSOVER, neither numpy.fft nor numpy.polynomial has been imported."""
+    code = ("import sys; from zetaline.fastzeta import zeta_critical, hardy_Z; "
+            "zeta_critical([500.0]); hardy_Z([1000.0]); "
+            "print([m for m in ('numpy.fft', 'numpy.polynomial') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def _exact_polyval(coeffs, y, x=None):
+    """sum_i coeffs[i] y^i (times x, if given) for float arrays, in Python
+    integers with 200 fractional bits: exact but for 2^-200 per step, then
+    rounded once to float."""
+    scale = 2.0 ** 200
+    fixed = lambda v: np.array([int(u * scale) for u in np.atleast_1d(v)], dtype=object)
+    Y, acc = fixed(y), fixed(coeffs[-1]).repeat(len(y))
+    for c in coeffs[-2::-1]:
+        acc = (acc * Y >> 200) + int(c * scale)
+    if x is not None:
+        acc = acc * fixed(x) >> 200
+    return np.array([float(a) / scale for a in acc])
+
+
+def test_economized_rs_polynomials_match_the_full_degree():
+    """Each economized C_k lies within its share of the cut, _RS_TAIL
+    tau^(k + 1/2) with tau = sqrt(RS_CROSSOVER / 2 pi), plus 2 ulp of max |C_k|,
+    of the full-degree Taylor polynomial on 2,001 points of |x| <= 1/2; the
+    six together take at most 80 Horner steps (the Taylor cut took 116)."""
+    polys = fastzeta._rs_polys()
+    assert sum(len(p) for p in polys) <= 80
+    x = np.linspace(-0.5, 0.5, 2001)
+    y = x * x
+    for k, full in enumerate(fastzeta._rs_polys(economized=False)):
+        ref = _exact_polyval(full, y, x if k % 2 else None)
+        tol = fastzeta._RS_TAIL * (RS_CROSSOVER / (2 * np.pi)) ** ((k + 0.5) / 2)
+        err = np.abs(_rs_term(k, x, y) - ref).max()
+        assert err <= tol + 2 * np.spacing(np.abs(ref).max()), (k, err)
+
+
 def _psi_derivatives(x, jmax):
     """Psi^(j)(p), j <= jmax, at p = x + 1/2, from the Taylor series of
     Psi = -cos(2 pi x^2 - 5 pi/8) / cos(2 pi x) in x, good to 40 digits.
@@ -383,6 +424,45 @@ def test_scan_count_near_psi_seam():
     """Regression for the removable-point bug: 23 zeros in [6728, 6749]."""
     found = scan_ordinates(6728.0, 6749.0)
     assert len(found) == 23
+
+
+def test_scan_ordinates_against_zetazero():
+    """Scanned ordinates on [236.75, 300] (zeros 101..138) lie within 1e-10 of
+    mpmath.zetazero: every ninth zero, and the two farthest off, n = 114 and
+    118 (9.8e-11 and 9.2e-11; Z's dropped C6 sets it, not the refinement)."""
+    found = scan_ordinates(236.75, 300.0)
+    assert len(found) == 38
+    with workdps(20):
+        for n in sorted({*range(101, 139, 9), 114, 118}):
+            assert abs(found[n - 101] - float(mpmath.zetazero(n).imag)) <= 1e-10, n
+
+
+def test_ordinates_below_2000_counts_every_zero():
+    """1517 = mpmath.nzeros(2000), as recorded in zetabench/refs.json."""
+    assert len(ordinates_below(2000.0)) == 1517
+
+
+def test_scan_refines_in_at_most_12_sweeps(monkeypatch):
+    """After the grid's hardy_Z calls (50,000 points each), the Illinois
+    refinement makes at most 12 more, one per sweep, and leaves each ordinate
+    within 1e-11 of a sign change.  Up to 2000 every bracket closes in 7
+    sweeps; plain regula falsi (no halving) was still refining one at the
+    cap of 12."""
+    from zetaline import zeros
+
+    calls = []
+
+    def counting(t):
+        calls.append(len(t))
+        return hardy_Z(t)
+
+    monkeypatch.setattr(zeros, "hardy_Z", counting)
+    for b, grid, chunks in ((300.0, 2531, 1), (2000.0, 70531, 2)):
+        calls.clear()
+        found = scan_ordinates(236.75, b)
+        assert sum(calls[:chunks]) == grid
+        assert len(calls) - chunks <= (12 if b == 300.0 else 8), b
+    assert (hardy_Z(found - 1e-11) * hardy_Z(found + 1e-11) < 0).all()
 
 
 def test_ordinates_below_extends_and_counts():
