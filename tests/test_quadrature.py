@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import lu_solve, matrix, mp, mpc, mpf, polyroots, workdps
 
 from zetaline import fastzeta, quadrature, zeros
 from zetaline import zeta as zeta_mod
@@ -223,11 +226,115 @@ def test_native_adaptive_rows():
     value, est, nodes = quadrature._native_adaptive(
         lambda t: np.cos(ns * t), [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, np.pi)], 1e-12)
     assert value.shape == est.shape == (6,)
-    assert nodes == 4 * 36  # four starting panels, each accepted at once: nodes, not rows
+    assert nodes == 4 * 25  # four starting panels, each accepted at once: nodes, not rows
     for n in range(6):
         exact = np.pi if n == 0 else 0.0
         assert abs(value[n] - exact) <= est[n] + 1e-14, n
         assert est[n] < 1e-12, n
+
+
+def _legendre_fractions(n_max):
+    """P_0..P_n_max as exact coefficient lists, low order first."""
+    P = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for k in range(1, n_max):
+        c = [Fraction(0)] + [Fraction(2 * k + 1, k + 1) * x for x in P[k]]
+        for i, x in enumerate(P[k - 1]):
+            c[i] -= Fraction(k, k + 1) * x
+        P.append(c)
+    return P
+
+
+def _poly_mul(a, b):
+    c = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return c
+
+
+def _integral_on_unit_interval(a):
+    """int_{-1}^{1} of the polynomial with coefficients a, exactly."""
+    return sum(x * Fraction(2, i + 1) for i, x in enumerate(a) if i % 2 == 0)
+
+
+def _moment_weights(xs):
+    """Weights that integrate x^0 .. x^(len(xs)-1) exactly on [-1, 1]."""
+    n = len(xs)
+    V, b = matrix(n, n), matrix(n, 1)
+    for k in range(n):
+        for i in range(n):
+            V[k, i] = xs[i] ** k
+        b[k] = mpf(2) / (k + 1) if k % 2 == 0 else 0
+    return list(lu_solve(V, b))
+
+
+def test_kronrod_constants_against_an_mp_derivation():
+    """The 25-node rule from scratch at 50 digits: E_13 = P_13 + sum_{odd j<13}
+    a_j P_j orthogonal to P_12 x^k for k < 13 (the even k vanish by parity),
+    its 13 roots with the 12 Gauss nodes, and weights exact on x^k, k < 25.
+    That rule is exact through degree 37; the module's literals match it,
+    and their Gauss subset matches numpy's 12-point Gauss-Legendre rule."""
+    P = _legendre_fractions(13)
+    odd = [1, 3, 5, 7, 9, 11]
+    pairing = lambda k, j: _integral_on_unit_interval(_poly_mul(_poly_mul(P[12], [0] * k + [1]), P[j]))
+    with workdps(50):
+        to_mp = lambda q: mpf(q.numerator) / q.denominator
+        a = lu_solve(matrix([[to_mp(pairing(k, j)) for j in odd] for k in odd]),
+                     matrix([-to_mp(pairing(k, 13)) for k in odd]))
+        E = [to_mp(x) for x in P[13]]
+        for aj, j in zip(a, odd):
+            for i, x in enumerate(P[j]):
+                E[i] += aj * to_mp(x)
+        roots = lambda c: [r.real for r in polyroots(c[::-1], maxsteps=200, extraprec=200)]
+        gauss = sorted(roots([to_mp(x) for x in P[12]]))
+        xs = sorted(roots(E) + gauss)
+        ws = _moment_weights(xs)
+        gauss_ws = _moment_weights(gauss)
+        moment_err = max(abs(sum(w * x ** k for w, x in zip(ws, xs)) - (mpf(2) / (k + 1) if k % 2 == 0 else 0))
+                         for k in range(38))
+        assert moment_err < mpf("1e-45")
+        assert min(ws) > mpf("0.008")
+        for got, want in ((quadrature._KRONROD_X, xs), (quadrature._KRONROD_W, ws),
+                          (quadrature._GAUSS_W, gauss_ws)):
+            assert max(abs(mpf(float(g)) - w) for g, w in zip(got, want)) <= mpf("1e-15")
+        assert xs[1::2] == gauss
+    assert len(quadrature._KRONROD_X) == len(quadrature._KRONROD_W) == 25
+    assert np.all(quadrature._KRONROD_W > 0) and np.all(quadrature._GAUSS_W > 0)
+    assert np.all(np.diff(quadrature._KRONROD_X) > 0)
+    assert np.array_equal(quadrature._KRONROD_X, -quadrature._KRONROD_X[::-1])
+    assert np.array_equal(quadrature._KRONROD_W, quadrature._KRONROD_W[::-1])
+    assert np.array_equal(quadrature._GAUSS_W, quadrature._GAUSS_W[::-1])
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    assert np.max(np.abs(quadrature._GAUSS_X - xg)) <= 1e-15
+    assert np.max(np.abs(quadrature._GAUSS_W - wg)) <= 1e-15
+
+
+def test_coffey_accepts_every_starting_panel_at_once():
+    """At T2 = 2e4 each of coffey's 9,022 starting panels passes its first
+    Kronrod test: 25 nodes per panel and no split."""
+    r = identity_coffey(T2=2.0e4)
+    assert r.nodes_used == 25 * len(quadrature._panels([(0.0, 2.0e4)]))
+
+
+def test_bsy_zero_free_pass_against_a_tight_reference():
+    """bsy(2000)'s zero-free pass, at its own rel_tol 1e-5, lands within
+    1e-12 of the same pass run to rel_tol 1e-10."""
+    ords = zeros.ordinates_below(2000.0)
+    _, segs = quadrature._bsy_pieces(ords, 2000.0)
+    panels = quadrature._panels(segs, periods=1.2, cap=1.5)
+    value, _, _ = quadrature._line_integral(quadrature._log_zeta, panels, 1e-5, abs_floor=1e-11)
+    ref, _, _ = quadrature._line_integral(quadrature._log_zeta, panels, 1e-10)
+    assert abs(value - ref) <= 1e-12
+
+
+def test_identities_load_no_numpy_polynomial():
+    """The Gauss-Kronrod nodes and weights are literals: after coffey,
+    log-disk and bsy, numpy.polynomial has not been imported."""
+    code = ("import sys; from zetaline.quadrature import identity_coffey, log_integral_disk, "
+            "bsy_integral; identity_coffey(T2=600.0); log_integral_disk(T2=600.0); "
+            "bsy_integral(300.0); print('numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 _U = mpc("0.52", "2.0")
@@ -256,6 +363,15 @@ def test_bsy_small_cutoff():
     assert abs(float(r.value)) < 1e-2
     assert not r.notes["uncovered"]
     assert r.notes["zeros_used"] >= 100
+
+
+def test_bsy_takes_a_numpy_ordinate_array():
+    """The array ordinates_below returns is a valid zero_ordinates, and gives
+    the same result as the same ordinates as a list."""
+    ords = zeros.ordinates_below(300.0)
+    r_array, r_list = bsy_integral(300.0, ords), bsy_integral(300.0, ords.tolist())
+    assert r_array.value == r_list.value
+    assert r_array.notes["zeros_used"] == r_list.notes["zeros_used"]
 
 
 def _bsy_tiling(T):
