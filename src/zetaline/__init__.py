@@ -11,11 +11,9 @@ averages.
 
 from .precision import PrecisionCtx, binom_exact, hreal_to_str, str_to_hreal
 from .zeta import (
-    LaurentTable,
     RegionError,
     StieltjesTable,
     ZetaPoleError,
-    laurent_power_coeffs,
     stieltjes,
     stieltjes_limit_oracle,
     zeta_derivative,

@@ -267,12 +267,10 @@ def criterion_11() -> CriterionResult:
     """Power coefficients: k=1 reduction and k=2 against quadrature."""
     t0 = time.time()
     crit, gam, ctx = _ctx65_critical()
-    lam1 = Z.laurent_power_coeffs(1, 35, ctx)
-    pw1 = C.coeffs_power(1, -1, 30, lam1, ctx)
+    pw1 = C.coeffs_power(1, -1, 30, ctx)
     with workdps(70):
         worst1 = max(abs(pw1.value(n) - crit.value(n)) for n in range(-1, 31))
-    lam2 = Z.laurent_power_coeffs(2, 16, ctx)
-    pw2 = C.coeffs_power(2, -2, 10, lam2, ctx)
+    pw2 = C.coeffs_power(2, -2, 10, ctx)
     q2 = Q.moment_oracle(list(range(-2, 11)), power=2)
     with workdps(70):
         worst2 = max(abs(q2[n] - pw2.value(n)) for n in range(-2, 11))

@@ -44,8 +44,7 @@ def _table_for(n_max: int, digits: int, sigma=None, power=None):
     if sigma is not None:
         return coeffs_mod.coeffs_line(sigma, -max(n_max, 1), n_max, ctx)
     if power is not None:
-        lam = zeta_mod.laurent_power_coeffs(power, n_max + power, ctx)
-        return coeffs_mod.coeffs_power(power, -power, n_max, lam, ctx)
+        return coeffs_mod.coeffs_power(power, -power, n_max, ctx)
     return coeffs_mod.coeffs_critical(n_max, zeta_mod.stieltjes(max(n_max, 2), ctx), ctx)
 
 

@@ -22,8 +22,9 @@ of its own Taylor data b_k:
   negative indices vanish.
 
 * ``power(k)``: the family for zeta**k on the critical line, with
-  b_j = lambda_{j+k,k} / (j+k)! from the series powers of
-  :func:`zetaline.zeta.laurent_power_coeffs`; zero for n < -k.
+  b_j = c_{j+k}, the Taylor coefficients c_m of (s-1)^k zeta(s)^k at s = 1:
+  the k-th series power of 1 + u sum_j a_j u^j, u = s - 1, with the a_j of
+  the Stieltjes table through n_max + k.  Zero for n < -k.
 
 The positive-index binomial sums cancel catastrophically: terms reach about
 1.3183**n while the results shrink, so construction demands the documented
@@ -37,10 +38,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import mp, mpf, workdps
 
 from .precision import PrecisionCtx, binom_exact, hreal_to_str
-from .zeta import LaurentTable, StieltjesTable, taylor_minus_pole
+from . import zeta as zeta_mod
+from .zeta import StieltjesTable, taylor_minus_pole
 
 __all__ = [
     "CoeffTable",
@@ -65,7 +67,7 @@ class InsufficientPrecisionError(ArithmeticError):
 
 
 class InsufficientTableError(ValueError):
-    """The supplied Stieltjes/Laurent table is too short for the request."""
+    """The supplied Stieltjes table is too short for the request."""
 
 
 @dataclass(frozen=True)
@@ -208,29 +210,37 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
     )
 
 
-def coeffs_power(
-    k: int,
-    n_min: int,
-    n_max: int,
-    lambdas: LaurentTable,
-    ctx: PrecisionCtx,
-) -> CoeffTable:
-    """The family for zeta**k on the critical line, from Laurent data.
+def _power_taylor(k: int, m_max: int, ctx: PrecisionCtx) -> tuple:
+    """c_0..c_{m_max}: Taylor coefficients of (s-1)^k zeta(s)^k at s = 1.
 
-    For n >= 1:      (-1)^n sum_{j=1}^{n} C(n-1,j-1) lambda_{j+k,k}/(j+k)!
-    For -k <= n <= 0: (-1)^k sum_{j=0}^{k+n} C(k-j,-n) (-1)^j lambda_{j,k}/j!
+    (s-1) zeta(s) = 1 + u sum_j a_j u^j with u = s - 1 and the a_j of
+    ``StieltjesTable.taylor``, so c_m is the u^m coefficient of that series
+    raised to the k-th power; lambda_{m,k} = m! c_m.
+    """
+    taylor = zeta_mod.stieltjes(m_max, ctx).taylor
+    with workdps(ctx.working(15)):
+        base = (mpf(1),) + taylor[:m_max]
+        power = base
+        for _ in range(k - 1):
+            power = tuple(
+                mp.fsum(power[j] * base[m - j] for j in range(m + 1)) for m in range(m_max + 1)
+            )
+    return power
+
+
+def coeffs_power(k: int, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable:
+    """The family for zeta**k on the critical line, with c_m from ``_power_taylor``.
+
+    For n >= 1:      (-1)^n sum_{j=1}^{n} C(n-1,j-1) c_{j+k}
+    For -k <= n <= 0: (-1)^k sum_{j=0}^{k+n} C(k-j,-n) (-1)^j c_j
     For n < -k: exactly 0.
     """
-    if lambdas.k != k:
-        raise InsufficientTableError(f"Laurent table is for power {lambdas.k}, not {k}")
+    if k < 1:
+        raise ValueError("power k must be >= 1")
     if n_max >= 1:
         _reserve_check(n_max, ctx)
-    if lambdas.m_max < n_max + k:
-        raise InsufficientTableError(
-            f"need lambda_(m,{k}) through m={n_max + k}, table has {lambdas.m_max}"
-        )
+    c = _power_taylor(k, max(n_max, 0) + k, ctx)
     with workdps(ctx.working(15)):
-        lam = lambdas.taylor
         vals = []
         for n in range(n_min, min(n_max, 0) + 1):
             if n < -k:
@@ -238,9 +248,9 @@ def coeffs_power(
                 continue
             acc = mpf(0)
             for j in range(0, k + n + 1):
-                acc += binom_exact(k - j, -n) * (-1) ** j * lam[j]
+                acc += binom_exact(k - j, -n) * (-1) ** j * c[j]
             vals.append(+(acc * (-1) ** k))
-    vals += _binomial_sums(lam[k:], max(n_min, 1), n_max, ctx)
+    vals += _binomial_sums(c[k:], max(n_min, 1), n_max, ctx)
     return CoeffTable(
         family="power", n_min=n_min, n_max=n_max, values=tuple(vals),
         digits=ctx.digits, k=k,
@@ -274,7 +284,7 @@ def decay_diagnostics(table: CoeffTable) -> DecayDiagnostics:
         acc_a, acc_q = mpf(0), mpf(0)
         for v in pos:
             acc_a += abs(v)
-            acc_q += v * v if not isinstance(v, mpc) else abs(v) ** 2
+            acc_q += v * v
             abs_s.append(+acc_a)
             sq_s.append(+acc_q)
         lo = max(1, table.n_max // 2)

@@ -29,9 +29,9 @@ in [10, 200] (median 2.1e-14) and 9.3e-13 on 1,000 in [200, 600]; on 150
 random heights in [-200, 600] plus both sides of each height where N
 crosses a power of two it is at most 2.8e-13 for sigma in {1/2, 3/4, 3/2,
 2}, relative where |zeta| > 1.  The phase t ln n rounded in float64 sets
-it, and it grows with t.  The moment oracle's pass reaches Re s = 8.3e4,
+it, and it grows with t.  The moment oracle's pass reaches Re s = 2.5e5,
 where the cutoff's sigma term, capped at sigma = 2, keeps N at ~1.1 |t|;
-it is within 2.6e-15 of mpmath.zeta on the rays up to Re s = 1.7e5, and
+it is within 3.4e-15 of mpmath.zeta on the rays up to Re s = 1.0e6, and
 3.4e-15 on the circle s = 1/(1+z), |z| = 0.99, relative where |zeta| > 1.
 
 Both main sums come from one prime fill (_prime_fill) of
@@ -137,7 +137,7 @@ def zeta_em_line(t, sigma=0.5) -> np.ndarray:
     over n < N from _prime_fill, plus N^-s / 2, N^(1-s) / (s - 1) and ten
     Bernoulli corrections.  The cap on sigma costs nothing far to the right,
     where N^-sigma makes the corrections vanish, and keeps N small there
-    (Re s reaches 8.3e4 on the moment oracle's rays).  Negative t are allowed
+    (Re s reaches 2.5e5 on the moment oracle's rays).  Negative t are allowed
     (zeta_critical sends them here).  Intended for |t| <= ~3000 (cost grows
     linearly with height).
     """

@@ -22,7 +22,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .coefficients import CoeffTable
 from .precision import PrecisionCtx, hreal_to_str
-from .series import partial_sum_fN
+from .series import cs_tail_bound, partial_sum_fN
 
 __all__ = [
     "RootReport",
@@ -62,12 +62,6 @@ class RootReport:
             ],
         }
         return json.dumps(payload, indent=1)
-
-    def to_csv(self) -> str:
-        lines = ["re,im,modulus"]
-        for z in self.all_roots:
-            lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(abs(z))!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _poly_coeffs_ascending(N: int, coeffs: CoeffTable):
@@ -244,19 +238,19 @@ class TailCertificate:
 def tail_radius_certificate(N: int, radius, coeffs: CoeffTable) -> TailCertificate:
     """Rouche certificate radius: if the series tail bound
 
-        |f - f_N| <= sqrt(sum_{n>N} ell_n^2) |z|^{N+2} / sqrt(1-|z|)
+        |f - f_N| = |z| |sum_{n>N} ell_n z^n| <= r cs_tail_bound(N, r)
+                  = sqrt(sum_{n>N} ell_n^2) r^{N+2} / sqrt(1 - r^2)
 
-    stays below min |f_N| on |z| = radius, the full series has exactly as
-    many zeros inside as f_N does.  An inconclusive comparison is reported,
-    never raised.
+    stays below min |f_N| on |z| = r = radius, the full series has exactly
+    as many zeros inside as f_N does.  An inconclusive comparison is
+    reported, never raised; a table of another family than the critical
+    one raises ValueError.
     """
     with workdps(coeffs.digits):
         r = mpf(radius)
         if not 0 < r < 1:
             raise ValueError("radius must lie in (0, 1)")
-        from .series import tail_sq_after
-
-        bound = mp.sqrt(tail_sq_after(coeffs, N)) * r ** (N + 2) / mp.sqrt(1 - r)
+        bound = r * cs_tail_bound(coeffs, N, r)
     # minimum over a dense circle scan (float precision, then mp confirm)
     z, acc = _fN_on_circle(_fN_float(N, coeffs), float(r), _SCAN_NODES)
     i0 = int(np.abs(acc).argmin())

@@ -16,6 +16,7 @@ switches to the closed form there (and records which route it used).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf, workdps
@@ -79,8 +80,19 @@ class EvalInfo:
     tail_bound: float = 0.0
 
 
+def _require_critical(coeffs: CoeffTable) -> None:
+    """The Parseval ceiling and the closed form of h belong to the critical family."""
+    if coeffs.family != "critical":
+        raise ValueError(f"needs the critical family's table, not a {coeffs.family!r} one")
+
+
 def tail_sq_after(coeffs: CoeffTable, n: int):
-    """Upper bound on sum_{m>n} ell_m^2: Parseval ceiling minus the partial sum."""
+    """Upper bound on sum_{m>n} ell_m^2: Parseval ceiling minus the partial sum.
+
+    The ceiling log 2 pi - gamma_0 - 1 is the critical family's norm; any
+    other table raises ValueError.
+    """
+    _require_critical(coeffs)
     with workdps(coeffs.digits):
         ceiling = mpf(PARSEVAL_SQ_CEILING)
         part = mp.fsum(coeffs.value(m) ** 2 for m in range(0, n + 1))
@@ -123,6 +135,7 @@ def eval_h(
     reach tol with the table's n_max, the evaluator switches to the closed
     form 1/z + zeta(1/(1+z)) and records the route.
     """
+    _require_critical(coeffs)
     ctx = ctx or PrecisionCtx(max(15, coeffs.digits // 2))
     with workdps(ctx.working()):
         z = mpc(z)
@@ -134,18 +147,10 @@ def eval_h(
         if r > 1 - _BOUNDARY_DELTA:
             route = "closed-form"
         else:
-            n_stop = None
-            ceiling = mpf(PARSEVAL_SQ_CEILING)
-            tail_sq = ceiling
-            geo = 1 / mp.sqrt(1 - r * r)
-            rpow = r
-            for n in range(coeffs.n_max + 1):
-                tail_sq = max(tail_sq - coeffs.value(n) ** 2, mpf(0))
-                if mp.sqrt(tail_sq) * rpow * geo < tol:
-                    n_stop = n
-                    break
-                rpow *= r
-            if n_stop is None:
+            # the bound falls with n: the first index that meets tol, or n_max + 1
+            n_stop = bisect_left(range(coeffs.n_max + 1), True,
+                                 key=lambda n: cs_tail_bound(coeffs, n, r) < tol)
+            if n_stop > coeffs.n_max:
                 route = "closed-form"
         if route == "closed-form":
             if z == 0:

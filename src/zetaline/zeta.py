@@ -1,4 +1,4 @@
-"""Riemann zeta on vertical lines, its derivatives, and the Laurent data at s=1.
+"""Riemann zeta on vertical lines, its derivatives, and the Taylor data at s=1.
 
 Everything here reduces to one Euler-Maclaurin formula, with the cutoff N
 chosen from the working precision and |s|, and Bernoulli corrections to
@@ -21,11 +21,6 @@ c = 1, gamma_k = (-1)^k k! a_k, and ``coefficients.coeffs_line`` at
 c = sigma0 + 1/2.  ``zeta_derivative`` and ``quadrature.cross_moment_wow``
 read it at c = s0 and add back the pole's own Taylor terms
 (-1)^k / (s0-1)^(k+1) where zeta's are wanted.
-
-The Laurent table is derived from the Stieltjes one: ``StieltjesTable.taylor``
-holds the a_k at s = 1, and ``LaurentTable.taylor`` holds
-[u^m] (1 + u sum_j a_j u^j)^k, computed by exact series multiplication;
-lambda_{m,k} is m! times that.
 
 The public ``zeta_em`` keeps the advertised Re s > -1 gate.  The raw
 point evaluator is checked against mpmath.zeta for Re s >= -2 and no
@@ -64,14 +59,12 @@ __all__ = [
     "ZetaPoleError",
     "RegionError",
     "StieltjesTable",
-    "LaurentTable",
     "zeta_em",
     "zeta_minus_pole",
     "taylor_minus_pole",
     "zeta_derivative",
     "stieltjes",
     "stieltjes_limit_oracle",
-    "laurent_power_coeffs",
     "berndt_bound_holds",
 ]
 
@@ -118,7 +111,7 @@ def _bernoulli_fixed(K: int, wp: int) -> tuple:
     return tuple(out)
 
 
-def _zeta_em_raw(s: mpc, dps: int, n_scale: int = 1) -> mpc:
+def _zeta_em_raw(s: mpc, dps: int) -> mpc:
     """Euler-Maclaurin zeta, checked against mpmath.zeta for Re s >= -2.
 
     Left of Re s = -2 the error grows although the remainder term formally
@@ -127,7 +120,6 @@ def _zeta_em_raw(s: mpc, dps: int, n_scale: int = 1) -> mpc:
     s = -79 + 0.5i at 80 digits.  Callers stay at Re s >= -2.
 
     Must be called inside an mp context of at least ``dps`` digits.
-    ``n_scale`` multiplies the trapezoid cutoff (self-consistency testing).
 
     The sums run in fixed-point integers with mp.prec + 20 + bitlen(N)
     fractional bits.  The main sum sum_{n<N} n^-s takes one exp and one
@@ -138,7 +130,6 @@ def _zeta_em_raw(s: mpc, dps: int, n_scale: int = 1) -> mpc:
     """
     s = mpc(s)
     K, N = _em_orders(dps, float(s.real), float(s.imag))
-    N *= n_scale
     # bucket N upward so the factor sieve is shared across nearby calls
     N = 1 << (N - 1).bit_length()
     spf = smallest_prime_factors(N)
@@ -487,7 +478,7 @@ def stieltjes_limit_oracle(k_max: int, ctx: PrecisionCtx, n_terms: int = 10_000)
 
 
 # ---------------------------------------------------------------------------
-# Derivatives and the lambda_{m,k} family
+# Derivatives
 # ---------------------------------------------------------------------------
 
 def zeta_derivative(s0, k: int, ctx: PrecisionCtx) -> mpc:
@@ -514,51 +505,3 @@ def zeta_derivative(s0, k: int, ctx: PrecisionCtx) -> mpc:
     a = taylor_minus_pole(s.real, k, ctx)[0]
     with workdps(ctx.working()):
         return mpc(mp.factorial(k) * (a[k] + (-1) ** k / (s.real - 1) ** (k + 1)))
-
-
-@dataclass(frozen=True)
-class LaurentTable:
-    """Taylor coefficients c_0 .. c_{m_max} of (s-1)^k zeta(s)^k at s = 1.
-
-    lambda_{m,k} = m! c_m.  Entries satisfy c_0 = 1 and, for k = 1,
-    c_m = (-1)**(m-1) gamma_{m-1}/(m-1)!.
-    """
-
-    k: int
-    m_max: int
-    taylor: tuple
-    digits: int
-
-    def __post_init__(self):
-        with workdps(30):
-            if abs(self.taylor[0] - 1) > mpf(10) ** (-(self.digits - 10)):
-                raise ValueError(f"lambda_(0,{self.k}) = {self.taylor[0]} != 1")
-
-    @cached_property
-    def lambdas(self) -> tuple:
-        """lambda_{m,k} = m! c_m, rounded at digits + 15."""
-        with workdps(PrecisionCtx(self.digits).working(15)):
-            return tuple(+(c * mp.factorial(m)) for m, c in enumerate(self.taylor))
-
-    def coeff(self, m: int):
-        """lambda_{m,k} / m! (the raw Taylor coefficient)."""
-        return self.taylor[m]
-
-
-def laurent_power_coeffs(k: int, m_max: int, ctx: PrecisionCtx) -> LaurentTable:
-    """Taylor data of (s-1)^k zeta(s)^k at s = 1, from the Stieltjes table.
-
-    (s-1) zeta(s) = 1 + u sum_j a_j u^j with u = s - 1, so c_m is the u^m
-    coefficient of that series raised to the k-th power.
-    """
-    if k < 1:
-        raise ValueError("power k must be >= 1")
-    taylor = stieltjes(m_max, ctx).taylor
-    with workdps(ctx.working(15)):
-        base = (mpf(1),) + taylor[:m_max]
-        power = base
-        for _ in range(k - 1):
-            power = tuple(
-                mp.fsum(power[j] * base[m - j] for j in range(m + 1)) for m in range(m_max + 1)
-            )
-    return LaurentTable(k=k, m_max=m_max, taylor=power, digits=ctx.digits)

@@ -13,7 +13,7 @@ from zetaline.coefficients import (
 )
 from zetaline.precision import PrecisionCtx, binom_exact
 from zetaline.series import basis_e
-from zetaline.zeta import laurent_power_coeffs, stieltjes
+from zetaline.zeta import stieltjes
 
 CTX = PrecisionCtx(70)
 
@@ -133,8 +133,7 @@ def test_negative_branch_telescopes_to_pole_term():
 
 def test_power_family_reduction_and_zero_fill(crit):
     ctx = PrecisionCtx(70)
-    lam1 = laurent_power_coeffs(1, 40, ctx)
-    pw = coeffs_power(1, -4, 30, lam1, ctx)
+    pw = coeffs_power(1, -4, 30, ctx)
     with workdps(80):
         assert pw.value(-4) == 0 and pw.value(-2) == 0
         assert abs(pw.value(-1) + 1) < mpf("1e-55")
@@ -144,8 +143,7 @@ def test_power_family_reduction_and_zero_fill(crit):
 
 def test_power_k2_negative_branch():
     ctx = PrecisionCtx(62)
-    lam2 = laurent_power_coeffs(2, 10, ctx)
-    pw = coeffs_power(2, -2, 5, lam2, ctx)
+    pw = coeffs_power(2, -2, 5, ctx)
     with workdps(70):
         # n = -2 keeps only j = 0: C(2,2) lambda_{0,2} = 1
         assert abs(pw.value(-2) - 1) < mpf("1e-50")

@@ -13,11 +13,13 @@ from zetaline.series import (
     partial_sum_fN,
     phi,
     phi_integral_oracle,
+    tail_sq_after,
     zeta_via_series,
 )
 from zetaline import zeta as zeta_mod
 from zetaline.zeta import ZetaPoleError, stieltjes, zeta_em
-from zetaline.coefficients import coeffs_critical
+from zetaline.coefficients import PARSEVAL_SQ_CEILING, coeffs_critical, coeffs_line
+from zetaline.roots import tail_radius_certificate
 
 CTX = PrecisionCtx(80)
 
@@ -136,12 +138,29 @@ def test_partial_sum_tail_bound_at_half(crit):
         f_full = z0 * eval_h(z0, crit, mpf("1e-30"), ctx) - 1
         f_N = partial_sum_fN(N, z0, crit)
         bound = cs_tail_bound(crit, N, z0) * z0  # z h-tail, plus |z| factor
-        # the displayed bound: sqrt(tail) |z|^{N+2}/sqrt(1-|z|)
-        from zetaline.series import tail_sq_after
+        assert abs(f_full - f_N) <= bound
 
-        displayed = mp.sqrt(tail_sq_after(crit, N)) * z0 ** (N + 2) / mp.sqrt(1 - z0)
-        assert abs(f_full - f_N) <= displayed
-        assert abs(f_full - f_N) <= bound * 2
+
+def test_tail_bounds_refuse_a_line_table():
+    """The Parseval ceiling log 2 pi - gamma_0 - 1 bounds the critical
+    family's squares only.  The line family at sigma0 = 3/4 has
+    ell_0^2 = 0.545 above it, so a ceiling-based tail bound of 0 would let
+    eval_h stop at ell_0 and the Rouche certificate pass on nothing: the
+    tail bounds, eval_h, zeta_via_series and the certificate refuse the
+    table instead."""
+    line = coeffs_line("0.75", -5, 20, PrecisionCtx(70))
+    with workdps(40):
+        assert line.value(0) ** 2 > mpf(PARSEVAL_SQ_CEILING)
+    calls = [
+        lambda: tail_sq_after(line, 5),
+        lambda: cs_tail_bound(line, 5, mpf("0.5")),
+        lambda: eval_h(mpf("0.5"), line, mpf("1e-10")),
+        lambda: zeta_via_series(2, line, mpf("1e-10")),
+        lambda: tail_radius_certificate(20, mpf("0.5"), line),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_phi_identity_route(crit):

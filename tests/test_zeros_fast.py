@@ -26,6 +26,7 @@ from zetaline.zeros import (
     ordinates_below,
     scan_ordinates,
 )
+from zetaline.quadrature import _KRONROD_X
 from zetaline.zeta import _zeta_em_raw
 
 
@@ -67,11 +68,11 @@ def test_em_line_against_mpmath_at_bucket_edges(sigma):
 
 
 def _ray_points(sigma0):
-    """s = sigma0 + 48 v/(1-v) + 48i, the moment oracle's ray, at 12-node
-    Gauss-Legendre nodes on 32 equal panels of v in [0, 1]: Re s up to
-    1.7e5, past the 8.3e4 that the oracle's adaptive pass reaches."""
-    xs = np.polynomial.legendre.leggauss(12)[0]
-    v = ((np.arange(32)[:, None] + 0.5 + 0.5 * xs) / 32).ravel()
+    """s = sigma0 + 48 v/(1-v) + 48i, the moment oracle's ray, at the
+    adaptive pass's own 25 Kronrod nodes on 32 equal panels of v in [0, 1]:
+    Re s up to 1.0e6, past the 2.5e5 that the pass reaches at the outermost
+    node of its 1/8-wide last panel."""
+    v = ((np.arange(32)[:, None] + 0.5 + 0.5 * _KRONROD_X) / 32).ravel()
     return sigma0 + 48.0 * v / (1 - v) + 48j
 
 
@@ -82,7 +83,7 @@ def _ray_points(sigma0):
 ])
 def test_em_complex_s_against_mpmath(points):
     """zeta_em_line with an array sigma, against mpmath.zeta: on the rays of
-    the moment oracle, Re s up to 1.7e5, and on s = 1/(1+z), |z| = 0.99,
+    the moment oracle, Re s up to 1.0e6, and on s = 1/(1+z), |z| = 0.99,
     Re s from 0.5025 to 100; error <= 1e-13, relative where |zeta| > 1."""
     s = points()
     vals = zeta_em_line(s.imag, s.real)
