@@ -1,8 +1,7 @@
 """On-disk cache for the expensive coefficient tables.
 
-Values are serialized as decimal strings with 25 digits beyond ``digits``,
-so a cache hit agrees with a cold computation to 10^-(digits+24) relative,
-far below any printed digit.  Writes are
+Each mpf is stored exactly, as a signed integer mantissa and an integer
+exponent, so a cache hit is the cold computation bit for bit.  Writes are
 atomic (temp file + rename).  The key, ``stieltjes_k{K}_d{D}``, does not
 carry the schema version; each entry records its schema version and digits.
 An entry is validated on load, not trusted: a mismatch of either, or a
@@ -17,11 +16,13 @@ import json
 import os
 import sys
 import tempfile
+from operator import index
 from pathlib import Path
 
-from mpmath import mpf, workdps
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_VAR = "ZETALINE_CACHE_DIR"
 
 
@@ -44,9 +45,9 @@ def load_values(key: str, digits: int) -> list | None:
     """Return the cached mpf list for ``key``, or None on miss.
 
     An entry that does not parse, lacks a field, holds values that are not a
-    list of numbers, or records another schema or digits counts as stale:
-    it is ignored (the caller recomputes) and a one-line notice goes to
-    stderr.
+    list of [mantissa, exponent] integer pairs, or records another schema or
+    digits counts as stale: it is ignored (the caller recomputes) and a
+    one-line notice goes to stderr.
     """
     path = _path(key)
     try:
@@ -56,8 +57,7 @@ def load_values(key: str, digits: int) -> list | None:
         values = payload["values"]
         if (payload["schema_version"] == SCHEMA_VERSION and payload["digits"] == digits
                 and isinstance(values, list)):
-            with workdps(digits + 35):
-                return [mpf(v) for v in values]
+            return [mp.make_mpf(from_man_exp(index(man), index(exp))) for man, exp in values]
     except (OSError, ValueError, TypeError, KeyError):
         pass
     report_stale(key)
@@ -65,16 +65,10 @@ def load_values(key: str, digits: int) -> list | None:
 
 
 def store_values(key: str, digits: int, values) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "digits": digits,
-        "values": [],
-    }
-    # guard digits keep a reloaded value from ever flipping a displayed digit
-    with workdps(digits + 35):
-        from mpmath import nstr
-
-        payload["values"] = [nstr(mpf(v), digits + 25) for v in values]
+    """Store the mpf list ``values`` under ``key``, each as [mantissa, exponent]."""
+    # mpf.man_exp drops the sign, so read it off the raw (sign, man, exp, bc)
+    exact = [[-man if sign else man, exp] for sign, man, exp, _ in (v._mpf_ for v in values)]
+    payload = {"schema_version": SCHEMA_VERSION, "digits": digits, "values": exact}
     path = _path(key)
     tmp = None
     try:

@@ -39,8 +39,9 @@ def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def _table_for(n_max: int, digits: int, sigma=None, power=None):
-    ctx = PrecisionCtx(digits)
+def _table_for(n_max: int, digits: int | None = None, sigma=None, power=None):
+    """The coefficient table through n_max; digits default to the reserve, at least 66."""
+    ctx = PrecisionCtx(digits or max(66, coeffs_mod.reserve_digits(n_max)))
     if sigma is not None:
         return coeffs_mod.coeffs_line(sigma, -max(n_max, 1), n_max, ctx)
     if power is not None:
@@ -77,7 +78,7 @@ def cmd_eval(args) -> int:
         v = zeta_mod.zeta_em(s, ctx)
         out["zeta_em"] = [hreal_to_str(v.real, digits), hreal_to_str(v.imag, digits)]
     if args.method in ("series", "both"):
-        table = _table_for(args.nmax, max(66, coeffs_mod.reserve_digits(args.nmax)))
+        table = _table_for(args.nmax)
         v2 = series_mod.zeta_via_series(s, table, mpf(10) ** (-digits + 4), ctx)
         out["zeta_series"] = [hreal_to_str(v2.real, digits), hreal_to_str(v2.imag, digits)]
     if args.method == "both":
@@ -91,8 +92,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_parseval(args) -> int:
-    digits = max(66, coeffs_mod.reserve_digits(args.nmax))
-    table = _table_for(args.nmax, digits)
+    table = _table_for(args.nmax)
     diag = coeffs_mod.decay_diagnostics(table)
     q = quad_mod.identity_hnorm()
     ceiling = coeffs_mod.PARSEVAL_SQ_CEILING
@@ -167,10 +167,9 @@ def cmd_quad(args) -> int:
 def cmd_roots(args) -> int:
     from . import roots as roots_mod
 
-    digits = max(66, coeffs_mod.reserve_digits(args.nmax))
-    table = _table_for(args.nmax, digits)
+    table = _table_for(args.nmax)
     radii = tuple(float(r) for r in args.radii.split(","))
-    report = roots_mod.roots_fN(args.nmax, table, PrecisionCtx(digits), probe_radii=radii)
+    report = roots_mod.roots_fN(args.nmax, table, PrecisionCtx(table.digits), probe_radii=radii)
     sys.stdout.write(report.to_json() + "\n")
     return EXIT_OK
 
@@ -188,15 +187,11 @@ def cmd_ergodic(args) -> int:
         return EXIT_USAGE
     m = int(observable[3:])
     n_max = max(8, abs(m))
-    table = _table_for(n_max, max(66, coeffs_mod.reserve_digits(n_max)))
+    table = _table_for(n_max)
     runs = []
     for seed in range(args.seeds):
         x0 = float(ergodic_mod.cauchy_half_sample(np.random.default_rng(1000 + seed), 1)[0])
-        run = ergodic_mod.birkhoff_average(
-            [(m, 1.0)], x0, args.iters, table,
-            checkpoints=[args.iters // 4, args.iters // 2, args.iters],
-            seed=seed,
-        )
+        run = ergodic_mod.birkhoff_average([(m, 1.0)], x0, args.iters, table, seed=seed)
         runs.append(run)
         sys.stdout.write(run.to_json() + "\n")
     finals = sorted(r.final_estimate.real for r in runs)

@@ -172,7 +172,9 @@ def cross_moment_closed_form(tab_a: CoeffTable, tab_b: CoeffTable, ctx: Precisio
     1/2.  F(a,b) = -1/(a-1/2)^2 sum_{m>=1} ell_m(b) ((a-1/2)/(3/2-a))^{m+1},
     with the a -> 1/2 limit -ell_1(b).  ``tol`` caps the geometric tail
     (default 10**-(digits+5)); a table too short for it raises
-    ToleranceNotMetError.
+    ToleranceNotMetError.  The tail is bounded with the critical family's
+    Parseval ceiling, so at a != 1/2 the table of b must be critical; two
+    line tables raise ValueError.
     """
     with workdps(ctx.working()):
         half = mpf("0.5")
@@ -185,6 +187,9 @@ def cross_moment_closed_form(tab_a: CoeffTable, tab_b: CoeffTable, ctx: Precisio
             """F(x, y): geometric weights from x, coefficients from y's table."""
             if x == half:
                 return -tab_y.value(1)
+            if tab_y.family != "critical":
+                raise ValueError(f"F({x}, .) bounds its tail by the critical family's "
+                                 f"Parseval ceiling, not valid for a {tab_y.family!r} table")
             ratio = (x - half) / (mpf("1.5") - x)
             acc = mpf(0)
             pw = ratio ** 2

@@ -118,9 +118,6 @@ def _h_closed_form(z: mpc, ctx: PrecisionCtx) -> mpc:
     return +(1 / z + g + 1 / (s - 1))
 
 
-_BOUNDARY_DELTA = 0.05  # |z| > 1 - this goes straight to the closed form
-
-
 def eval_h(
     z,
     coeffs: CoeffTable,
@@ -131,9 +128,9 @@ def eval_h(
     """The generating function h(z) = sum ell_n z^n on the closed disk.
 
     Direct power summation, truncated once the Cauchy-Schwarz tail bound
-    drops below tol.  When |z| > 0.95, or when the bound cannot
-    reach tol with the table's n_max, the evaluator switches to the closed
-    form 1/z + zeta(1/(1+z)) and records the route.
+    drops below tol.  When the bound cannot reach tol with the table's n_max
+    (always so on |z| = 1), the evaluator switches to the closed form
+    1/z + zeta(1/(1+z)) and records the route.
     """
     _require_critical(coeffs)
     ctx = ctx or PrecisionCtx(max(15, coeffs.digits // 2))
@@ -143,16 +140,10 @@ def eval_h(
         if r > 1:
             raise ValueError(f"|z| = {r} outside the closed unit disk")
         tol = mpf(tol)
-        route = "direct-sum"
-        if r > 1 - _BOUNDARY_DELTA:
-            route = "closed-form"
-        else:
-            # the bound falls with n: the first index that meets tol, or n_max + 1
-            n_stop = bisect_left(range(coeffs.n_max + 1), True,
-                                 key=lambda n: cs_tail_bound(coeffs, n, r) < tol)
-            if n_stop > coeffs.n_max:
-                route = "closed-form"
-        if route == "closed-form":
+        # the bound falls with n: the first index that meets tol, or n_max + 1
+        n_stop = bisect_left(range(coeffs.n_max + 1), True,
+                             key=lambda n: cs_tail_bound(coeffs, n, r) < tol)
+        if n_stop > coeffs.n_max:
             if z == 0:
                 val = mpc(coeffs.value(0))
                 info = EvalInfo("direct-sum", 0, 0.0)

@@ -395,7 +395,7 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     if errs is not None:
         try:
             if len(gammas) == len(errs) == k_max + 1:
-                return StieltjesTable(k_max, tuple(gammas), digits, _floored(gammas, errs, digits))
+                return StieltjesTable(k_max, tuple(gammas), digits, tuple(errs))
         except ValueError:
             pass
         _cache.report_stale(key)
@@ -404,16 +404,10 @@ def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
         scale = [(-1) ** k * math.factorial(k) for k in range(k_max + 1)]  # gamma_k / a_k
         gammas = tuple(+(ak * x) for ak, x in zip(a, scale))
         errs = tuple(+abs(e * x) for e, x in zip(err, scale))
-    table = StieltjesTable(k_max, gammas, digits, _floored(gammas, errs, digits))
+    table = StieltjesTable(k_max, gammas, digits, errs)
     _cache.store_values(key, digits, gammas)
     _cache.store_values(key + "_err", digits, errs)
     return table
-
-
-def _floored(gammas, errs, digits: int) -> tuple:
-    """Each error at least |gamma_k| 10^-(digits + 24), the cache's rounding."""
-    with workdps(digits + 35):
-        return tuple(max(e, abs(g) * mpf(10) ** -(digits + 24)) for g, e in zip(gammas, errs))
 
 
 def stieltjes(k_max: int, ctx: PrecisionCtx) -> StieltjesTable:
@@ -424,10 +418,8 @@ def stieltjes(k_max: int, ctx: PrecisionCtx) -> StieltjesTable:
     max_k 3^k |error of a_k| <= 10^-wp; ``est_errors`` holds k! times its
     per-order bound.  The working precision wp is
     digits + max(10, ceil(0.05 k_max) + 10), to absorb the (pi/3)^k loss.
-    A cached entry that is malformed or fails ``StieltjesTable``'s checks
-    counts as stale and is recomputed.  Warm or cold, ``est_errors`` are
-    floored at the cache's rounding, |gamma_k| 10^-(digits + 24), which
-    tables with k_max > 100, computed to more digits, would otherwise hide.
+    A cached entry holds the cold table exactly; one that is malformed or
+    fails ``StieltjesTable``'s checks counts as stale and is recomputed.
     """
     if k_max > 400:
         raise PrecisionUnachievableError("stieltjes supports k_max <= 400")

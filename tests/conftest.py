@@ -1,16 +1,14 @@
 import os
-from pathlib import Path
+import tempfile
 
 import pytest
 
-# Persistent table cache beside the repo so repeated runs skip the Stieltjes
-# computations.  Its committed entries are what keeps the suite warm;
-# test_zeta.py::test_committed_cache_is_live checks that each still loads,
-# and ::test_committed_cache_is_a_cold_computation that each is what a cold
-# run writes.
-os.environ.setdefault(
-    "ZETALINE_CACHE_DIR", str(Path(__file__).resolve().parent.parent / ".zetaline_cache")
-)
+# A throwaway table cache for each pytest run, removed at exit, so that the
+# suite never writes into the repository or ~/.cache.  A table builds in well
+# under a second, so every run starts cold; entries are exact, so a test that
+# reloads one sees the cold table.
+_RUN_CACHE = tempfile.TemporaryDirectory(prefix="zetaline-cache-")
+os.environ["ZETALINE_CACHE_DIR"] = _RUN_CACHE.name
 
 
 @pytest.fixture

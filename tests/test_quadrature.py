@@ -108,6 +108,16 @@ def test_cross_core_assembly_matches_wow():
         assert abs(core - wow) < mpf("1e-9")
 
 
+def test_cross_closed_form_refuses_two_line_tables():
+    """Away from 1/2 the geometric tail is bounded by the critical family's
+    Parseval ceiling, which no line table is shown to obey."""
+    ctx66 = PrecisionCtx(66)
+    a, b = (coeffs_line(s, -2, 40, ctx66) for s in ("0.6", "0.9"))
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="'line' table"):
+            cross_moment_closed_form(*pair, PrecisionCtx(30), tol=mpf("1e-13"))
+
+
 def test_cross_moment_limit_at_half():
     """a = b = 1/2 limit: (gamma0-1)^2 - 2 gamma1, consistent with the
     bilinear pairing ell_0^2 + 2 ell_1 ell_{-1}."""

@@ -95,6 +95,20 @@ def test_h_boundary_switches_route(crit):
         assert abs(val - direct) < mpf("1e-25")
 
 
+def test_h_near_boundary_sums_when_the_bound_allows(crit):
+    """Near the circle the bound alone picks the route: at |z| = 0.955 a
+    loose tol is met by the Cauchy-Schwarz bound (9.8e-3 at n = 93), so
+    the series is summed."""
+    ctx = PrecisionCtx(30)
+    z = mpf("0.955") * mp.expjpi(mpf("0.25"))
+    val, info = eval_h(z, crit, mpf("1e-2"), ctx, return_info=True)
+    assert info.route == "direct-sum"
+    assert info.n_used <= crit.n_max and info.tail_bound < 1e-2
+    with workdps(40):
+        direct = 1 / z + zeta_em(1 / (1 + z), ctx)
+        assert abs(val - direct) <= info.tail_bound
+
+
 def test_zeta_via_series_geometric_point(crit):
     ctx = PrecisionCtx(40)
     with workdps(60):
