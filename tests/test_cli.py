@@ -134,11 +134,13 @@ def test_bad_cache_entries_are_recomputed(cold_cache, capsys):
         "not an object": [],
         "no values": {k: v for k, v in entry.items() if k != "values"},
         "values not pairs": {**entry, "values": ["x"]},
-        "values not integers": {**entry, "values": [[0.5, 0]] + entry["values"][1:]},
+        "mantissa not a string": {**entry, "values": [[9, -4]] + entry["values"][1:]},
+        "mantissa not hex": {**entry, "values": [["0.5", 0]] + entry["values"][1:]},
+        "exponent not an integer": {**entry, "values": [["9", 0.5]] + entry["values"][1:]},
         "decimal values": {**entry, "values": [str(v) for v in good]},
         "values not a list": {**entry, "values": 5},
-        "gamma_0 out of range": {**entry, "values": [[3, 0]] + entry["values"][1:]},
-        "Berndt bound violated": {**entry, "values": entry["values"][:6] + [[1, 20]]},
+        "gamma_0 out of range": {**entry, "values": [["3", 0]] + entry["values"][1:]},
+        "Berndt bound violated": {**entry, "values": entry["values"][:6] + [["1", 20]]},
         "schema mismatch": {**entry, "schema_version": cache.SCHEMA_VERSION + 1},
     }
     for name, bad in bad_entries.items():

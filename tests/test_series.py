@@ -85,28 +85,16 @@ def test_h_at_zero_and_closed_form_points(crit):
 
 
 def test_h_boundary_switches_route(crit):
+    """Near the circle the Cauchy-Schwarz bound alone picks the route: at
+    |z| = 0.955 it meets a loose tol inside the table, so the series is summed."""
     ctx = PrecisionCtx(30)
-    z = mpf("0.97") * mp.expjpi(mpf("0.25"))
-    val, info = eval_h(z, crit, mpf("1e-10"), ctx, return_info=True)
-    assert info.route == "closed-form"
-    with workdps(40):
-        s = 1 / (1 + z)
-        direct = 1 / z + zeta_em(s, ctx)
-        assert abs(val - direct) < mpf("1e-25")
-
-
-def test_h_near_boundary_sums_when_the_bound_allows(crit):
-    """Near the circle the bound alone picks the route: at |z| = 0.955 a
-    loose tol is met by the Cauchy-Schwarz bound (9.8e-3 at n = 93), so
-    the series is summed."""
-    ctx = PrecisionCtx(30)
-    z = mpf("0.955") * mp.expjpi(mpf("0.25"))
-    val, info = eval_h(z, crit, mpf("1e-2"), ctx, return_info=True)
-    assert info.route == "direct-sum"
-    assert info.n_used <= crit.n_max and info.tail_bound < 1e-2
-    with workdps(40):
-        direct = 1 / z + zeta_em(1 / (1 + z), ctx)
-        assert abs(val - direct) <= info.tail_bound
+    for r, tol, route in [("0.97", "1e-10", "closed-form"), ("0.955", "1e-2", "direct-sum")]:
+        z = mpf(r) * mp.expjpi(mpf("0.25"))
+        val, info = eval_h(z, crit, mpf(tol), ctx, return_info=True)
+        assert info.route == route, r
+        with workdps(40):
+            direct = 1 / z + zeta_em(1 / (1 + z), ctx)
+            assert abs(val - direct) <= max(info.tail_bound, mpf("1e-25")), r
 
 
 def test_zeta_via_series_geometric_point(crit):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from mpmath import mp, mpc, mpf, workdps
 
@@ -240,6 +242,42 @@ def test_truncated_error_entry_is_recomputed(cold_cache):
     again = stieltjes(6, ctx)
     assert len(again.est_errors) == 7
     assert len(cache.load_values(key, 30)) == 7
+
+
+class _GmpyLikeMantissa:
+    """An integer that is not an int, as mpmath's gmpy backend gives."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+    __index__ = __int__
+
+
+def test_cache_round_trip_is_exact(cold_cache):
+    """A 5000-digit mantissa (past int-to-decimal's digit limit), a negative
+    value, zero and a mantissa of a non-int integer type reload bit for bit."""
+    with workdps(5000):
+        long_value = -mp.pi
+    gmpy_like = SimpleNamespace(_mpf_=(1, _GmpyLikeMantissa(7), -1, 3))
+    values = [long_value, mpf("0.125"), mpf(0), gmpy_like]
+    cache.store_values("round_trip", 5000, values)
+    loaded = cache.load_values("round_trip", 5000)
+    assert [v._mpf_ for v in loaded[:3]] == [v._mpf_ for v in values[:3]]
+    assert loaded[3] == mpf("-3.5")
+
+
+def test_failed_store_is_skipped_and_leaves_no_file(cold_cache, monkeypatch, capsys):
+    def fail(payload, fh):
+        fh.write("{")
+        raise ValueError("cannot encode")
+
+    monkeypatch.setattr(cache.json, "dump", fail)
+    cache.store_values("broken", 30, [mpf(1)])
+    assert "cannot store broken" in capsys.readouterr().err
+    assert list(cold_cache.iterdir()) == []
 
 
 def test_cold_stieltjes_errors_bound_mpmath(cold_cache):
