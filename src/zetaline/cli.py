@@ -194,10 +194,8 @@ def cmd_ergodic(args) -> int:
         run = ergodic_mod.birkhoff_average([(m, 1.0)], x0, args.iters, table, seed=seed)
         runs.append(run)
         sys.stdout.write(run.to_json() + "\n")
-    finals = sorted(r.final_estimate.real for r in runs)
-    med = finals[len(finals) // 2]
     _print_json({
-        "median_final_re": med,
+        "median_final_re": float(np.median([r.final_estimate.real for r in runs])),
         "prediction_re": runs[0].prediction.real,
         "seeds": args.seeds,
     })

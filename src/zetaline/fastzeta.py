@@ -9,9 +9,10 @@ Two routes on the critical line, dispatched on |t| at RS_CROSSOVER = 200
   segment above; zeta itself, its pole at t = -i/2, would need over a
   hundred on [0, T_CHEB].  _fit builds both from Euler-Maclaurin samples at
   Chebyshev nodes, once per process (the unit table's 6,080 take about
-  10 ms).  A point costs 2 numpy operations per term, 3 with the unit
-  table's gather: 23M points/s on [0, 10] and 4.4M on [10, 200], against
-  Euler-Maclaurin's 1.2M, in batches of 3e4 on 2 vCPUs;
+  10 ms).  A point costs 2 numpy operations per term after the unit table's
+  one gather of its row: 16M points/s on [0, 10] and 10M on [10, 200] (9M
+  in an orbit chunk's 1.5e3), in batches of 3e4 on 2 vCPUs, against
+  Euler-Maclaurin's 1.4M;
 * the Riemann-Siegel main sum plus Gabcke's remainder terms C0..C5, above
   it, each a polynomial in (p - 1/2)^2 economized on |p - 1/2| <= 1/2 to
   13, 13, 13, 12, 11 and 11 terms (_rs_polys).  Against mpmath.siegelz,
@@ -167,14 +168,15 @@ def zeta_em_line(t, sigma=0.5) -> np.ndarray:
 # samples' noise, which grows with t to 6e-14.
 _CHEB = (0.0, T_CHEB, 1, 48, 1e-15)
 _UNIT = (T_CHEB, 1.0, int(RS_CROSSOVER - T_CHEB), 32, 1e-13)
-_BLOCK = 16_384  # points per Horner pass: its working set stays under 1 MB
+_BLOCK = 16_384  # points per Horner pass of the one-segment table: under 1 MB
+_GATHER = 1 << 19  # bytes of unit-table rows gathered per Horner pass
 
 
 @lru_cache(maxsize=2)
 def _fit(lo: float, width: float, count: int, nodes: int, tail: float) -> np.ndarray:
     """Coefficients of g(1/2 + it) = zeta - 1/(s - 1) on `count` segments.
 
-    Entry [k, :, i] holds (Re, Im) of the coefficient of x^k on segment i,
+    Entry [i, k] holds (Re, Im) of the coefficient of x^k on segment i,
     t = lo + width (i + (1 + x)/2).  A DCT of zeta_em_line minus the pole at
     `nodes` Chebyshev points per segment gives the Chebyshev series, cut at
     the first degree where every segment's coefficient is below `tail`;
@@ -188,7 +190,7 @@ def _fit(lo: float, width: float, count: int, nodes: int, tail: float) -> np.nda
     c[0] /= 2
     small = np.append(np.abs(c).max(axis=1) < tail, True)  # all of c if no degree is
     c = c[: int(np.argmax(small)) + 1]
-    return (_cheb_powers(len(c)).T @ c).reshape(len(c), 2, count)
+    return (_cheb_powers(len(c)).T @ c).reshape(len(c), 2, count).transpose(2, 0, 1).copy()
 
 
 def _cheb_powers(n: int) -> np.ndarray:
@@ -201,26 +203,32 @@ def _cheb_powers(n: int) -> np.ndarray:
 
 def _zeta_table(t: np.ndarray, fit: tuple) -> np.ndarray:
     """zeta(1/2 + it) from a table of _fit: the pole (-1/2 - it)/(1/4 + t^2)
-    plus g by Horner in the local x of each point's segment, its real and
-    imaginary parts carried as two rows, _BLOCK points at a time.  With more
-    than one segment each term's coefficients are gathered by segment."""
+    plus g by Horner in the local x of each point's segment, real and imaginary
+    parts as two rows; a unit-table pass gathers its points' rows in one take
+    of at most _GATHER bytes.  A negative t negates |t|'s imaginary row."""
     lo, width = fit[:2]
     c = _fit(*fit)
-    gather = c.shape[2] > 1
+    step = _BLOCK if len(c) == 1 else _GATHER // c[0].nbytes
     out = np.empty(len(t), dtype=complex)
-    for i in range(0, len(t), _BLOCK):
-        tb = t[i:i + _BLOCK]
-        u = (tb - lo) / width
-        seg = u.astype(np.intp)
-        x = 2 * (u - seg) - 1
-        acc = c[-1][:, seg] if gather else np.repeat(c[-1], len(tb), axis=1)
-        row = np.empty_like(acc)
-        for ck in c[-2::-1]:
+    for i in range(0, len(t), step):
+        tb = t[i:i + step]
+        a = np.abs(tb)
+        u = (a - lo) / width
+        if len(c) == 1:
+            x, rows = 2 * u - 1, c[0].T[..., None]  # (2, term, 1)
+        else:
+            seg = u.astype(np.intp)
+            x, rows = 2 * (u - seg) - 1, c.take(seg, axis=0).T  # (2, term, point)
+        acc = np.broadcast_to(rows[:, -1], (2, len(tb))).copy()
+        for k in range(rows.shape[1] - 2, -1, -1):
             acc *= x
-            acc += ck.take(seg, axis=1, out=row) if gather else ck
+            acc += rows[:, k]
         d = 0.25 + tb * tb
-        out.real[i:i + _BLOCK] = acc[0] - 0.5 / d
-        out.imag[i:i + _BLOCK] = acc[1] - tb / d
+        im = out.imag[i:i + step]
+        np.subtract(acc[0], 0.5 / d, out=out.real[i:i + step])
+        np.subtract(acc[1], a / d, out=im)
+        if np.signbit(tb).any():
+            im *= np.copysign(1.0, tb)
     return out
 
 
@@ -383,17 +391,20 @@ def zeta_critical(t) -> np.ndarray:
       [200, 300], 7e-11 on [300, 2e4] and 3.3e-10 on [2e4, 6e4]; the
       float64 phase loosens it further up (2.8e-9 near 1e6).
 
-    Negative t and -0.0 take the conjugate of the value at |t|, bit for
-    bit.  Each height's value depends on that height alone, not on the batch.
+    Negative t and -0.0 take the conjugate of the value at |t|, bit for bit
+    (a table block that holds one multiplies its imaginary row by
+    copysign(1, t); Riemann-Siegel conjugates its gathered points).  Each
+    height's value depends on that height alone, not on the batch.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     a = np.abs(t)
     out = np.empty(t.shape, dtype=complex)
     rs = ~(a < RS_CROSSOVER)
     cheb = a < T_CHEB
-    for mask, route in ((cheb, lambda u: _zeta_table(u, _CHEB)),
-                        (~(cheb | rs), lambda u: _zeta_table(u, _UNIT)), (rs, zeta_rs_line)):
+    for mask, fit in ((cheb, _CHEB), (~(cheb | rs), _UNIT)):
         if mask.any():
-            out[mask] = route(a[mask])
-    np.conjugate(out, out=out, where=np.signbit(t))
+            out[mask] = _zeta_table(t[mask], fit)
+    if rs.any():
+        z = zeta_rs_line(a[rs])
+        out[rs] = np.conjugate(z, out=z, where=np.signbit(t[rs]))
     return out

@@ -179,6 +179,22 @@ def test_ergodic_subcommand_small(capsys):
     assert '"skip_rate"' in out
 
 
+def test_ergodic_median_of_even_seeds(capsys):
+    """With an even --seeds the printed median is the mean of the two middle
+    per-seed finals, as numpy.median and criterion 12 take it."""
+    code, out = run_cli(["ergodic", "--g", "em:0", "--iters", "500", "--seeds", "2"], capsys)
+    assert code == 0
+    decoder, objs, i = json.JSONDecoder(), [], 0
+    while i < len(out):
+        obj, i = decoder.raw_decode(out, i)
+        objs.append(obj)
+        while i < len(out) and out[i].isspace():
+            i += 1
+    finals = [o["final_estimate"][0] for o in objs[:-1]]
+    assert len(finals) == 2 and finals[0] != finals[1]
+    assert objs[-1]["median_final_re"] == (finals[0] + finals[1]) / 2
+
+
 def test_ergodic_table_meets_the_reserve(capsys):
     """em:-41 pairs with ell_41, whose table needs 67 digits, not the floor 66."""
     code, out = run_cli(["ergodic", "--g", "em:-41", "--iters", "200", "--seeds", "1"], capsys)

@@ -146,6 +146,54 @@ def test_birkhoff_chunks_equal_one_orbit(crit):
         assert abs(est - mean) < 1e-12, ck
 
 
+def test_birkhoff_skip_path_across_chunks(crit):
+    """A start above the cap skips its leading points, all in the first of
+    two orbit chunks: the running means at a checkpoint in each chunk and at
+    the end are the plain means over the kept points, and `skipped` counts the
+    points above the cap."""
+    n, x0 = 60_000, 1e9
+    assert ergodic._ORBIT_CHUNK < n <= 2 * ergodic._ORBIT_CHUNK
+    orbit = boole_orbit(x0, n)
+    above = np.abs(orbit) > ergodic.HEIGHT_CAP
+    assert above[:ergodic._ORBIT_CHUNK].sum() == above.sum() > 0
+    terms = [(-1, 1.0)]
+    run = birkhoff_average(terms, x0, n, crit, checkpoints=[10, 55_000])
+    assert run.checkpoints == (10, 55_000, n)
+    assert run.skipped == above.sum()
+    for ck, est in zip(run.checkpoints, run.estimates):
+        x = orbit[:ck][~above[:ck]]
+        mean = (fastzeta.zeta_critical(x) * basis_combination_value(terms, x)).mean()
+        assert abs(est - mean) < 1e-12, ck
+
+
+def _basis_reference(terms, t):
+    """The complex-arithmetic form of e_m: u = (r - 1) - 2j (r t), its powers
+    summed onto zeros."""
+    with np.errstate(over="ignore"):
+        r = 2.0 / (1.0 + 4.0 * t * t)
+    u = (r - 1.0) - 2j * (r * t)
+    acc = np.zeros(len(t), dtype=complex)
+    for m, a in terms:
+        p = np.full(len(t), complex(a))
+        for _ in range(abs(m)):
+            p *= u if m > 0 else u.conj()
+        acc += p
+    return acc
+
+
+@pytest.mark.parametrize("terms", [[(0, 1.0)], [(0, -0.0)], [(1, 1.0)], [(-1, 1.0)], [(-5, 1.0)],
+                                   [(3, 2.0 - 1.0j)], [(-5, 1.0), (2, 0.5j)], [(0, 1.0), (-2, 1.0)],
+                                   [(40, 1.0)]])
+def test_basis_is_bitwise_the_complex_form(terms):
+    """basis_combination_value, which builds u in its real and imaginary rows
+    and skips it when every m is 0, equals the complex form bit for bit,
+    signed zeros included, at 0, -0.0, heights where 4t^2 overflows and
+    Cauchy samples."""
+    t = np.concatenate([[0.0, -0.0, 1e160, -1e160, -1e300, 0.5, -0.5],
+                        cauchy_half_sample(np.random.default_rng(31), 20_000)])
+    assert basis_combination_value(terms, t).tobytes() == _basis_reference(terms, t).tobytes()
+
+
 @pytest.mark.parametrize("m", [1, -1, 2, -5, 17, -40, 40])
 def test_rational_basis_matches_the_exp_form(m):
     """e_m = u^m with u = (1 - 2it)/(1 + 2it) is exp(-2im arctan 2t) within

@@ -273,6 +273,34 @@ def test_table_route_against_mpmath():
             assert abs(v - ref) <= 1.5e-13 * max(1.0, abs(ref)), t
 
 
+@pytest.mark.parametrize("fit, n", [(fastzeta._UNIT, 5000), (fastzeta._CHEB, 40_000)])
+def test_table_routes_are_the_per_term_gather(fit, n):
+    """Each table route, which gathers a unit-table point's coefficient row
+    with one take per block and skips the segment index on the one-segment
+    table, equals bit for bit a Horner that gathers each term's coefficients
+    by segment, on more points than one pass holds, at segment edges, and on
+    negative heights, which give its conjugate."""
+    lo, width = fit[:2]
+    c = fastzeta._fit(*fit)  # (segment, term, 2)
+    edges = lo + width * np.arange(1, len(c) + 1)
+    t = np.concatenate([np.random.default_rng(37).uniform(lo, edges[-1], n), [lo],
+                        edges[:-1], np.nextafter(edges, lo)])
+    assert len(t) > 2 * (fastzeta._BLOCK if len(c) == 1 else fastzeta._GATHER // c[0].nbytes)
+    u = (t - lo) / width
+    seg = u.astype(np.intp)
+    x = 2 * (u - seg) - 1
+    acc = c[:, -1].T.take(seg, axis=1)
+    for k in range(c.shape[1] - 2, -1, -1):
+        acc *= x
+        acc += c[:, k].T.take(seg, axis=1)
+    d = 0.25 + t * t
+    ref = np.empty(len(t), dtype=complex)
+    ref.real = acc[0] - 0.5 / d
+    ref.imag = acc[1] - t / d
+    assert zeta_critical(t).tobytes() == ref.tobytes()
+    assert zeta_critical(-t).tobytes() == np.conj(ref).tobytes()
+
+
 def test_zeta_critical_negative_heights_are_conjugates():
     """zeta(1/2 - it) is the conjugate of zeta(1/2 + it) bit for bit, on
     every route."""
