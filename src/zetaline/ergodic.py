@@ -186,9 +186,11 @@ def basis_combination_value(terms: Sequence[tuple], t: np.ndarray) -> np.ndarray
     """g(t) = sum a_m e_m(t) for terms = [(m, a_m), ...]: e_m = u^m, e_{-m} = conj(u)^m,
     u = r - 1 - 2irt with r = 2/(1 + 4t^2) (u = -1 where 4t^2 overflows); within
     2.7e-15 of exp(-2im arctan 2t) at |m| = 5 and 2.1e-14 at |m| = 40.  u is
-    built in place in its real and imaginary rows, and only if some m is not 0."""
+    built in place in its real and imaginary rows, and only if some m is not 0;
+    where every m <= 0 those rows hold conj(u) instead, so no term copies it."""
     acc = np.zeros(len(t), dtype=complex)
     u = None
+    conj = all(m <= 0 for m, _ in terms)
     if any(m for m, _ in terms):
         with np.errstate(over="ignore"):
             r = 4.0 * t
@@ -198,9 +200,10 @@ def basis_combination_value(terms: Sequence[tuple], t: np.ndarray) -> np.ndarray
         u = np.empty(len(t), dtype=complex)
         np.subtract(r, 1.0, out=u.real)
         r *= t
-        np.multiply(r, -2.0, out=u.imag)  # a zero's sign cannot reach acc, which starts at +0
+        # +2rt builds conj(u); a zero's sign cannot reach acc, which starts at +0
+        np.multiply(r, 2.0 if conj else -2.0, out=u.imag)
     for m, a in terms:
-        w = u if m >= 0 else u.conj()
+        w = u.conj() if m < 0 and not conj else u
         p = np.full(len(t), complex(a))
         for _ in range(abs(m)):
             p *= w
@@ -327,12 +330,13 @@ def birkhoff_averages(
             skipped += m - len(orbit)
         zeta_vals = fastzeta.zeta_critical(orbit)
         for i, terms in enumerate(observables):
-            # fixed-order reduction: cumulative over the chunk, then checkpoints
-            csum = np.cumsum(zeta_vals * basis_combination_value(terms, orbit))
+            f = basis_combination_value(terms, orbit)
+            # zeta * g in this order at any length: complex multiply is not bitwise commutative
+            np.multiply(zeta_vals, f, out=f)
+            # one sum per checkpoint's prefix: bit for bit the final estimate of a run ending there
             for k_in in k_ins:
-                tot_at = totals[i] + (csum[k_in - 1] if k_in > 0 else 0.0 + 0.0j)
-                est[i].append(complex(tot_at / max(kept + k_in, 1)))
-            totals[i] += csum[-1] if len(csum) else 0.0 + 0.0j
+                est[i].append(complex((totals[i] + f[:k_in].sum()) / max(kept + k_in, 1)))
+            totals[i] += f.sum()
         kept += len(orbit)
         produced += m
     return [

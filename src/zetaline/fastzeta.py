@@ -4,15 +4,17 @@ Two routes on the critical line, dispatched on |t| at RS_CROSSOVER = 200
 (negative t by conjugate symmetry):
 
 * below it, the pole 1/(s - 1) = (-1/2 - it)/(1/4 + t^2) plus a polynomial
-  table of the entire g(s) = zeta(s) - 1/(s - 1), by Horner in the local
-  x in [-1, 1] of a segment: 25 terms on [0, T_CHEB = 10], 17 on each unit
-  segment above; zeta itself, its pole at t = -i/2, would need over a
-  hundred on [0, T_CHEB].  _fit builds both from Euler-Maclaurin samples at
-  Chebyshev nodes, once per process (the unit table's 6,080 take about
-  10 ms).  A point costs 2 numpy operations per term after the unit table's
-  one gather of its row: 16M points/s on [0, 10] and 10M on [10, 200] (9M
-  in an orbit chunk's 1.5e3), in batches of 3e4 on 2 vCPUs, against
-  Euler-Maclaurin's 1.4M;
+  table of the entire g(s) = zeta(s) - 1/(s - 1); zeta itself, its pole at
+  t = -i/2, would need over a hundred terms on [0, T_CHEB = 10].  Re g is
+  even in t and Im g odd, so on (-T_CHEB, T_CHEB) one table holds
+  Re g = P(y) and Im g = x Q(y), x = t / T_CHEB, y = x^2: 17 terms per row
+  by Horner in y, where the series in x has 34.  Each unit segment above
+  holds 17 terms in its local x in [-1, 1].  Both tables come from
+  Euler-Maclaurin samples at Chebyshev nodes, once per process (the unit
+  table's 6,080 take about 10 ms).  A point costs 2 numpy operations per
+  term after the unit table's one gather of its row: 31M points/s on
+  [0, 10] and 10M on [10, 200] (9M in an orbit chunk's 1.5e3), in batches
+  of 3e4 on 2 vCPUs, against Euler-Maclaurin's 1.4M;
 * the Riemann-Siegel main sum plus Gabcke's remainder terms C0..C5, above
   it, each a polynomial in (p - 1/2)^2 economized on |p - 1/2| <= 1/2 to
   13, 13, 13, 12, 11 and 11 terms (_rs_polys).  Against mpmath.siegelz,
@@ -163,16 +165,14 @@ def zeta_em_line(t, sigma=0.5) -> np.ndarray:
     return out
 
 
-# (lo, width, segments, nodes, tail) of the two tables of g.  On [0, T_CHEB]
-# the tail is 4.5 ulps of max |g| = 1.55; on the unit segments, above the
-# samples' noise, which grows with t to 6e-14.
-_CHEB = (0.0, T_CHEB, 1, 48, 1e-15)
+# (lo, width, segments, nodes, tail) of the unit table of g: its tail sits
+# above the samples' noise, which grows with t to 6e-14.
 _UNIT = (T_CHEB, 1.0, int(RS_CROSSOVER - T_CHEB), 32, 1e-13)
-_BLOCK = 16_384  # points per Horner pass of the one-segment table: under 1 MB
+_BLOCK = 16_384  # points per Horner pass of the even/odd table: under 1 MB
 _GATHER = 1 << 19  # bytes of unit-table rows gathered per Horner pass
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=None)
 def _fit(lo: float, width: float, count: int, nodes: int, tail: float) -> np.ndarray:
     """Coefficients of g(1/2 + it) = zeta - 1/(s - 1) on `count` segments.
 
@@ -180,7 +180,8 @@ def _fit(lo: float, width: float, count: int, nodes: int, tail: float) -> np.nda
     t = lo + width (i + (1 + x)/2).  A DCT of zeta_em_line minus the pole at
     `nodes` Chebyshev points per segment gives the Chebyshev series, cut at
     the first degree where every segment's coefficient is below `tail`;
-    T_{k+1} = 2x T_k - T_{k-1} turns it into powers of x.
+    T_{k+1} = 2x T_k - T_{k-1} turns it into powers of x.  The cache keeps
+    every fit, so each table is fitted once per process.
     """
     j = np.arange(nodes) + 0.5
     t = lo + width * (np.arange(count) + (np.cos(np.pi * j / nodes)[:, None] + 1) / 2)
@@ -193,6 +194,35 @@ def _fit(lo: float, width: float, count: int, nodes: int, tail: float) -> np.nda
     return (_cheb_powers(len(c)).T @ c).reshape(len(c), 2, count).transpose(2, 0, 1).copy()
 
 
+def _even_odd_series(nodes: int = 80, tail: float = 1e-15) -> np.ndarray:
+    """Chebyshev series in x = t / T_CHEB of (Re g, Im g) on (-T_CHEB, T_CHEB), one per column.
+
+    As in _fit, but each DCT phase k (2j + 1) is reduced mod 4 nodes before
+    the cosine: unreduced, its rounding leaves 1e-15 of noise in every term.
+    Cut at `tail`, 4.5 ulps of max |g| = 1.55, it has 34 terms.  Re g is even
+    in t and Im g odd, by zeta(conj s) = conj zeta(s), so its odd Re and
+    even Im terms are that noise, 2.2e-16 and 1.8e-16 at most.
+    """
+    j = 2 * np.arange(nodes) + 1
+    t = T_CHEB * np.cos(np.pi / (2 * nodes) * j)
+    g = zeta_em_line(t) - (-0.5 - 1j * t) / (0.25 + t * t)
+    phase = np.outer(np.arange(nodes), j) % (4 * nodes)
+    c = np.cos(np.pi / (2 * nodes) * phase) @ np.stack([g.real, g.imag], axis=1) * (2 / nodes)
+    c[0] /= 2
+    small = np.append(np.abs(c).max(axis=1) < tail, True)
+    return c[: int(np.argmax(small)) + 1]
+
+
+@lru_cache(maxsize=None)
+def _even_odd() -> np.ndarray:
+    """Rows (P, Q) of g(1/2 + it) = P(y) + i x Q(y), x = t / T_CHEB, y = x^2,
+    low order first: 17 terms each, the even powers of _even_odd_series's Re
+    and the odd ones of its Im."""
+    c = _even_odd_series()
+    p = _cheb_powers(len(c)).T @ c
+    return np.stack([p[::2, 0], p[1::2, 1]])
+
+
 def _cheb_powers(n: int) -> np.ndarray:
     """Row k < n: T_k in powers of x, by T_{k+1} = 2x T_k - T_{k-1}."""
     cheb = np.eye(n)
@@ -201,25 +231,44 @@ def _cheb_powers(n: int) -> np.ndarray:
     return cheb
 
 
-def _zeta_table(t: np.ndarray, fit: tuple) -> np.ndarray:
-    """zeta(1/2 + it) from a table of _fit: the pole (-1/2 - it)/(1/4 + t^2)
-    plus g by Horner in the local x of each point's segment, real and imaginary
-    parts as two rows; a unit-table pass gathers its points' rows in one take
-    of at most _GATHER bytes.  A negative t negates |t|'s imaginary row."""
-    lo, width = fit[:2]
-    c = _fit(*fit)
-    step = _BLOCK if len(c) == 1 else _GATHER // c[0].nbytes
+def _zeta_even_odd(t: np.ndarray) -> np.ndarray:
+    """zeta(1/2 + it) for |t| < T_CHEB from _even_odd: Re = P(y) - 1/2 / d and
+    Im = x (Q(y) - T_CHEB / d), d = 1/4 + t^2, both rows by one Horner in y.
+    Only x is odd in t, so -t gives the conjugate bit for bit, signed zeros too."""
+    rows = _even_odd()[..., None]  # (2, term, 1)
+    out = np.empty(len(t), dtype=complex)
+    for i in range(0, len(t), _BLOCK):
+        tb = t[i:i + _BLOCK]
+        x = tb / T_CHEB
+        y = x * x
+        acc = np.broadcast_to(rows[:, -1], (2, len(tb))).copy()
+        for k in range(rows.shape[1] - 2, -1, -1):
+            acc *= y
+            acc += rows[:, k]
+        d = 0.25 + tb * tb
+        np.subtract(acc[0], 0.5 / d, out=out.real[i:i + _BLOCK])
+        acc[1] -= T_CHEB / d
+        np.multiply(x, acc[1], out=out.imag[i:i + _BLOCK])
+    return out
+
+
+def _zeta_unit(t: np.ndarray) -> np.ndarray:
+    """zeta(1/2 + it) for T_CHEB <= |t| < RS_CROSSOVER from the unit table: the
+    pole (-1/2 - it)/(1/4 + t^2) plus g by Horner in the local x of each
+    point's segment, real and imaginary parts as two rows; a pass gathers its
+    points' rows in one take of at most _GATHER bytes.  A negative t negates
+    |t|'s imaginary row."""
+    lo, width = _UNIT[:2]
+    c = _fit(*_UNIT)
+    step = _GATHER // c[0].nbytes
     out = np.empty(len(t), dtype=complex)
     for i in range(0, len(t), step):
         tb = t[i:i + step]
         a = np.abs(tb)
         u = (a - lo) / width
-        if len(c) == 1:
-            x, rows = 2 * u - 1, c[0].T[..., None]  # (2, term, 1)
-        else:
-            seg = u.astype(np.intp)
-            x, rows = 2 * (u - seg) - 1, c.take(seg, axis=0).T  # (2, term, point)
-        acc = np.broadcast_to(rows[:, -1], (2, len(tb))).copy()
+        seg = u.astype(np.intp)
+        x, rows = 2 * (u - seg) - 1, c.take(seg, axis=0).T  # (2, term, point)
+        acc = rows[:, -1].copy()
         for k in range(rows.shape[1] - 2, -1, -1):
             acc *= x
             acc += rows[:, k]
@@ -384,26 +433,27 @@ def zeta_critical(t) -> np.ndarray:
     """zeta(1/2 + it) for real t, by two routes (see the module notes).
 
     * |t| < RS_CROSSOVER: the pole plus a polynomial table of g.  Within
-      3.9e-15 of mpmath.zeta on 400 random heights in [0, 10]; on 2,000 in
+      2.5e-15 of mpmath.zeta on 400 random heights in [0, 10]; on 2,000 in
       [10, 200], within 1.0e-13 (median 1.3e-14), relative where |zeta| > 1,
       where Euler-Maclaurin, the table's samples, is within 1.6e-13.
     * |t| >= RS_CROSSOVER: Riemann-Siegel with C0..C5, within 3.4e-10 on
       [200, 300], 7e-11 on [300, 2e4] and 3.3e-10 on [2e4, 6e4]; the
       float64 phase loosens it further up (2.8e-9 near 1e6).
 
-    Negative t and -0.0 take the conjugate of the value at |t|, bit for bit
-    (a table block that holds one multiplies its imaginary row by
-    copysign(1, t); Riemann-Siegel conjugates its gathered points).  Each
+    Negative t and -0.0 take the conjugate of the value at |t|, bit for bit:
+    below T_CHEB the imaginary part is x = t / T_CHEB times a factor even in
+    t, a unit-table block that holds one multiplies its imaginary row by
+    copysign(1, t), and Riemann-Siegel conjugates its gathered points.  Each
     height's value depends on that height alone, not on the batch.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     a = np.abs(t)
     out = np.empty(t.shape, dtype=complex)
+    small = a < T_CHEB
     rs = ~(a < RS_CROSSOVER)
-    cheb = a < T_CHEB
-    for mask, fit in ((cheb, _CHEB), (~(cheb | rs), _UNIT)):
+    for mask, table in ((small, _zeta_even_odd), (~(small | rs), _zeta_unit)):
         if mask.any():
-            out[mask] = _zeta_table(t[mask], fit)
+            out[mask] = table(t[mask])
     if rs.any():
         z = zeta_rs_line(a[rs])
         out[rs] = np.conjugate(z, out=z, where=np.signbit(t[rs]))

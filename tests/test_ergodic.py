@@ -146,6 +146,17 @@ def test_birkhoff_chunks_equal_one_orbit(crit):
         assert abs(est - mean) < 1e-12, ck
 
 
+def test_birkhoff_checkpoint_is_a_shorter_run(crit):
+    """The estimate at a checkpoint is the final estimate of a run that ends
+    there, bit for bit, on either side of numpy's 256 KiB temporary-elision
+    threshold: 16,000 complex values lie below it and 17,000 above."""
+    terms = [(-5, 1), (2, 0.5j)]
+    long = birkhoff_average(terms, 0.37, 17_000, crit, checkpoints=[16_000])
+    short = birkhoff_average(terms, 0.37, 16_000, crit)
+    assert long.checkpoints == (16_000, 17_000)
+    assert long.estimates[0] == short.final_estimate
+
+
 def test_birkhoff_skip_path_across_chunks(crit):
     """A start above the cap skips its leading points, all in the first of
     two orbit chunks: the running means at a checkpoint in each chunk and at

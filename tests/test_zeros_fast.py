@@ -273,19 +273,17 @@ def test_table_route_against_mpmath():
             assert abs(v - ref) <= 1.5e-13 * max(1.0, abs(ref)), t
 
 
-@pytest.mark.parametrize("fit, n", [(fastzeta._UNIT, 5000), (fastzeta._CHEB, 40_000)])
-def test_table_routes_are_the_per_term_gather(fit, n):
-    """Each table route, which gathers a unit-table point's coefficient row
-    with one take per block and skips the segment index on the one-segment
-    table, equals bit for bit a Horner that gathers each term's coefficients
-    by segment, on more points than one pass holds, at segment edges, and on
-    negative heights, which give its conjugate."""
-    lo, width = fit[:2]
-    c = fastzeta._fit(*fit)  # (segment, term, 2)
+def test_unit_table_is_the_per_term_gather():
+    """The unit table route, which gathers a point's coefficient row with one
+    take per block, equals bit for bit a Horner that gathers each term's
+    coefficients by segment, on more points than two passes hold, at segment
+    edges, and on negative heights, which give its conjugate."""
+    lo, width = fastzeta._UNIT[:2]
+    c = fastzeta._fit(*fastzeta._UNIT)  # (segment, term, 2)
     edges = lo + width * np.arange(1, len(c) + 1)
-    t = np.concatenate([np.random.default_rng(37).uniform(lo, edges[-1], n), [lo],
+    t = np.concatenate([np.random.default_rng(37).uniform(lo, edges[-1], 5000), [lo],
                         edges[:-1], np.nextafter(edges, lo)])
-    assert len(t) > 2 * (fastzeta._BLOCK if len(c) == 1 else fastzeta._GATHER // c[0].nbytes)
+    assert len(t) > 2 * (fastzeta._GATHER // c[0].nbytes)
     u = (t - lo) / width
     seg = u.astype(np.intp)
     x = 2 * (u - seg) - 1
@@ -299,6 +297,58 @@ def test_table_routes_are_the_per_term_gather(fit, n):
     ref.imag = acc[1] - t / d
     assert zeta_critical(t).tobytes() == ref.tobytes()
     assert zeta_critical(-t).tobytes() == np.conj(ref).tobytes()
+
+
+def test_even_odd_table_is_a_horner_in_y():
+    """Below T_CHEB zeta_critical is (P(y) - 1/2 / d) + i x (Q(y) - T_CHEB / d),
+    x = t / T_CHEB, y = x^2, d = 1/4 + t^2, over the stored rows (P, Q), bit
+    for bit, on more points than two blocks hold, at 0, -0.0,
+    +-nextafter(T_CHEB, 0), +-5e-324 and at negative heights, which give its
+    conjugate."""
+    P, Q = fastzeta._even_odd()
+    assert len(P) == len(Q) == 17
+    edge = np.nextafter(T_CHEB, 0.0)
+    t = np.concatenate([np.random.default_rng(41).uniform(-T_CHEB, T_CHEB, 2 * fastzeta._BLOCK + 100),
+                        [0.0, -0.0, edge, -edge, 5e-324, -5e-324]])
+    x = t / T_CHEB
+    y = x * x
+    p, q = np.full_like(t, P[-1]), np.full_like(t, Q[-1])
+    for k in range(len(P) - 2, -1, -1):
+        p = p * y + P[k]
+        q = q * y + Q[k]
+    d = 0.25 + t * t
+    ref = np.empty(len(t), dtype=complex)
+    ref.real = p - 0.5 / d
+    ref.imag = x * (q - T_CHEB / d)
+    assert zeta_critical(t).tobytes() == ref.tobytes()
+    assert zeta_critical(-t).tobytes() == np.conj(ref).tobytes()
+
+
+def test_even_odd_table_drops_only_noise():
+    """Re g is even in t and Im g odd, so the Chebyshev terms the table drops,
+    odd in Re and even in Im, are below 1e-15; 34 terms in x are kept."""
+    c = fastzeta._even_odd_series()
+    assert len(c) == 34
+    assert np.abs(c[1::2, 0]).max() < 1e-15
+    assert np.abs(c[::2, 1]).max() < 1e-15
+
+
+def test_tables_survive_other_fits(monkeypatch):
+    """Each table is fitted once per process: after two more fits, zeta_critical
+    on both tables evaluates no Euler-Maclaurin sample."""
+    zeta_critical([3.0, 50.0])
+    fastzeta._fit(0.0, 1.0, 1, 8, 1e-3)
+    fastzeta._fit(0.0, 2.0, 1, 8, 1e-3)
+    calls = []
+    em = fastzeta.zeta_em_line
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return em(*args, **kwargs)
+
+    monkeypatch.setattr(fastzeta, "zeta_em_line", counted)
+    zeta_critical([3.0, 50.0])
+    assert calls == []
 
 
 def test_zeta_critical_negative_heights_are_conjugates():
