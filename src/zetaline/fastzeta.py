@@ -168,7 +168,10 @@ def zeta_em_line(t, sigma=0.5) -> np.ndarray:
 # (lo, width, segments, nodes, tail) of the unit table of g: its tail sits
 # above the samples' noise, which grows with t to 6e-14.
 _UNIT = (T_CHEB, 1.0, int(RS_CROSSOVER - T_CHEB), 32, 1e-13)
-_BLOCK = 16_384  # points per Horner pass of the even/odd table: under 1 MB
+# Points per block of a large evaluation, so that its temporaries stay under
+# 1 MB: a Horner pass of the even/odd table, a generation of the adaptive
+# quadrature, the zero scan's grid and its coverage rescan.
+_BLOCK = 16_384
 _GATHER = 1 << 19  # bytes of unit-table rows gathered per Horner pass
 
 

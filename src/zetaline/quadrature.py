@@ -24,7 +24,10 @@ panels aside, one fixed 12-node rule each), which evaluates each panel at
 the 25 Gauss-Kronrod nodes that extend the 12-node Gauss-Legendre rule and
 tests the 12-node rule against the 25-node one; the sum of |K25 - G12| over
 the accepted panels is the identities' and the cross moment's
-``est_error``.
+``est_error``.  A generation of panels is evaluated in blocks of at most
+``fastzeta._BLOCK`` (16,384) nodes, each reduced to its panels' sums before
+the next, so no temporary grows with the generation; the integrands are
+pointwise, so every value is as from one call over the generation.
 
 Truncation bounds for the mean-square identities use the classical growth
 of the second moment of zeta (density log(t/2pi) + 2 gamma0); they are
@@ -358,24 +361,34 @@ def _native_adaptive(f_vec, panels, rel_tol: float, abs_floor: float = 1e-13):
     f_vec maps an array of nodes to values with the nodes on the last axis;
     leading axes, if any, are separate integrands (rows) on shared panels.
     Each generation of panels is evaluated at its 25 Gauss-Kronrod nodes in
-    one batched call; a panel is accepted when in every row |K25 - G12|, the
-    12-node Gauss rule's departure from the 25-node Kronrod rule on the same
-    nodes, is at most rel_tol * |K25| + abs_floor * width, otherwise both its
-    halves go to the next generation and are evaluated afresh.  The value
-    sums K25 and the estimate |K25 - G12| over the accepted panels.  Returns
-    (value, est, nodes), value and est shaped like the leading axes.
+    blocks of at most fastzeta._BLOCK nodes (655 panels), one f_vec call per
+    block; each block is reduced to its panels' K25 and G12 sums before the
+    next is evaluated, and as f_vec is pointwise every sum is the one a
+    single call over the generation would give.  A panel is accepted when in
+    every row |K25 - G12|, the 12-node Gauss rule's departure from the
+    25-node Kronrod rule on the same nodes, is at most
+    rel_tol * |K25| + abs_floor * width, otherwise both its halves go to the
+    next generation and are evaluated afresh.  The value sums K25 and the
+    estimate |K25 - G12| over the accepted panels.  Returns (value, est,
+    nodes), value and est shaped like the leading axes.
     """
     los, his = np.asarray(panels, dtype=float).reshape(-1, 2).T
     total, est, nodes = 0.0, 0.0, 0  # total turns complex with the integrand
     depth = 0
     while len(los):
-        hws = 0.5 * (his - los)
-        vals = f_vec((0.5 * (los + his)[:, None] + hws[:, None] * _KRONROD_X).ravel())
-        nodes += vals.shape[-1]
         k = len(los)
-        vals = vals.reshape(vals.shape[:-1] + (k, 25))
-        kronrod = (vals * _KRONROD_W).sum(axis=-1) * hws
-        gauss = (vals[..., 1::2] * _GAUSS_W).sum(axis=-1) * hws
+        hws = 0.5 * (his - los)
+        mids = 0.5 * (los + his)
+        step = fastzeta._BLOCK // 25
+        ks, gs = [], []
+        for i in range(0, k, step):
+            b = slice(i, i + step)
+            vals = f_vec((mids[b, None] + hws[b, None] * _KRONROD_X).ravel())
+            vals = vals.reshape(vals.shape[:-1] + (-1, 25))
+            ks.append((vals * _KRONROD_W).sum(axis=-1) * hws[b])
+            gs.append((vals[..., 1::2] * _GAUSS_W).sum(axis=-1) * hws[b])
+        kronrod, gauss = np.concatenate(ks, axis=-1), np.concatenate(gs, axis=-1)
+        nodes += 25 * k
         corr = np.abs(kronrod - gauss)
         passes = corr <= rel_tol * np.abs(kronrod) + abs_floor * (his - los)
         ok = passes.reshape(-1, k).all(axis=0) | (depth >= 26) | (his - los < 1e-8)
@@ -509,12 +522,17 @@ def _singular_panels(gammas: np.ndarray, hs: np.ndarray) -> tuple:
     h the zero's entry in hs.
 
     On each panel log|zeta| = log|t-g| + smooth: the smooth part goes through
-    one 12-node GL rule, all zeros' nodes in one fastzeta call, and the log
-    part integrates in closed form against the density linearized at g.
-    Returns (value, nodes).
+    one 12-node GL rule, all zeros' nodes in fastzeta calls of at most
+    fastzeta._BLOCK nodes, and the log part integrates in closed form against
+    the density linearized at g.  Returns (value, nodes).
     """
     t = (gammas[:, None] + hs[:, None] * _GAUSS_X).ravel()
-    smooth = _log_zeta_smooth(t, fastzeta.zeta_critical(t), np, np.repeat(gammas, 12))
+    g = np.repeat(gammas, 12)
+    smooth = np.empty(len(t))
+    block = fastzeta._BLOCK
+    for i in range(0, len(t), block):
+        b = slice(i, i + block)
+        smooth[b] = _log_zeta_smooth(t[b], fastzeta.zeta_critical(t[b]), np, g[b])
     log_part = _mu(gammas, np) * 2 * hs * (np.log(hs) - 1)
     value = (smooth.reshape(-1, 12) * (hs[:, None] * _GAUSS_W)).sum() + log_part.sum()
     return float(value), 12 * len(gammas)

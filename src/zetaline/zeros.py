@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fastzeta
 from .fastzeta import hardy_Z, hardy_theta
 
 __all__ = [
@@ -70,15 +71,18 @@ def scan_ordinates(a: float, b: float, step: float = 0.025) -> np.ndarray:
     (Dowell & Jarratt, BIT 11, 1971): regula falsi between the newest point
     b and the other end a, whose value is halved each time a is kept.  A
     step lands at least 0.4 widths inside, so once one end sits on the zero
-    the next step closes the bracket: up to 2000, 7 sweeps.
+    the next step closes the bracket: up to 2000, 7 sweeps.  The grid goes
+    through hardy_Z in calls of at most fastzeta._BLOCK points, each value
+    as from one call.
     """
     a = max(a, 10.0)
     if b <= a:
         return np.array([])
     grid = np.arange(a, b + step, step)
     vals = np.empty(len(grid))
-    for i in range(0, len(grid), 50_000):
-        vals[i:i + 50_000] = hardy_Z(grid[i:i + 50_000])
+    block = fastzeta._BLOCK
+    for i in range(0, len(grid), block):
+        vals[i:i + block] = hardy_Z(grid[i:i + block])
     sgn = np.sign(vals)
     idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
     a, b, fa, fb = grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
@@ -133,8 +137,8 @@ def coverage_gaps(ordinates: np.ndarray, T_cutoff: float, step: float = 0.05) ->
     Scans the gaps between consecutive listed ordinates; any sign change not
     accounted for by the list is reported as a missing interval.  The grids
     of all gaps, each np.linspace(lo + step, hi - step, max(gap/step, 8))
-    point for point, are built in one numpy pass and evaluated in one
-    hardy_Z call.
+    point for point, are built in one numpy pass and evaluated in hardy_Z
+    calls of at most fastzeta._BLOCK points, each value as from one call.
     """
     ords = np.asarray(sorted(o for o in ordinates if o <= T_cutoff))
     edges = np.concatenate([[10.0], ords, [T_cutoff]])
@@ -146,7 +150,10 @@ def coverage_gaps(ordinates: np.ndarray, T_cutoff: float, step: float = 0.05) ->
     grid = np.arange(num.sum()) - np.repeat(ends - num, num)  # the index within its gap
     grid = grid * np.repeat((last - first) / (num - 1), num) + np.repeat(first, num)
     grid[ends - 1] = last
-    sgn = np.sign(hardy_Z(grid))
+    sgn = np.empty(len(grid))
+    block = fastzeta._BLOCK
+    for i in range(0, len(grid), block):
+        sgn[i:i + block] = np.sign(hardy_Z(grid[i:i + block]))
     flip = sgn[:-1] * sgn[1:] < 0
     flip[ends[:-1] - 1] = False  # no pair across two gaps
     missing = [(float(grid[f]), float(grid[f + 1])) for f in np.flatnonzero(flip)]

@@ -243,6 +243,42 @@ def test_native_adaptive_rows():
         assert est[n] < 1e-12, n
 
 
+def _hex_results():
+    coffey, bsy = identity_coffey(T2=300), bsy_integral(300.0)
+    return ([coffey.value.hex(), coffey.est_error.hex(), coffey.nodes_used],
+            [bsy.value.hex(), bsy.est_error.hex(), bsy.nodes_used],
+            {n: v.hex() for n, v in moment_oracle([-1, 0, 1, 5]).items()})
+
+
+@pytest.mark.parametrize("panels", [1, 3])
+def test_blocks_give_the_one_call_values(monkeypatch, panels):
+    """A generation evaluated in blocks of 1 or 3 panels gives the default
+    block's values, estimates and node counts bit for bit: coffey, bsy
+    (singular panels included) and the moment oracle's rows."""
+    ref = _hex_results()
+    monkeypatch.setattr(fastzeta, "_BLOCK", 25 * panels)
+    assert _hex_results() == ref
+
+
+def test_no_evaluation_exceeds_one_block(monkeypatch):
+    """No zeta_critical or hardy_Z call in the benchmark's three identities
+    gets more than _BLOCK points; coffey to 2e4 has 225,550 nodes."""
+    sizes = []
+
+    def spy(fn):
+        def counting(t):
+            sizes.append(np.size(t))
+            return fn(t)
+        return counting
+
+    monkeypatch.setattr(fastzeta, "zeta_critical", spy(fastzeta.zeta_critical))
+    monkeypatch.setattr(zeros, "hardy_Z", spy(zeros.hardy_Z))
+    assert identity_coffey(T2=2.0e4).nodes_used == 225_550
+    log_integral_disk(T2=2.0e3)
+    bsy_integral(2000.0)
+    assert max(sizes) <= fastzeta._BLOCK
+
+
 def _legendre_fractions(n_max):
     """P_0..P_n_max as exact coefficient lists, low order first."""
     P = [[Fraction(1)], [Fraction(0), Fraction(1)]]

@@ -1,5 +1,6 @@
 """Native line evaluators and zero-ordinate machinery."""
 
+import math
 import subprocess
 import sys
 
@@ -522,11 +523,11 @@ def test_ordinates_below_2000_counts_every_zero():
 
 
 def test_scan_refines_in_at_most_12_sweeps(monkeypatch):
-    """After the grid's hardy_Z calls (50,000 points each), the Illinois
-    refinement makes at most 12 more, one per sweep, and leaves each ordinate
-    within 1e-11 of a sign change.  Up to 2000 every bracket closes in 7
-    sweeps; plain regula falsi (no halving) was still refining one at the
-    cap of 12."""
+    """After the grid's hardy_Z calls (fastzeta._BLOCK points each), the
+    Illinois refinement makes at most 12 more, one per sweep, and leaves each
+    ordinate within 1e-11 of a sign change.  Up to 2000 every bracket closes
+    in 7 sweeps; plain regula falsi (no halving) was still refining one at
+    the cap of 12."""
     from zetaline import zeros
 
     calls = []
@@ -536,7 +537,8 @@ def test_scan_refines_in_at_most_12_sweeps(monkeypatch):
         return hardy_Z(t)
 
     monkeypatch.setattr(zeros, "hardy_Z", counting)
-    for b, grid, chunks in ((300.0, 2531, 1), (2000.0, 70531, 2)):
+    for b, grid in ((300.0, 2531), (2000.0, 70531)):
+        chunks = math.ceil(grid / fastzeta._BLOCK)
         calls.clear()
         found = scan_ordinates(236.75, b)
         assert sum(calls[:chunks]) == grid
