@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf, workdps
@@ -99,6 +100,11 @@ class CoeffTable:
                 return mpf(0)
             raise IndexError(f"coefficient index {n} outside [{self.n_min}, {self.n_max}]")
         return self.values[n - self.n_min]
+
+    @cached_property
+    def float_values(self) -> tuple:
+        """The entries n_min..n_max as floats, converted once per table."""
+        return tuple(float(v) for v in self.values)
 
     def positive_slice(self) -> tuple:
         """Entries for n = 0..n_max (the power-series coefficients)."""

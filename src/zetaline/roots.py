@@ -6,25 +6,26 @@ zeta zeros in the half-plane Re s > 1/2.  The ell_n are real, so
 f_N(conj z) = conj f_N(z) and the roots pair with their conjugates.
 Hardware companion-matrix eigenvalues seed an Aberth-Ehrlich polish of one
 root per pair in fixed-point Python integers, 20 guard bits beyond the
-working precision; winding counts on upper half circles give an independent
-argument-principle count, and the Cauchy-Schwarz tail bound turns "f_N has
-no zeros inside radius r" into a Rouche certificate that the full series
-has none either.
+working precision.  Winding counts on upper half circles, certified arc by
+arc, give an independent argument-principle count; the same bounds on
+|f_N| against the Cauchy-Schwarz tail bound turn "f_N has no zeros inside
+radius r" into a Rouche certificate that the full series has none either.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import mp, mpf, workdps
 from mpmath.libmp import from_man_exp, to_fixed
 
 from .coefficients import CoeffTable
 from .precision import PrecisionCtx, hreal_to_str
-from .series import cs_tail_bound, partial_sum_fN
+from .series import cs_tail_bound
 
 __all__ = [
     "RootReport",
@@ -171,7 +172,7 @@ def roots_fN(N: int, coeffs: CoeffTable, ctx: PrecisionCtx,
     if N > coeffs.n_max:
         raise ValueError(f"N={N} exceeds coefficient table n_max={coeffs.n_max}")
     c_asc = _poly_coeffs_ascending(N, coeffs)
-    seeds = _float_roots(c_asc)
+    seeds = _float_roots(_fN_float(N, coeffs)[::-1])
     wp = max(ctx.digits, 40) + 15
     zs, residuals, inside, converged = _aberth_polish(c_asc, seeds, wp, tol_exp=ctx.digits // 2 + 10)
     with workdps(wp):
@@ -179,8 +180,8 @@ def roots_fN(N: int, coeffs: CoeffTable, ctx: PrecisionCtx,
         min_mod = +abs(disk[0]) if disk else None
     counts = []
     for rho in probe_radii:
-        try:
-            counts.append((rho, winding_count(N, rho, 4096, coeffs)))
+        try:   # 512 starting nodes: only the arcs that fail are bisected
+            counts.append((rho, winding_count(N, rho, 512, coeffs)))
         except CircleTooCloseError:
             counts.append((rho, -1))
     return RootReport(
@@ -194,64 +195,100 @@ def roots_fN(N: int, coeffs: CoeffTable, ctx: PrecisionCtx,
     )
 
 
-_MAX_REFINE = 8          # node doublings a winding count may take
+_MAX_REFINE = 11         # levels of arcs: the finest is nodes * 2^10 on the full circle
 _SCAN_NODES = 8192       # certificate circle nodes; its upper half (4097) is scanned
+_EPS = 2.0 ** -53        # unit roundoff of float64
+_UP = 1 + 2.0 ** -40     # covers the rounding of each float bound below (N <= 400)
+_NODE_ERR = 2.0 ** -45   # bounds |float node - exact node| / radius; angle, exp and product err by < 15u
 
 
-def _fN_float(N: int, coeffs: CoeffTable) -> list:
-    """f_N's coefficients as floats, highest power first."""
-    return [float(coeffs.value(n)) for n in range(N, -1, -1)] + [-1.0]
+def _fN_float(N: int, coeffs: CoeffTable) -> np.ndarray:
+    """f_N's coefficients as floats, highest power first, from the table's float array."""
+    if not coeffs.n_min <= 0 <= N <= coeffs.n_max:
+        raise IndexError(f"f_{N} needs entries 0..{N} of a table on [{coeffs.n_min}, {coeffs.n_max}]")
+    return np.array(coeffs.float_values[N - coeffs.n_min::-1][:N + 1] + (-1.0,))
 
 
-def _fN_on_circle(poly: list, radius: float, m: int, even=None) -> tuple:
-    """(z, f_N) on the upper half of the m-node circle: the m/2 + 1 points
-    z_j = radius e^{2 pi i j/m}, 0 <= j <= m/2 (m even), by float Horner on
-    poly from _fN_float.  Given ``even``, f_N at the points of even j, only
-    the odd j are evaluated and returned as z; each z_j is bit for bit the
-    one the full m-node circle would use."""
-    theta = np.linspace(0.0, 2 * np.pi, m, endpoint=False)[: m // 2 + 1]
-    z = radius * np.exp(1j * (theta if even is None else theta[1::2]))
+@lru_cache(maxsize=16)
+def _unit_arc(m: int) -> np.ndarray:
+    arc = np.exp(1j * np.linspace(0.0, 2 * np.pi, m, endpoint=False)[: m // 2 + 1])
+    arc.flags.writeable = False
+    return arc
+
+
+def _circle_nodes(radius: float, m: int, j=None) -> np.ndarray:
+    """Nodes z_j = radius e^{i theta_j} of the m-node circle (m even), theta_j
+    as np.linspace(0, 2 pi, m, endpoint=False) places it: the upper half
+    0 <= j <= m/2 from a cached read-only unit arc, or the given j."""
+    if j is None:
+        return radius * _unit_arc(m)
+    return radius * np.exp(1j * (j * (2 * np.pi / m)))
+
+
+def _horner(poly: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """f_N at the points z by float Horner on poly from _fN_float."""
     acc = np.zeros(len(z), dtype=complex)
     for a in poly:
-        acc = acc * z + a
-    if even is not None:
-        acc = np.insert(acc, np.arange(len(even)), even)   # even and odd j interleaved
-    return z, acc
+        acc *= z
+        acc += a
+    return acc
+
+
+def _error_bounds(poly: np.ndarray, radius: float) -> tuple:
+    """(M1, u), rounded up, on |z| <= radius (1 + _NODE_ERR): M1 = sum (n+1)
+    |ell_n| |z|^n bounds |f_N'|, and u the error of the float Horner value
+    f~ at a float z, gamma_{4d} sum |a_k| |z|^k for degree d (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.6 and 5.1:
+    (1 + sqrt(2) gamma_2)(1 + u) <= (1 + u)^4 per step) plus u sum |ell_n|
+    |z|^{n+1} for the float ell_n.  The sums' own rounding is inside _UP."""
+    a = np.abs(poly[::-1])                       # 1, |ell_0|, ..., |ell_N| by ascending power
+    d = len(a) - 1
+    p = (radius * (1 + _NODE_ERR)) ** np.arange(d + 1)
+    gamma = 4 * d * _EPS / (1 - 4 * d * _EPS)
+    return float(np.arange(1, d + 1) * a[1:] @ p[:-1]) * _UP, (gamma + _EPS) * float(a @ p) * _UP
+
+
+def _arc_length(radius: float, m: int) -> float:
+    """2 pi radius / m, rounded up, plus a node's rounding error at each end."""
+    return (2 * np.pi * radius / m + 2 * _NODE_ERR * radius) * _UP
 
 
 def winding_count(N: int, radius: float, nodes: int, coeffs: CoeffTable) -> int:
-    """Argument-principle count of f_N zeros inside |z| = radius.
+    """Argument-principle count of f_N zeros inside |z| = radius, certified arc by arc.
 
-    f_N(conj z) = conj f_N(z), so the lower half circle adds the phase of
-    the upper half, whose ends are real: the count is round(arc phase / pi).
-    The phase is summed over the upper half of a ``nodes``-point circle
-    (rounded up to even), refining until every step is below pi/2; each
-    doubling evaluates only the new nodes.  Raises CircleTooCloseError when
-    the minimum |f_N| on the arc suggests a root within ~10 node spacings.
+    f_N(conj z) = conj f_N(z), so the count is round(phase / pi), the sum
+    of the principal phase steps on the upper half of a ``nodes``-point
+    circle (rounded up to even), whose ends are real.  An arc of length h
+    is certified when |f~(z_k)| - 2u > M1 h at an end z_k (_error_bounds):
+    f_N maps it into a disk about f~(z_k) that excludes 0, so its float
+    step is the true one.  An arc at a real end must pass at that end, where
+    f_N is real: the float value there is then within pi/6 of the real axis
+    and the rounding is safe.  Failing arcs are bisected at midpoints
+    that are bitwise the finer circle's nodes; CircleTooCloseError when one
+    still fails at the spacing of nodes * 2^(_MAX_REFINE - 1) nodes.
     """
     if radius <= 0 or radius >= 1.0000001:
         raise ValueError("radius must lie in (0, 1]")
     poly = _fN_float(N, coeffs)
+    M1, u = _error_bounds(poly, radius)
     m = max(nodes + nodes % 2, 64)
-    v = None
-    for _ in range(_MAX_REFINE):
-        v = _fN_on_circle(poly, radius, m, v)[1]
-        spacing = 2 * np.pi * radius / m
-        # derivative scale estimate from consecutive differences
-        dscale = np.abs(np.diff(v)).max() / spacing
-        if np.abs(v).min() < 10 * spacing * max(dscale, 1e-30):
-            # a root is (or may be) within ~10 node spacings of the circle
-            if m < nodes * 2 ** (_MAX_REFINE - 1):
-                m *= 2
-                continue
-            raise CircleTooCloseError(
-                f"min |f_N| = {np.abs(v).min():.3e} on |z|={radius} with spacing {spacing:.3e}"
-            )
-        steps = np.angle(v[1:] / v[:-1])
-        if np.abs(steps).max() < np.pi / 2:
-            return int(round(steps.sum() / np.pi))
-        m *= 2
-    raise CircleTooCloseError(f"phase steps never settled on |z|={radius}")
+    v = _horner(poly, _circle_nodes(radius, m))
+    j, left, right = np.arange(m // 2), v[:-1], v[1:]   # each arc: left node, values at its ends
+    phase = 0.0
+    for depth in range(_MAX_REFINE):
+        full = m << depth
+        if depth:                                           # bisect the arcs that failed
+            mid = _horner(poly, _circle_nodes(radius, full, 2 * j + 1))
+            j, left, right = np.r_[2 * j, 2 * j + 1], np.r_[left, mid], np.r_[mid, right]
+        need = (M1 * _arc_length(radius, full) + 2 * u) * _UP
+        at_l, at_r = np.abs(left) > need, np.abs(right) > need
+        ok = np.where(j == 0, at_l, np.where(j == full // 2 - 1, at_r, at_l | at_r))
+        phase += np.angle(right[ok] / left[ok]).sum()
+        if ok.all():
+            return int(round(phase / np.pi))
+        j, left, right = j[~ok], left[~ok], right[~ok]
+    raise CircleTooCloseError(f"{len(j)} arcs of |z|={radius} fail at {full} nodes, "
+                              f"min |f_N| {np.abs(np.r_[left, right]).min():.3e}")
 
 
 @dataclass(frozen=True)
@@ -259,7 +296,8 @@ class TailCertificate:
     N: int
     radius: float
     tail_bound: mpf
-    min_fN_on_circle: mpf
+    min_fN_on_circle: mpf        # least float |f_N| over the scan's nodes
+    lower_bound: mpf             # a lower bound on |f_N| over the whole circle
     conclusive: bool
 
 
@@ -270,28 +308,27 @@ def tail_radius_certificate(N: int, radius, coeffs: CoeffTable) -> TailCertifica
                   = sqrt(sum_{n>N} ell_n^2) r^{N+2} / sqrt(1 - r^2)
 
     stays below min |f_N| on |z| = r = radius, the full series has exactly
-    as many zeros inside as f_N does.  An inconclusive comparison is
-    reported, never raised; a table of another family than the critical
-    one raises ValueError.
+    as many zeros inside as f_N does.  Every point of the circle lies within
+    h/2 of a node of the scanned upper half, so with winding_count's bounds
+    |f_N| >= min_j |f~(z_j)| - u - M1 h/2 there.  An inconclusive
+    comparison is reported, never raised; a table of another family than
+    the critical one raises ValueError.
     """
     with workdps(coeffs.digits):
         r = mpf(radius)
         if not 0 < r < 1:
             raise ValueError("radius must lie in (0, 1)")
         bound = r * cs_tail_bound(coeffs, N, r)
-    # min |f_N| on a dense scan of the upper half circle (float, then mp confirm)
-    z, acc = _fN_on_circle(_fN_float(N, coeffs), float(r), _SCAN_NODES)
-    i0 = int(np.abs(acc).argmin())
-    with workdps(coeffs.digits):
-        zmp = mpc(z[i0])
-        fmin = abs(partial_sum_fN(N, zmp, coeffs))
-        # float scan resolution guard: drop the estimate by the local slope
-        slope = float(abs(np.diff(np.abs(acc))).max() / (2 * np.pi * float(r) / _SCAN_NODES))
-        fmin_safe = fmin - mpf(slope) * 2 * mp.pi * r / _SCAN_NODES * 2
+    poly, rf = _fN_float(N, coeffs), float(r)
+    M1, u = _error_bounds(poly, rf)
+    fmin = float(np.abs(_horner(poly, _circle_nodes(rf, _SCAN_NODES))).min())
+    with workdps(coeffs.digits):   # the float |f~| and M1 h/2 may each be an ulp off
+        lower = mpf(fmin) / _UP - mpf(u + M1 * _arc_length(rf, _SCAN_NODES) / 2) * _UP
         return TailCertificate(
             N=N,
-            radius=float(r),
+            radius=rf,
             tail_bound=+bound,
-            min_fN_on_circle=+fmin,
-            conclusive=bool(fmin_safe > bound),
+            min_fN_on_circle=mpf(fmin),
+            lower_bound=lower,
+            conclusive=bool(lower > bound),
         )

@@ -15,7 +15,6 @@ switches to the closed form there (and records which route it used).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from mpmath import mp, mpc, mpf, workdps
 
 from .coefficients import PARSEVAL_SQ_CEILING, CoeffTable
 from .precision import PrecisionCtx
-from .zeta import ZetaPoleError, zeta_em, zeta_minus_pole
+from .zeta import ZetaPoleError, zeta_minus_pole
 
 __all__ = [
     "basis_e",
@@ -36,9 +35,7 @@ __all__ = [
     "tail_sq_after",
     "cs_tail_bound",
     "phi",
-    "phi_integral_oracle",
     "cs_bound_check",
-    "line_comparison_csv",
 ]
 
 
@@ -213,34 +210,6 @@ def phi(s, ctx: PrecisionCtx) -> mpc:
         return +((1 - zeta_minus_pole(s, ctx)) / s)
 
 
-def phi_integral_oracle(s, tol, ctx: PrecisionCtx | None = None):
-    """phi(s) by direct panel integration of {x} x^{-s-1}: the independent route.
-
-    On [k, k+1) the integrand is (x - k) x^{-s-1}, integrated exactly per
-    panel; the tail beyond x_cut uses {x} = 1/2 + (zero-mean periodic part),
-    contributing X^{-s}/(2s) plus a remainder below (|s|+1)/8 X^{-Re s-1}.
-    Returns (value, remainder_bound).  No zeta evaluation anywhere.
-    """
-    ctx = ctx or PrecisionCtx(30)
-    with workdps(ctx.working(10)):
-        s = mpc(s)
-        sigma = float(s.real)
-        if sigma < 0.5:
-            raise ValueError("oracle route implemented for Re s >= 1/2")
-        x_cut = int(math.ceil(((abs(complex(s)) + 1) / (8 * float(tol))) ** (1 / (sigma + 1)))) + 2
-        x_cut = min(max(x_cut, 50), 5_000_000)
-        acc = mpc(0)
-        # int_k^{k+1} (x-k) x^{-s-1} dx = [x^{1-s}/(1-s) + k x^{-s}/s]_k^{k+1}
-        for k in range(1, x_cut):
-            a, b = mpf(k), mpf(k + 1)
-            term = (b ** (1 - s) - a ** (1 - s)) / (1 - s) + k * (b ** -s - a ** -s) / s
-            acc += term
-        X = mpf(x_cut)
-        acc += X ** -s / (2 * s)
-        rem_bound = (abs(s) + 1) / 8 * X ** (-s.real - 1)
-        return +acc, +rem_bound
-
-
 def cs_bound_check(s, ctx: PrecisionCtx | None = None) -> dict:
     """Check |zeta(s) - s/(s-1)| <= sqrt((log 2pi - gamma0 - 1)/(2 sigma - 1)) |s|.
 
@@ -259,28 +228,3 @@ def cs_bound_check(s, ctx: PrecisionCtx | None = None) -> dict:
             "rhs": +rhs,
             "holds": bool(lhs <= rhs + mpf(10) ** (-(ctx.digits - 5))),
         }
-
-
-def line_comparison_csv(ts, N: int, coeffs: CoeffTable, ctx: PrecisionCtx | None = None) -> str:
-    """CSV rows (t, Re zeta, Im zeta, Re Z_N, Im Z_N, |error|) for line plots.
-
-    Z_N is the boundary partial sum gamma0 - 1/(1/2 - it) + sum_{n<=N} ell_n e_n.
-    """
-    ctx = ctx or PrecisionCtx(30)
-    lines = ["t,zeta_re,zeta_im,partial_re,partial_im,abs_error"]
-    with workdps(ctx.working()):
-        gamma0 = +mp.euler
-        for t in ts:
-            t = mpf(t)
-            zv = zeta_em(mpc(mpf("0.5"), t), ctx)
-            acc = mpc(0)
-            for n in range(1, N + 1):
-                acc += coeffs.value(n) * basis_e(n, t, ctx)
-            zn = gamma0 - 1 / (mpf("0.5") - 1j * t) + acc
-            err = abs(zn - zv)
-            lines.append(
-                f"{float(t)!r},{float(zv.real)!r},{float(zv.imag)!r},"
-                f"{float(zn.real)!r},{float(zn.imag)!r},{float(err)!r}"
-            )
-    return "\n".join(lines) + "\n"
-

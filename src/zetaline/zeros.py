@@ -61,28 +61,34 @@ def expected_zero_count(T: float) -> float:
     return float(hardy_theta(np.array([T]))[0]) / math.pi + 1.0
 
 
+def _hardy_Z_blocks(t: np.ndarray) -> np.ndarray:
+    """hardy_Z(t) in calls of at most fastzeta._BLOCK points, each value as from one call."""
+    out = np.empty(len(t))
+    block = fastzeta._BLOCK
+    for i in range(0, len(t), block):
+        out[i:i + block] = hardy_Z(t[i:i + block])
+    return out
+
+
 def scan_ordinates(a: float, b: float, step: float = 0.025) -> np.ndarray:
     """All Hardy-Z sign changes in [a, b], each refined to a bracket of width
     at most 1e-11, or 4 ulps of t above 16384 (or by 12 sweeps), and its zero
     interpolated linearly.
 
     step must undercut the closest zero pair in range (0.0377 below 1e4).
-    All brackets take Illinois steps together, one hardy_Z call per sweep
+    All brackets take Illinois steps together, one sweep at a time
     (Dowell & Jarratt, BIT 11, 1971): regula falsi between the newest point
     b and the other end a, whose value is halved each time a is kept.  A
     step lands at least 0.4 widths inside, so once one end sits on the zero
-    the next step closes the bracket: up to 2000, 7 sweeps.  The grid goes
-    through hardy_Z in calls of at most fastzeta._BLOCK points, each value
-    as from one call.
+    the next step closes the bracket: up to 2000, 7 sweeps.  The grid and
+    each sweep go through hardy_Z in calls of at most fastzeta._BLOCK
+    points, each value as from one call; up to 2000 a sweep is one call.
     """
     a = max(a, 10.0)
     if b <= a:
         return np.array([])
     grid = np.arange(a, b + step, step)
-    vals = np.empty(len(grid))
-    block = fastzeta._BLOCK
-    for i in range(0, len(grid), block):
-        vals[i:i + block] = hardy_Z(grid[i:i + block])
+    vals = _hardy_Z_blocks(grid)
     sgn = np.sign(vals)
     idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
     a, b, fa, fb = grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
@@ -94,7 +100,7 @@ def scan_ordinates(a: float, b: float, step: float = 0.025) -> np.ndarray:
             break
         al, bl, fal, fbl, w = a[live], b[live], fa[live] * half[live], fb[live], 0.4 * width[live]
         x = np.clip(bl - fbl * (bl - al) / (fbl - fal), np.minimum(al, bl) + w, np.maximum(al, bl) - w)
-        fx = hardy_Z(x)
+        fx = _hardy_Z_blocks(x)
         keep = np.sign(fx) == np.sign(fbl)  # a stays the other end
         a[live], fa[live] = np.where(keep, al, bl), np.where(keep, fa[live], fbl)
         half[live] = np.where(keep, half[live] / 2, 1.0)
@@ -150,10 +156,7 @@ def coverage_gaps(ordinates: np.ndarray, T_cutoff: float, step: float = 0.05) ->
     grid = np.arange(num.sum()) - np.repeat(ends - num, num)  # the index within its gap
     grid = grid * np.repeat((last - first) / (num - 1), num) + np.repeat(first, num)
     grid[ends - 1] = last
-    sgn = np.empty(len(grid))
-    block = fastzeta._BLOCK
-    for i in range(0, len(grid), block):
-        sgn[i:i + block] = np.sign(hardy_Z(grid[i:i + block]))
+    sgn = np.sign(_hardy_Z_blocks(grid))
     flip = sgn[:-1] * sgn[1:] < 0
     flip[ends[:-1] - 1] = False  # no pair across two gaps
     missing = [(float(grid[f]), float(grid[f + 1])) for f in np.flatnonzero(flip)]

@@ -10,10 +10,10 @@ from zetaline.precision import PrecisionCtx
 from zetaline.roots import (
     CircleTooCloseError,
     _aberth_polish,
-    _fN_float,
-    _fN_on_circle,
+    _circle_nodes,
     _float_roots,
     _poly_coeffs_ascending,
+    _unit_arc,
     roots_fN,
     tail_radius_certificate,
     winding_count,
@@ -135,21 +135,65 @@ def test_winding_matches_polyroots_census(tables63, polyroots63):
     assert checked > 50
 
 
-def test_circle_refinement_matches_full_evaluation(table):
+def test_circle_refinement_matches_full_evaluation():
     """The arc nodes are bit for bit the first m/2 + 1 nodes of the full
-    m-node circle.  A doubling evaluates only the odd nodes; interleaved with
-    the even ones held from the coarser arc, the values match a full
-    evaluation at the doubled node count bit for bit, so winding counts and
-    CircleTooCloseError decisions do not depend on the refinement path."""
-    poly = _fN_float(40, table)
-    z_circle = 0.93 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 1024, endpoint=False))
-    even = _fN_on_circle(poly, 0.93, 512)[1]
-    z_odd, refined = _fN_on_circle(poly, 0.93, 1024, even)
-    z_full, full = _fN_on_circle(poly, 0.93, 1024)
-    assert len(even) == 257 and len(z_odd) == 256 and len(full) == 513
-    assert z_full.tobytes() == z_circle[:513].tobytes()
-    assert z_odd.tobytes() == z_full[1::2].tobytes()
-    assert refined.tobytes() == full.tobytes()
+    m-node linspace circle, and a bisection's midpoints, the odd nodes of a
+    circle 2, 4 or 8 times finer, are bit for bit that circle's nodes: the
+    certified arcs and CircleTooCloseError decisions do not depend on the
+    refinement path.  The cached unit arc is read-only."""
+    def circle(m):
+        return 0.93 * np.exp(1j * np.linspace(0.0, 2 * np.pi, m, endpoint=False))
+
+    arc = _circle_nodes(0.93, 1024)
+    assert len(arc) == 513 and arc.tobytes() == circle(1024)[:513].tobytes()
+    for fine in (2048, 4096, 8192):
+        odd = np.arange(1, fine // 2, 2)
+        assert _circle_nodes(0.93, fine, odd).tobytes() == circle(fine)[odd].tobytes()
+    with pytest.raises(ValueError):
+        _unit_arc(1024)[0] = 0
+
+
+def test_root_pair_near_the_circle_is_counted_or_refused():
+    """(z - w)(z - conj w)(z - 3), scaled to constant term -1, with |w| =
+    0.7 +- d for d from half a starting node spacing down to 1e-9, probed at
+    r = 0.7 with 64 nodes (spacing 0.069): the count is 0 with the pair
+    outside and 2 with it inside, or refused, never wrong.  Pairs at least
+    1e-3 away, 15 times the finest spacing, are counted."""
+    h = 2 * np.pi * 0.7 / 64
+    refused = []
+    for d in (h / 2, h / 8, 1e-3, 1e-5, 1e-7, 1e-9):
+        for side, want in ((1, 0), (-1, 2)):
+            w = (0.7 + side * d) * np.exp(0.3j + 2j * np.pi / 128)   # between two nodes
+            p = np.poly([w, np.conj(w), 3.0]).real[::-1]               # ascending, p[0] = -3|w|^2
+            with workdps(30):
+                values = tuple(mpf(c) / mpf(-p[0]) for c in p)         # constant term -1
+            synth = CoeffTable(family="critical", n_min=-1, n_max=2, values=values, digits=30)
+            try:
+                assert winding_count(2, 0.7, 64, synth) == want, (d, side)
+            except CircleTooCloseError:
+                refused.append(d)
+    assert 0 < len(refused) and max(refused) < 1e-3
+
+
+def test_root_on_a_node_is_refused():
+    """-1 + 2z at r = 0.5: the root is node 0, where f_N is 0, and the arc
+    beside it fails at every spacing down to the cap."""
+    linear = CoeffTable(family="critical", n_min=-1, n_max=0,
+                        values=(mpf(-1), mpf(2)), digits=30)
+    with pytest.raises(CircleTooCloseError):
+        winding_count(0, 0.5, 4096, linear)
+
+
+@pytest.mark.parametrize("N,r", [(100, "0.5"), (60, "0.99")])
+def test_certificate_lower_bound_holds_on_the_circle(table, N, r):
+    """The certificate's lower bound never exceeds |f_N| evaluated in mp at
+    200 random points of the circle."""
+    cert = tail_radius_certificate(N, mpf(r), table)
+    assert 0 < cert.lower_bound <= cert.min_fN_on_circle
+    theta = np.random.default_rng([N, 7]).uniform(0, 2 * np.pi, 200)
+    with workdps(40):
+        least = min(abs(partial_sum_fN(N, mp.mpf(r) * mp.expj(mpf(t)), table)) for t in theta)
+    assert cert.lower_bound <= least
 
 
 def test_conjugate_symmetry(table, tables63):

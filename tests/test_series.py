@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from mpmath import mp, mpc, mpf, workdps
 
@@ -9,16 +11,14 @@ from zetaline.series import (
     cs_bound_check,
     cs_tail_bound,
     eval_h,
-    line_comparison_csv,
     partial_sum_fN,
     phi,
-    phi_integral_oracle,
     tail_sq_after,
     zeta_via_series,
 )
 from zetaline import zeta as zeta_mod
 from zetaline.zeta import ZetaPoleError, stieltjes, zeta_em
-from zetaline.coefficients import PARSEVAL_SQ_CEILING, coeffs_critical, coeffs_line
+from zetaline.coefficients import PARSEVAL_SQ_CEILING, CoeffTable, coeffs_critical, coeffs_line
 from zetaline.roots import tail_radius_certificate
 
 CTX = PrecisionCtx(80)
@@ -28,6 +28,62 @@ CTX = PrecisionCtx(80)
 def crit():
     gam = stieltjes(140, CTX)
     return coeffs_critical(133, gam, CTX)
+
+
+# The two routes below have no caller in the library: phi by direct panel
+# integration checks phi's identity route, and the line CSV checks that the
+# boundary partial sums need no Stieltjes table.
+
+def phi_integral_oracle(s, tol, ctx: PrecisionCtx | None = None):
+    """phi(s) by direct panel integration of {x} x^{-s-1}: the independent route.
+
+    On [k, k+1) the integrand is (x - k) x^{-s-1}, integrated exactly per
+    panel; the tail beyond x_cut uses {x} = 1/2 + (zero-mean periodic part),
+    contributing X^{-s}/(2s) plus a remainder below (|s|+1)/8 X^{-Re s-1}.
+    Returns (value, remainder_bound).  No zeta evaluation anywhere.
+    """
+    ctx = ctx or PrecisionCtx(30)
+    with workdps(ctx.working(10)):
+        s = mpc(s)
+        sigma = float(s.real)
+        if sigma < 0.5:
+            raise ValueError("oracle route implemented for Re s >= 1/2")
+        x_cut = int(math.ceil(((abs(complex(s)) + 1) / (8 * float(tol))) ** (1 / (sigma + 1)))) + 2
+        x_cut = min(max(x_cut, 50), 5_000_000)
+        acc = mpc(0)
+        # int_k^{k+1} (x-k) x^{-s-1} dx = [x^{1-s}/(1-s) + k x^{-s}/s]_k^{k+1}
+        for k in range(1, x_cut):
+            a, b = mpf(k), mpf(k + 1)
+            term = (b ** (1 - s) - a ** (1 - s)) / (1 - s) + k * (b ** -s - a ** -s) / s
+            acc += term
+        X = mpf(x_cut)
+        acc += X ** -s / (2 * s)
+        rem_bound = (abs(s) + 1) / 8 * X ** (-s.real - 1)
+        return +acc, +rem_bound
+
+
+def line_comparison_csv(ts, N: int, coeffs: CoeffTable, ctx: PrecisionCtx | None = None) -> str:
+    """CSV rows (t, Re zeta, Im zeta, Re Z_N, Im Z_N, |error|) for line plots.
+
+    Z_N is the boundary partial sum gamma0 - 1/(1/2 - it) + sum_{n<=N} ell_n e_n.
+    """
+    ctx = ctx or PrecisionCtx(30)
+    lines = ["t,zeta_re,zeta_im,partial_re,partial_im,abs_error"]
+    with workdps(ctx.working()):
+        gamma0 = +mp.euler
+        for t in ts:
+            t = mpf(t)
+            zv = zeta_em(mpc(mpf("0.5"), t), ctx)
+            acc = mpc(0)
+            for n in range(1, N + 1):
+                acc += coeffs.value(n) * basis_e(n, t, ctx)
+            zn = gamma0 - 1 / (mpf("0.5") - 1j * t) + acc
+            err = abs(zn - zv)
+            lines.append(
+                f"{float(t)!r},{float(zv.real)!r},{float(zv.imag)!r},"
+                f"{float(zn.real)!r},{float(zn.imag)!r},{float(err)!r}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def test_basis_values():

@@ -546,6 +546,28 @@ def test_scan_refines_in_at_most_12_sweeps(monkeypatch):
     assert (hardy_Z(found - 1e-11) * hardy_Z(found + 1e-11) < 0).all()
 
 
+def test_scan_sweeps_stay_within_one_block(monkeypatch):
+    """Above 2e4 a sweep has more live brackets than fastzeta._BLOCK (21k
+    to 22k points on [236.75, 2e4]); each goes through hardy_Z in blocks, and
+    the ordinates are bit for bit those of one call per sweep."""
+    from zetaline import zeros
+
+    sizes = []
+
+    def counting(t):
+        sizes.append(len(t))
+        return hardy_Z(t)
+
+    monkeypatch.setattr(zeros, "hardy_Z", counting)
+    found = scan_ordinates(236.75, 2.0e4)
+    assert max(sizes) <= fastzeta._BLOCK
+    monkeypatch.setattr(fastzeta, "_BLOCK", 10 ** 6)
+    sizes.clear()
+    whole = scan_ordinates(236.75, 2.0e4)
+    assert max(sizes) > 16_384
+    assert [x.hex() for x in found] == [x.hex() for x in whole]
+
+
 def test_ordinates_below_extends_and_counts():
     ords = ordinates_below(500.0)
     expected = expected_zero_count(500.0)
