@@ -40,13 +40,21 @@ def _print_json(payload) -> None:
 
 
 def _table_for(n_max: int, digits: int | None = None, sigma=None, power=None):
-    """The coefficient table through n_max; digits default to the reserve, at least 66."""
-    ctx = PrecisionCtx(digits or max(66, coeffs_mod.reserve_digits(n_max)))
+    """The coefficient table through n_max, at 66 digits unless given.  With
+    the default, a critical table whose error bound misses is built once more
+    from a Stieltjes table at the digits the refusal names."""
+    ctx = PrecisionCtx(digits or 66)
     if sigma is not None:
         return coeffs_mod.coeffs_line(sigma, -max(n_max, 1), n_max, ctx)
     if power is not None:
         return coeffs_mod.coeffs_power(power, -power, n_max, ctx)
-    return coeffs_mod.coeffs_critical(n_max, zeta_mod.stieltjes(max(n_max, 2), ctx), ctx)
+    try:
+        return coeffs_mod.coeffs_critical(n_max, zeta_mod.stieltjes(max(n_max, 2), ctx), ctx)
+    except PrecisionUnachievableError as refusal:
+        if digits or refusal.digits is None:
+            raise
+        gammas = zeta_mod.stieltjes(max(n_max, 2), PrecisionCtx(refusal.digits))
+        return coeffs_mod.coeffs_critical(n_max, gammas, ctx)
 
 
 def cmd_stieltjes(args) -> int:
@@ -57,8 +65,7 @@ def cmd_stieltjes(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    digits = args.digits or coeffs_mod.reserve_digits(args.nmax)
-    table = _table_for(args.nmax, digits, sigma=args.sigma, power=args.power)
+    table = _table_for(args.nmax, args.digits, sigma=args.sigma, power=args.power)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     else:
@@ -279,7 +286,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (PrecisionUnachievableError, quad_mod.ToleranceNotMetError,
-            coeffs_mod.InsufficientPrecisionError, coeffs_mod.InsufficientTableError) as e:
+            coeffs_mod.InsufficientTableError) as e:
         sys.stderr.write(f"precision/tolerance unreachable: {e}\n")
         return EXIT_PRECISION
     except (ValueError, KeyError) as e:

@@ -26,33 +26,37 @@ of its own Taylor data b_k:
   the k-th series power of 1 + u sum_j a_j u^j, u = s - 1, with the a_j of
   the Stieltjes table through n_max + k.  Zero for n < -k.
 
-The positive-index binomial sums cancel catastrophically: terms reach about
-1.3183**n while the results shrink, so construction demands the documented
-precision reserve digits >= 60 + ceil(0.15 n_max).
+The binomial sums cancel: terms reach 1e14 |ell_n| for the critical family
+at n = 400, and (1 + 1/(sigma0 - 1/2))**n |ell_n| for sigma0 > 1.  Each entry
+carries a bound, sum_k C(n-1, k-1) err_k for the Taylor data's errors plus
+the sums' rounding, and a table is built only when every entry is within
+half a unit in its ``digits``-th significant digit.  Else the line and power
+families rebuild their Taylor data once at the digits the bound asks for.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
+import numpy as np
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import dps_to_prec
 
-from .precision import PrecisionCtx, binom_exact, hreal_to_str
+from .precision import PrecisionCtx, PrecisionUnachievableError, binom_exact, hreal_to_str
 from . import zeta as zeta_mod
 from .zeta import StieltjesTable, taylor_minus_pole
 
 __all__ = [
     "CoeffTable",
-    "InsufficientPrecisionError",
     "InsufficientTableError",
     "coeffs_critical",
     "coeffs_line",
     "coeffs_power",
-    "reserve_digits",
     "decay_diagnostics",
     "DecayDiagnostics",
     "PARSEVAL_SQ_CEILING",
@@ -62,9 +66,8 @@ __all__ = [
 #: sum_{n>=0} ell_n^2 (used as an upper-bound invariant, 40 digits).
 PARSEVAL_SQ_CEILING = "0.2606614015078126229541473827288328486806"
 
-
-class InsufficientPrecisionError(ArithmeticError):
-    """ctx violates the cancellation reserve digits >= 60 + 0.15 n_max."""
+_LOG10_2 = math.log10(2)
+_MARGIN = 3    # digits beyond a shortfall when a family rebuilds its Taylor data
 
 
 class InsufficientTableError(ValueError):
@@ -75,8 +78,8 @@ class InsufficientTableError(ValueError):
 class CoeffTable:
     """Coefficients indexed n_min..n_max for one family.
 
-    Entries are accurate to at least ``digits - ceil(0.15 n_max)`` decimal
-    digits (>= 60 by the construction precondition).
+    Every entry is within half a unit in its ``digits``-th significant
+    digit: construction proves it from an error bound, or refuses.
     """
 
     family: str                      # "critical" | "line" | "power"
@@ -134,42 +137,104 @@ class CoeffTable:
         return "\n".join(lines) + "\n"
 
 
-def reserve_digits(n_max: int) -> int:
-    """The cancellation reserve for a table through n_max: 60 + ceil(0.15 n_max) digits."""
-    return 60 + (3 * n_max + 19) // 20
+def _unit(dps: int, w: int) -> float:
+    """The unit roundoff 2^-prec of dps digits, in units of 10^-w."""
+    return 10 ** (w - dps_to_prec(dps) * _LOG10_2)
 
 
-def _reserve_check(n_max: int, ctx: PrecisionCtx):
-    need = reserve_digits(n_max)
-    if ctx.digits < need:
-        raise InsufficientPrecisionError(
-            f"n_max={n_max} requires digits >= {need} (cancellation reserve), got {ctx.digits}"
-        )
+def _log10(x) -> float:
+    """log10 |x| of a finite mpf; -inf at 0."""
+    _, man, exp, _ = x._mpf_
+    return math.log10(man) + exp * _LOG10_2 if man else -math.inf
 
 
-def _binomial_sums(b: Sequence, n_lo: int, n_max: int, ctx: PrecisionCtx) -> list:
-    """(-1)^n sum_{k=1}^{n} C(n-1, k-1) b_k for n = n_lo..n_max, k ascending."""
-    vals = []
-    with workdps(ctx.working(15)):
-        for n in range(n_lo, n_max + 1):
-            acc = mpf(0)
-            for k in range(1, n + 1):
-                acc += binom_exact(n - 1, k - 1) * b[k]
-            vals.append(+(acc * (-1) ** n))
-    return vals
+def _scaled(errors, w: int) -> list:
+    """Absolute error bounds as floats in units of 10^-w."""
+    with workdps(15):
+        scale = mpf(10) ** w
+        return [float(e * scale) for e in errors]
+
+
+def _sums(rows, b, err, w: int):
+    """sign sum_k C b_k for each row (sign, [(C, k), ...]) at w digits, and
+    log10 of a bound on its error, given err[k] >= |b_k - exact| in units of
+    10^-w.  Each product and partial sum S_j rounds by at most u = 2^-prec of
+    itself, so the error is at most sum_k |C| err_k + u (R_n + sum_j |S_j|)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2),
+    with R_j = sum_{i<=j} |C b_i| and |S_j| <= min(R_j, |S_n| + R_n - R_j).
+    The float sums err by less than the 1.001 they are inflated by."""
+    vals, bounds, u = [], [], _unit(w, w)
+    fb = [float(abs(x)) for x in b]
+    with workdps(w):
+        for sign, row in rows:
+            acc, r, e, rs = mpf(0), 0.0, 0.0, []
+            for c, k in row:
+                acc += c * b[k]
+                r += abs(c * fb[k])
+                rs.append(r)
+                e += abs(c * err[k])
+            vals.append(+(acc * sign))
+            top = float(abs(acc)) + r           # R_j rises, so min(R_j, top - R_j) = R_j up to top/2
+            j = bisect_right(rs, top / 2)
+            t = 1.001 * (e + u * (r + sum(rs[:j]) + top * (len(rs) - j) - sum(rs[j:])))
+            bounds.append((math.log10(t) if t > 0 else -math.inf if t == 0 else math.inf) - w)
+    return vals, bounds
+
+
+def _binomial_rows(n_lo: int, n_max: int, shift: int = 0) -> list:
+    """The rows of (-1)^n sum_{k=1}^{n} C(n-1, k-1) b_{k+shift}, n = n_lo..n_max."""
+    return [((-1) ** n, [(binom_exact(n - 1, k - 1), k + shift) for k in range(1, n + 1)])
+            for n in range(n_lo, n_max + 1)]
+
+
+def _proved(build, ctx: PrecisionCtx, rebuild: bool = True):
+    """(values, extra) from build(ctx) -> (values, log10 error bounds, extra),
+    once every bound is within half a unit in its value's ctx.digits-th
+    significant digit (-inf marks an exact entry; within 1e-9 of a power of
+    ten the value's exponent is taken low).  With ``rebuild`` a miss builds
+    once more at the digits raised by the shortfall and _MARGIN; a miss then
+    raises PrecisionUnachievableError, whose ``digits`` names the digits."""
+    def shortfall(vals, bounds):        # max log10(bound / half a unit)
+        return max((b + ctx.digits + _LOG10_2 - 1 - math.floor(_log10(v) - 1e-9) if v else math.inf
+                    for v, b in zip(vals, bounds) if b > -math.inf), default=-math.inf)
+
+    vals, bounds, extra = build(ctx)
+    short = shortfall(vals, bounds)
+    if rebuild and 0 < short < math.inf:
+        vals, bounds, extra = build(PrecisionCtx(ctx.digits + math.ceil(short) + _MARGIN))
+        short = shortfall(vals, bounds)
+    if short > 0:
+        need = ctx.digits + short + _MARGIN
+        refusal = PrecisionUnachievableError(
+            f"an error bound misses half a unit in the {ctx.digits}-th digit by "
+            f"10^{short:.1f}; the {'Taylor data' if rebuild else 'Stieltjes table'} would need "
+            f"about {need:.0f} digits")
+        refusal.digits = math.ceil(need) if need < math.inf else None
+        raise refusal
+    return vals, extra
 
 
 def coeffs_critical(n_max: int, gammas: StieltjesTable, ctx: PrecisionCtx) -> CoeffTable:
-    """The critical-line family for n = -1..n_max."""
-    _reserve_check(n_max, ctx)
+    """The critical-line family for n = -1..n_max.
+
+    b_k are the table's a_k, with errors est_errors[k] / k! and two
+    roundings.  The table is the caller's: where a bound misses, this
+    refuses, naming the digits it would take, and does not rebuild.
+    """
     if gammas.k_max < n_max:
         raise InsufficientTableError(f"need gamma_k through k={n_max}, table has {gammas.k_max}")
-    a = gammas.taylor
-    with workdps(ctx.working(15)):
-        vals = [mpf(-1), a[0] - 1]
-    vals += _binomial_sums(a, 1, n_max, ctx)
+    w = ctx.working(15)
+    a = gammas.taylor[:n_max + 1]
+    with workdps(w):
+        b = [a[0] - 1] + list(a[1:])     # entry 0 is a_0 - 1
+    ut = 2 * _unit(gammas.digits + 15, w)    # a_k = gamma_k / k! at digits + 15
+    err = _scaled([e / math.factorial(k) for k, e in enumerate(gammas.est_errors[:n_max + 1])], w)
+    err = [e + ut * float(abs(x)) for e, x in zip(err, a)]
+    err[0] += _unit(w, w)
+    rows = [(1, [(1, 0)])] + _binomial_rows(1, n_max)
+    vals, _ = _proved(lambda _: (*_sums(rows, b, err, w), None), ctx, rebuild=False)
     return CoeffTable(
-        family="critical", n_min=-1, n_max=n_max, values=tuple(vals), digits=ctx.digits
+        family="critical", n_min=-1, n_max=n_max, values=(mpf(-1), *vals), digits=ctx.digits
     )
 
 
@@ -177,61 +242,79 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
     """The family for the vertical line Re s = sigma0 (sigma0 > 1/2, != 1).
 
     b_0..b_{n_max} are the Taylor coefficients of zeta(s) - 1/(s-1) at
-    sigma0 + 1/2 from ``zeta.taylor_minus_pole``, the pass the Stieltjes
+    c = sigma0 + 1/2 from ``zeta.taylor_minus_pole``, the pass the Stieltjes
     table reads at s = 1.  Entry 0 is b_0 + 1/(sigma0 - 1/2), which is
     zeta(sigma0 + 1/2), for sigma0 > 1, and b_0 - 1/(3/2 - sigma0) below 1;
-    the negative entries are closed forms.
-    """
-    with workdps(ctx.working()):
-        sigma0 = mpf(sigma0)
-    if sigma0 <= mpf("0.5"):
-        raise ValueError("sigma0 must exceed 1/2; the critical family handles sigma0 = 1/2")
-    if sigma0 == 1:
-        raise ValueError("sigma0 = 1 excluded: t -> zeta(1+it) is not square-integrable")
-    if n_max >= 1:
-        _reserve_check(n_max, ctx)
-    with workdps(ctx.working(15)):
-        half = mpf("0.5")
-        x = sigma0 - half
-        b = taylor_minus_pole(sigma0 + half, max(n_max, 0), ctx)[0]
-        vals = []
-        for n in range(n_min, min(n_max, -1) + 1):
-            if sigma0 > 1:
-                vals.append(mpf(0))
-            else:
-                sign = 1 if n % 2 == 0 else -1
-                vals.append(+(sign / x ** 2 * ((sigma0 - mpf("1.5")) / x) ** (n - 1)))
-        if sigma0 > 1:
-            b = [c + (-1) ** k / x ** (k + 1) for k, c in enumerate(b)]
-        if n_min <= 0 <= n_max:
-            vals.append(b[0] if sigma0 > 1 else +(b[0] - 1 / (mpf("1.5") - sigma0)))
-    vals += _binomial_sums(b, max(n_min, 1), n_max, ctx)
-    return CoeffTable(
-        family="line",
-        n_min=n_min,
-        n_max=n_max,
-        values=tuple(vals),
-        digits=ctx.digits,
-        sigma0=sigma0,
-    )
+    the negative entries are closed forms.  The bounds cover n_max <= 1000.
+
+    The table is the family at ``sigma0`` as read at w = ctx.working(15)
+    digits, and sigma0 -/+ 1/2 are exact.  Adding the pole terms p_k to a_k
+    rounds by u (|b_k| + 3 |p_k|).  A closed form errs by 2 u (4 - n) of
+    itself: its own roundings, and those of q = (sigma0 - 3/2) / x amplified
+    by |n - 1|."""
+    if n_max > 1000:
+        raise PrecisionUnachievableError("the line family's error bounds cover n_max <= 1000")
+
+    def build(ctx):
+        w = ctx.working(15)
+        with workdps(w):
+            s0 = mpf(sigma0)
+            if s0 <= 0.5:
+                raise ValueError("sigma0 must exceed 1/2; the critical family is sigma0 = 1/2")
+            if s0 == 1:
+                raise ValueError("sigma0 = 1 excluded: t -> zeta(1+it) is not square-integrable")
+            x = mp.fsub(s0, 0.5, exact=True)
+            a, terr = taylor_minus_pole(mp.fadd(s0, 0.5, exact=True), max(n_max, 0), ctx)
+            if s0 > 1:
+                p = [(-1) ** k / x ** (k + 1) for k in range(len(a))]
+                b = [ak + pk for ak, pk in zip(a, p)]
+            else:                        # the pole at 3/2 - sigma0 enters entry 0 only
+                p = [1 / mp.fsub(1.5, s0, exact=True)]
+                b = [a[0] - p[0]] + a[1:]
+            q = (s0 - mpf("1.5")) / x
+            vals = [mpf(0) if s0 > 1 else +((-1) ** (n % 2) / x ** 2 * q ** (n - 1))
+                    for n in range(n_min, min(n_max, -1) + 1)]
+        u, fp = _unit(w, w), [float(abs(v)) for v in p] + [0.0] * len(b)
+        err = [e + u * (float(abs(bk)) + 3 * pk) for e, bk, pk in zip(_scaled(terr, w), b, fp)]
+        bounds = [-math.inf if s0 > 1 else _log10(v) - w + math.log10(2 * u * (4 - n))
+                  for n, v in enumerate(vals, n_min)]
+        head = [(1, [(1, 0)])] if n_min <= 0 <= n_max else []
+        v2, b2 = _sums(head + _binomial_rows(max(n_min, 1), n_max), b, err, w)
+        return vals + v2, bounds + b2, s0
+
+    vals, s0 = _proved(build, ctx)
+    return CoeffTable(family="line", n_min=n_min, n_max=n_max, values=tuple(vals),
+                      digits=ctx.digits, sigma0=s0)
 
 
 def _power_taylor(k: int, m_max: int, ctx: PrecisionCtx) -> tuple:
-    """c_0..c_{m_max}: Taylor coefficients of (s-1)^k zeta(s)^k at s = 1.
+    """c_0..c_{m_max}: Taylor coefficients of (s-1)^k zeta(s)^k at s = 1, and
+    bounds on their errors in units of 10^-w, w = ctx.working(15).
 
     (s-1) zeta(s) = 1 + u sum_j a_j u^j with u = s - 1 and the a_j of
     ``StieltjesTable.taylor``, so c_m is the u^m coefficient of that series
-    raised to the k-th power; lambda_{m,k} = m! c_m.
+    raised to the k-th power; lambda_{m,k} = m! c_m.  With E = u sum e_j u^j
+    for the a_j's errors and A = 1 + u sum (|a_j| + e_j) u^j, A^k - (A - E)^k
+    <= k E A^(k-1), and the k - 1 products round by 2 u A^k at most.
     """
-    taylor = zeta_mod.stieltjes(m_max, ctx).taylor
-    with workdps(ctx.working(15)):
-        base = (mpf(1),) + taylor[:m_max]
+    table = zeta_mod.stieltjes(m_max, ctx)
+    w = ctx.working(15)
+    with workdps(w):
+        base = (mpf(1),) + table.taylor[:m_max]
         power = base
         for _ in range(k - 1):
             power = tuple(
                 mp.fsum(power[j] * base[m - j] for j in range(m + 1)) for m in range(m_max + 1)
             )
-    return power
+    with workdps(15):      # the a_j round twice at w
+        ea = [mpf(0)] + [e / math.factorial(j) + abs(x) * 2 * mpf(2) ** -dps_to_prec(w)
+                         for j, (e, x) in enumerate(zip(table.est_errors, base[1:]))]
+    E, A = np.array(_scaled(ea, w)), np.array([float(abs(x) + e) for x, e in zip(base, ea)])
+    P = [1.0]
+    for _ in range(k - 1):
+        P = np.convolve(P, A)
+    T = k * (np.convolve(P, E) + 2 * _unit(w, w) * np.convolve(P, A))
+    return power, list(1.001 * T[:m_max + 1])
 
 
 def coeffs_power(k: int, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable:
@@ -243,24 +326,19 @@ def coeffs_power(k: int, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTabl
     """
     if k < 1:
         raise ValueError("power k must be >= 1")
-    if n_max >= 1:
-        _reserve_check(n_max, ctx)
-    c = _power_taylor(k, max(n_max, 0) + k, ctx)
-    with workdps(ctx.working(15)):
-        vals = []
-        for n in range(n_min, min(n_max, 0) + 1):
-            if n < -k:
-                vals.append(mpf(0))
-                continue
-            acc = mpf(0)
-            for j in range(0, k + n + 1):
-                acc += binom_exact(k - j, -n) * (-1) ** j * c[j]
-            vals.append(+(acc * (-1) ** k))
-    vals += _binomial_sums(c[k:], max(n_min, 1), n_max, ctx)
-    return CoeffTable(
-        family="power", n_min=n_min, n_max=n_max, values=tuple(vals),
-        digits=ctx.digits, k=k,
-    )
+
+    def build(ctx):
+        c, err = _power_taylor(k, max(n_max, 0) + k, ctx)
+        zeros = max(0, min(n_max, -k - 1) - n_min + 1)
+        rows = [((-1) ** k, [((-1) ** j * binom_exact(k - j, -n), j) for j in range(k + n + 1)])
+                for n in range(max(n_min, -k), min(n_max, 0) + 1)]
+        rows += _binomial_rows(max(n_min, 1), n_max, k)
+        vals, bounds = _sums(rows, c, err, ctx.working(15))
+        return [mpf(0)] * zeros + vals, [-math.inf] * zeros + bounds, None
+
+    vals, _ = _proved(build, ctx)
+    return CoeffTable(family="power", n_min=n_min, n_max=n_max, values=tuple(vals),
+                      digits=ctx.digits, k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,10 @@ MAX_WORKING_DIGITS = 100_000
 
 
 class PrecisionUnachievableError(ArithmeticError):
-    """The requested accuracy would exceed the configured precision ceiling."""
+    """The requested accuracy would exceed the configured precision ceiling;
+    ``digits``, where known, is the precision that would reach it."""
+
+    digits = None
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,9 @@ def _float_roots(c_asc) -> np.ndarray:
 def _aberth_polish(c_asc, approx: np.ndarray, wp: int, iters: int = 12, tol_exp: int = 30):
     """Aberth-Ehrlich simultaneous refinement of all roots at wp digits.
 
-    Returns roots, float residuals |f_N(z)| and |z| < 1 flags, all in seed
-    order, and whether it converged.  The real coefficients and the roots are
+    Returns the roots, float residuals |f_N(z)| at them (upper bounds) and
+    the exact |z|^2 - 1 in units of 2^-2F, all in seed order, and whether
+    it converged.  The real coefficients and the roots are
     integers with mp.prec + 20 fractional bits: a complex product is four
     integer products and shifts, and each quotient one integer division.
     The step is Jacobi, so a pair reciprocal serves both of its roots.
@@ -115,15 +116,22 @@ def _aberth_polish(c_asc, approx: np.ndarray, wp: int, iters: int = 12, tol_exp:
             return pr, pi, dr, di
 
         def residual(zr, zi):
-            pr = pi = 0
+            """|f_N(z)| rounded up: each truncated coefficient or inexact shift errs
+            by under 2^-F per part, which the later steps multiply by |z|."""
+            pr, pi, floored = 0, 0, cut
             for a in coeff:
-                pr, pi = ((pr * zr - pi * zi) >> F) + a, (pr * zi + pi * zr) >> F
-            return abs(complex(pr / one, pi / one))   # int / int: correctly rounded, no overflow
+                xr, xi = pr * zr - pi * zi, pr * zi + pi * zr
+                floored += bool((xr | xi) & (one - 1))
+                pr, pi = (xr >> F) + a, xi >> F
+            floors = 2 * floored * max(1.0, abs(complex(zr / one, zi / one))) ** len(coeff)
+            return (abs(complex(pr / one, pi / one)) + floors * 2.0 ** -F) * (1 + 2.0 ** -50)
 
         def to_mpc(x, y):
             return mp.make_mpc((from_man_exp(x, -F, prec, "n"), from_man_exp(y, -F, prec, "n")))
 
-        coeff = [to_fixed(mpf(a)._mpf_, F) for a in reversed(c_asc)]
+        raw = [mp.convert(a)._mpf_ for a in reversed(c_asc)]
+        coeff = [to_fixed(a, F) for a in raw]
+        cut = sum(from_man_exp(c, -F) != a for c, a in zip(coeff, raw))   # truncated by to_fixed
         zr = [to_fixed(mpf(z.real)._mpf_, F) for z in approx if z.imag >= 0]
         zi = [to_fixed(mpf(z.imag)._mpf_, F) for z in approx if z.imag >= 0]
         n, tol2 = len(zr), one * one // 10 ** (2 * tol_exp)
@@ -154,7 +162,9 @@ def _aberth_polish(c_asc, approx: np.ndarray, wp: int, iters: int = 12, tol_exp:
                     moved = max(moved, er * er + ei * ei)
             if moved < tol2:
                 break
-        up = [(to_mpc(x, y), residual(x, y), x * x + y * y < one * one) for x, y in zip(zr, zi)]
+        zr, zi = [to_fixed(from_man_exp(x, -F, prec, "n"), F) for x in zr], \
+            [to_fixed(from_man_exp(y, -F, prec, "n"), F) for y in zi]    # as returned, exactly
+        up = [(to_mpc(x, y), residual(x, y), x * x + y * y - one * one) for x, y in zip(zr, zi)]
         rows = [up[i] if z.imag >= 0 else (to_mpc(zr[i], -zi[i]),) + up[i][1:]   # mirror of up[i]
                 for z, i in zip(approx, np.cumsum(approx.imag >= 0) - 1)]
         return (*zip(*rows), moved < tol2)
@@ -168,15 +178,15 @@ def roots_fN(N: int, coeffs: CoeffTable, ctx: PrecisionCtx,
     radii come from :func:`winding_count` and must agree with the root tally.
     """
     if N > 400:
-        raise ValueError("degree cap 400 (precision reserve dominates beyond)")
+        raise ValueError("degree cap 400: Stieltjes tables and the float bounds below stop there")
     if N > coeffs.n_max:
         raise ValueError(f"N={N} exceeds coefficient table n_max={coeffs.n_max}")
     c_asc = _poly_coeffs_ascending(N, coeffs)
     seeds = _float_roots(_fN_float(N, coeffs)[::-1])
     wp = max(ctx.digits, 40) + 15
-    zs, residuals, inside, converged = _aberth_polish(c_asc, seeds, wp, tol_exp=ctx.digits // 2 + 10)
+    zs, residuals, dist, converged = _aberth_polish(c_asc, seeds, wp, tol_exp=ctx.digits // 2 + 10)
+    disk = [z for d, z in sorted(zip(dist, zs), key=lambda p: p[0]) if d < 0]
     with workdps(wp):
-        disk = sorted((z for z, d in zip(zs, inside) if d), key=abs)
         min_mod = +abs(disk[0]) if disk else None
     counts = []
     for rho in probe_radii:

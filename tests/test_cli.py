@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from mpmath import mpf, workdps
 
 from zetaline import cache, cli
 from zetaline.cli import main
@@ -81,8 +82,29 @@ def test_quad_cross_target_in_either_order(capsys):
 
 
 def test_precision_error_exit_code(capsys):
-    # reserve violation: nmax 100 at 61 digits
-    assert main(["coeffs", "--nmax", "100", "--digits", "61"]) == 3
+    """The error bound, not a fixed reserve, decides: 100 entries at 61 digits
+    pass it; 400 at 15 digits miss half a unit in the 15th by about 10x."""
+    assert main(["coeffs", "--nmax", "100", "--digits", "61"]) == 0
+    assert main(["coeffs", "--nmax", "100", "--digits", "66"]) == 0
+    capsys.readouterr()
+    assert main(["coeffs", "--nmax", "400", "--digits", "15"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "misses half a unit in the 15-th digit" in captured.err
+
+
+def test_default_digits_rebuild_the_stieltjes_table(capsys):
+    """At 66 digits the bound of ell_400 misses (the Stieltjes table's own
+    error bounds decide there): an explicit --digits 66 is refused, and the
+    default builds the Stieltjes table at the digits the refusal names.
+    Every printed digit of ell_400 agrees with the 120-digit table."""
+    assert main(["coeffs", "--nmax", "400", "--digits", "66"]) == 3
+    code, out = run_cli(["coeffs", "--nmax", "400"], capsys)
+    assert code == 0
+    printed = json.loads(out)["values"][-1]["value"]
+    with workdps(130):
+        ref = mpf("-4.5398373533180939489651487012321700756409967601731240183439099932463000923381"
+                  "5601644707118767909928696436792455359655945e-03")
+        assert abs(mpf(printed) - ref) <= mpf("5e-69")   # half a unit in the 66th digit
 
 
 def test_power_table_reads_one_stieltjes_table(capsys, monkeypatch):
@@ -195,8 +217,8 @@ def test_ergodic_median_of_even_seeds(capsys):
     assert objs[-1]["median_final_re"] == (finals[0] + finals[1]) / 2
 
 
-def test_ergodic_table_meets_the_reserve(capsys):
-    """em:-41 pairs with ell_41, whose table needs 67 digits, not the floor 66."""
+def test_ergodic_table_reaches_ell_41(capsys):
+    """em:-41 pairs with ell_41, which the default 66-digit table proves."""
     code, out = run_cli(["ergodic", "--g", "em:-41", "--iters", "200", "--seeds", "1"], capsys)
     assert code == 0
     assert '"prediction_re"' in out

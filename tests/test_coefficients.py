@@ -1,21 +1,30 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf, workdps
 
 from zetaline.coefficients import (
     PARSEVAL_SQ_CEILING,
     CoeffTable,
-    InsufficientPrecisionError,
     InsufficientTableError,
     coeffs_critical,
     coeffs_line,
     coeffs_power,
     decay_diagnostics,
+    _binomial_rows,
+    _power_taylor,
+    _sums,
 )
-from zetaline.precision import PrecisionCtx, binom_exact
+from zetaline.precision import PrecisionCtx, PrecisionUnachievableError, binom_exact, hreal_to_str
 from zetaline.series import basis_e
-from zetaline.zeta import stieltjes
+from zetaline.zeta import StieltjesTable, stieltjes
 
 CTX = PrecisionCtx(70)
+
+
+def _half_unit(v, digits):
+    """Half a unit in the digits-th significant digit of v."""
+    return mpf(10) ** (mp.floor(mp.log10(abs(v))) + 1 - digits) / 2
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +49,43 @@ def test_low_index_values(gammas, crit):
         assert abs(crit.value(2) - mpf("0.0679706")) < mpf("1e-6")
 
 
-def test_insufficient_precision_reserve(gammas):
-    with pytest.raises(InsufficientPrecisionError):
-        coeffs_critical(100, gammas, PrecisionCtx(65))  # needs 75
+def test_table_whose_bound_misses_is_refused(gammas):
+    """A Stieltjes table whose error bounds are 1e-50 proves no 70th digit:
+    the critical family refuses and names the digits it would need.  One
+    that claims exact gamma_k, as a seeded cache entry does, still carries
+    its rounding and passes at 61 digits."""
+    loose = StieltjesTable(gammas.k_max, gammas.gammas, gammas.digits,
+                           tuple(mpf("1e-50") for _ in gammas.gammas))
+    with pytest.raises(PrecisionUnachievableError, match="would need about"):
+        coeffs_critical(20, loose, CTX)
+    exact = StieltjesTable(5, gammas.gammas[:6], 61, (mpf(0),) * 6)
+    assert coeffs_critical(5, exact, PrecisionCtx(61)).n_max == 5
+
+
+def test_power_taylor_errors_bound_the_coefficients():
+    """_power_taylor's majorant bounds each c_m against the same series at
+    50 more digits (errors in units of 10^-w, w = digits + 15)."""
+    for k in (2, 3):
+        lo, err = _power_taylor(k, 30, PrecisionCtx(40))
+        hi = _power_taylor(k, 30, PrecisionCtx(90))[0]
+        with workdps(110):
+            for m in range(31):
+                assert abs(lo[m] - hi[m]) <= mpf(err[m]) * mpf(10) ** -55, (k, m)
+
+
+def test_sum_bounds_hold_against_exact_rationals():
+    """At 15 digits, with every term of one sign, the rounding of the
+    partial sums dominates: each bound still covers the error of the sum
+    against exact rational arithmetic."""
+    def exact(x):
+        sign, man, exp, _ = x._mpf_
+        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+    b = [mpf(1) / (k + 3) for k in range(201)]
+    vals, bounds = _sums(_binomial_rows(1, 200), b, [0.0] * 201, 15)
+    for n, (v, bound) in enumerate(zip(vals, bounds), 1):
+        ref = (-1) ** n * sum(binom_exact(n - 1, k - 1) * exact(b[k]) for k in range(1, n + 1))
+        assert abs(exact(v) - ref) <= 10 ** bound, n
 
 
 def test_insufficient_gamma_table(gammas):
@@ -51,14 +94,16 @@ def test_insufficient_gamma_table(gammas):
 
 
 def test_recomputation_at_higher_precision_agrees(gammas):
-    """The cancellation-reserve rule: +20 digits must not move the values."""
+    """+20 digits move no entry by more than half a unit in its 70th digit
+    (5e-73 to 5e-71 for n >= 1), plus the 90-digit table's own half unit."""
     ctx_hi = PrecisionCtx(90)
     gam_hi = stieltjes(60, ctx_hi)
     tab_lo = coeffs_critical(60, gammas, CTX)
     tab_hi = coeffs_critical(60, gam_hi, ctx_hi)
     with workdps(100):
-        worst = max(abs(tab_lo.value(n) - tab_hi.value(n)) for n in range(-1, 61))
-        assert worst < mpf(10) ** (-(CTX.digits - 60 // 6 - 3))
+        for n in range(-1, 61):
+            hi = tab_hi.value(n)
+            assert abs(tab_lo.value(n) - hi) <= _half_unit(hi, 70) + _half_unit(hi, 90), n
 
 
 def test_line_family_values():
@@ -189,3 +234,46 @@ def test_table_serialization_roundtrip(crit):
     csv = crit.to_csv()
     assert csv.splitlines()[0] == "n,value"
     assert len(csv.splitlines()) == crit.n_max - crit.n_min + 2
+
+
+@pytest.mark.parametrize("family, args, n_max, digits", [
+    ("critical", (), 20, 63),
+    ("critical", (), 100, 66),
+    ("line", ("0.75",), 40, 66),
+    ("line", ("2.4",), 30, 62),
+    ("power", (2,), 14, 66),
+    ("power", (3,), 20, 40),
+])
+def test_every_entry_within_half_a_unit(family, args, n_max, digits):
+    """Each family against the same call at 60 more digits: every entry is
+    within half a unit in its last digit, up to the reference's own half unit."""
+
+    def table(d):
+        ctx = PrecisionCtx(d)
+        if family == "critical":
+            return coeffs_critical(n_max, stieltjes(n_max, ctx), ctx)
+        if family == "line":
+            return coeffs_line(args[0], -3, n_max, ctx)
+        return coeffs_power(args[0], -args[0], n_max, ctx)
+
+    tab, ref = table(digits), table(digits + 60)
+    with workdps(digits + 80):
+        for n in range(tab.n_min, n_max + 1):
+            v, r = tab.value(n), ref.value(n)
+            if r:
+                assert abs(v - r) <= _half_unit(r, digits) * (1 + mpf(10) ** -50), (n, v, r)
+            else:
+                assert v == 0, n
+
+
+@pytest.mark.parametrize("sigma0", ["1.1", "1.5", "3"])
+def test_line_family_above_one_prints_right_digits(sigma0):
+    """Above sigma0 = 1 the sums lose about n log10(1 + 1/(sigma0 - 1/2))
+    digits (88 at sigma0 = 1.1, n = 200).  Every printed entry is within half
+    a unit in its last place of the same call at 120 more digits."""
+    tab = coeffs_line(sigma0, 0, 200, PrecisionCtx(90))
+    ref = coeffs_line(sigma0, 0, 200, PrecisionCtx(210))
+    with workdps(230):
+        for n in range(201):
+            printed = mpf(hreal_to_str(tab.value(n), 90))
+            assert abs(printed - ref.value(n)) <= _half_unit(ref.value(n), 90), n

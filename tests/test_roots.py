@@ -270,3 +270,16 @@ def test_exact_double_root_is_kept():
     assert report.all_roots == (mpf("0.5"), mpf("0.5"))
     assert report.roots_in_disk == report.all_roots
     assert report.residual_max == 0.0
+
+
+def test_residual_max_bounds_the_returned_roots(tables63, table):
+    """residual_max is measured at the roots as returned, rounded to the
+    working precision: no |f_N(z)| over all_roots, evaluated in mp at twice
+    the working digits, exceeds it."""
+    cases = [(N, tab, CTX63) for tab in tables63.values() for N in (12, 20)] + [(60, table, CTX)]
+    for N, tab, ctx in cases:
+        report = roots_fN(N, tab, ctx, probe_radii=())
+        with workdps(2 * (ctx.digits + 15)):
+            worst = max(abs(mp.polyval([tab.value(n) for n in range(N, -1, -1)] + [-1], z))
+                        for z in report.all_roots)
+        assert 0 < worst <= report.residual_max < 1e-60, (N, worst, report.residual_max)
