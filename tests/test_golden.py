@@ -17,6 +17,7 @@ COMMANDS = {
     "coeffs_n20_d63.json": "coeffs --nmax 20 --digits 63",
     "coeffs_n100_d75.json": "coeffs --nmax 100 --digits 75",
     "coeffs_sigma0.75_n10_d66.json": "coeffs --sigma 0.75 --nmax 10 --digits 66",
+    "coeffs_sigma1.1_n200_d90.json": "coeffs --sigma 1.1 --nmax 200 --digits 90",
     "coeffs_power2_n14_d66.json": "coeffs --power 2 --nmax 14 --digits 66",
     "stieltjes_k40_d66.json": "stieltjes --kmax 40 --digits 66",
 }
