@@ -11,10 +11,10 @@ from zetaline import PrecisionCtx, coeffs_critical, moment_oracle, stieltjes, st
 
 ctx = PrecisionCtx(50)
 
-print("Stieltjes constants by contour extraction on |s-1| = 3:")
+print("Stieltjes constants from one Euler-Maclaurin series pass on |s-1| = 10:")
 table = stieltjes(12, ctx)
 for k in (0, 1, 2, 5, 12):
-    print(f"  gamma_{k:<2d} = {mp.nstr(table.gammas[k], 30)}   (doubling est {mp.nstr(table.est_errors[k], 3)})")
+    print(f"  gamma_{k:<2d} = {mp.nstr(table.gammas[k], 30)}   (series-pass bound {mp.nstr(table.est_errors[k], 3)})")
 
 print("\nSame constants from the accelerated limit definition:")
 oracle = stieltjes_limit_oracle(12, ctx)

@@ -24,7 +24,7 @@ from pathlib import Path
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 ENV_VAR = "ZETALINE_CACHE_DIR"
 
 

@@ -40,21 +40,13 @@ def _print_json(payload) -> None:
 
 
 def _table_for(n_max: int, digits: int | None = None, sigma=None, power=None):
-    """The coefficient table through n_max, at 66 digits unless given.  With
-    the default, a critical table whose error bound misses is built once more
-    from a Stieltjes table at the digits the refusal names."""
+    """The coefficient table through n_max, at 66 digits unless given."""
     ctx = PrecisionCtx(digits or 66)
     if sigma is not None:
         return coeffs_mod.coeffs_line(sigma, -max(n_max, 1), n_max, ctx)
     if power is not None:
         return coeffs_mod.coeffs_power(power, -power, n_max, ctx)
-    try:
-        return coeffs_mod.coeffs_critical(n_max, zeta_mod.stieltjes(max(n_max, 2), ctx), ctx)
-    except PrecisionUnachievableError as refusal:
-        if digits or refusal.digits is None:
-            raise
-        gammas = zeta_mod.stieltjes(max(n_max, 2), PrecisionCtx(refusal.digits))
-        return coeffs_mod.coeffs_critical(n_max, gammas, ctx)
+    return coeffs_mod.coeffs_critical(n_max, zeta_mod.stieltjes(max(n_max, 2), ctx), ctx)
 
 
 def cmd_stieltjes(args) -> int:

@@ -15,7 +15,9 @@ of its own Taylor data b_k:
   the k-th Taylor coefficient of the entire zeta(s) - 1/(s-1) at
   sigma0 + 1/2, from one Euler-Maclaurin series pass of
   :mod:`zetaline.zeta`; no Stieltjes table enters.  For sigma0 > 1 the pole
-  term (-1)**k / (sigma0 - 1/2)**(k+1) is added back.  For 1/2 < sigma0 < 1
+  1/(s-1) is added back in closed form: 1/x to b_0, x = sigma0 - 1/2, and
+  its row sums -(1 - 1/x)**(n-1) / x**2 to the rows n >= 1, so its terms
+  (-1)**k / x**(k+1) never pass through the cancelling sums.  For 1/2 < sigma0 < 1
   the negative indices follow the closed geometric form from the pole at
   3/2 - sigma0, and entry 0 is
   zeta(sigma0+1/2) - 1/(sigma0-1/2) - 1/(3/2-sigma0).  For sigma0 > 1 the
@@ -27,11 +29,12 @@ of its own Taylor data b_k:
   the Stieltjes table through n_max + k.  Zero for n < -k.
 
 The binomial sums cancel: terms reach 1e14 |ell_n| for the critical family
-at n = 400, and (1 + 1/(sigma0 - 1/2))**n |ell_n| for sigma0 > 1.  Each entry
-carries a bound, sum_k C(n-1, k-1) err_k for the Taylor data's errors plus
-the sums' rounding, and a table is built only when every entry is within
-half a unit in its ``digits``-th significant digit.  Else the line and power
-families rebuild their Taylor data once at the digits the bound asks for.
+at n = 400.  Each entry carries a bound, sum_k C(n-1, k-1) err_k for the
+Taylor data's errors plus the sums' rounding, and a table is built only when
+every entry is within half a unit in its ``digits``-th significant digit.
+Else every family builds once more at the digits the bound asks for (the
+critical family raises only the sums' digits: its Stieltjes table is the
+caller's), and refuses if that misses too.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ __all__ = [
 PARSEVAL_SQ_CEILING = "0.2606614015078126229541473827288328486806"
 
 _LOG10_2 = math.log10(2)
-_MARGIN = 3    # digits beyond a shortfall when a family rebuilds its Taylor data
+_MARGIN = 3    # digits beyond a shortfall when a family builds once more
 
 
 class InsufficientTableError(ValueError):
@@ -187,30 +190,30 @@ def _binomial_rows(n_lo: int, n_max: int, shift: int = 0) -> list:
             for n in range(n_lo, n_max + 1)]
 
 
-def _proved(build, ctx: PrecisionCtx, rebuild: bool = True):
+def _proved(build, ctx: PrecisionCtx):
     """(values, extra) from build(ctx) -> (values, log10 error bounds, extra),
     once every bound is within half a unit in its value's ctx.digits-th
     significant digit (-inf marks an exact entry; within 1e-9 of a power of
-    ten the value's exponent is taken low).  With ``rebuild`` a miss builds
-    once more at the digits raised by the shortfall and _MARGIN; a miss then
-    raises PrecisionUnachievableError, whose ``digits`` names the digits."""
-    def shortfall(vals, bounds):        # max log10(bound / half a unit)
+    ten the value's exponent is taken low).  A miss builds once more at the
+    digits raised by the shortfall and _MARGIN.  A second miss, or an entry
+    that is 0 within its bound, raises PrecisionUnachievableError."""
+    def shortfall(vals, bounds):        # max log10(bound / half a unit); inf at a 0 entry
         return max((b + ctx.digits + _LOG10_2 - 1 - math.floor(_log10(v) - 1e-9) if v else math.inf
                     for v, b in zip(vals, bounds) if b > -math.inf), default=-math.inf)
 
     vals, bounds, extra = build(ctx)
-    short = shortfall(vals, bounds)
-    if rebuild and 0 < short < math.inf:
-        vals, bounds, extra = build(PrecisionCtx(ctx.digits + math.ceil(short) + _MARGIN))
+    short, built = shortfall(vals, bounds), ctx
+    if 0 < short < math.inf:
+        built = PrecisionCtx(ctx.digits + math.ceil(short) + _MARGIN)
+        vals, bounds, extra = build(built)
         short = shortfall(vals, bounds)
+    if short == math.inf:
+        raise PrecisionUnachievableError(
+            f"an entry is 0 within its error bound: its {ctx.digits} digits are not proved")
     if short > 0:
-        need = ctx.digits + short + _MARGIN
-        refusal = PrecisionUnachievableError(
-            f"an error bound misses half a unit in the {ctx.digits}-th digit by "
-            f"10^{short:.1f}; the {'Taylor data' if rebuild else 'Stieltjes table'} would need "
-            f"about {need:.0f} digits")
-        refusal.digits = math.ceil(need) if need < math.inf else None
-        raise refusal
+        raise PrecisionUnachievableError(
+            f"an error bound misses half a unit in the {ctx.digits}-th digit by 10^{short:.1f} "
+            f"at {built.digits} digits; about {built.digits + short + _MARGIN:.0f} would be needed")
     return vals, extra
 
 
@@ -218,21 +221,25 @@ def coeffs_critical(n_max: int, gammas: StieltjesTable, ctx: PrecisionCtx) -> Co
     """The critical-line family for n = -1..n_max.
 
     b_k are the table's a_k, with errors est_errors[k] / k! and two
-    roundings.  The table is the caller's: where a bound misses, this
-    refuses, naming the digits it would take, and does not rebuild.
+    roundings.  The table is the caller's, so a second build raises only
+    the digits of the sums.
     """
     if gammas.k_max < n_max:
         raise InsufficientTableError(f"need gamma_k through k={n_max}, table has {gammas.k_max}")
-    w = ctx.working(15)
     a = gammas.taylor[:n_max + 1]
-    with workdps(w):
-        b = [a[0] - 1] + list(a[1:])     # entry 0 is a_0 - 1
-    ut = 2 * _unit(gammas.digits + 15, w)    # a_k = gamma_k / k! at digits + 15
-    err = _scaled([e / math.factorial(k) for k, e in enumerate(gammas.est_errors[:n_max + 1])], w)
-    err = [e + ut * float(abs(x)) for e, x in zip(err, a)]
-    err[0] += _unit(w, w)
     rows = [(1, [(1, 0)])] + _binomial_rows(1, n_max)
-    vals, _ = _proved(lambda _: (*_sums(rows, b, err, w), None), ctx, rebuild=False)
+
+    def build(ctx):
+        w = ctx.working(15)
+        with workdps(w):
+            b = [a[0] - 1] + list(a[1:])     # entry 0 is a_0 - 1
+        ut = 2 * _unit(gammas.digits + 15, w)    # a_k = gamma_k / k! at digits + 15
+        err = _scaled([e / math.factorial(k) for k, e in enumerate(gammas.est_errors[:n_max + 1])], w)
+        err = [e + ut * float(abs(x)) for e, x in zip(err, a)]
+        err[0] += _unit(w, w)
+        return (*_sums(rows, b, err, w), None)
+
+    vals, _ = _proved(build, ctx)
     return CoeffTable(
         family="critical", n_min=-1, n_max=n_max, values=(mpf(-1), *vals), digits=ctx.digits
     )
@@ -248,10 +255,12 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
     the negative entries are closed forms.  The bounds cover n_max <= 1000.
 
     The table is the family at ``sigma0`` as read at w = ctx.working(15)
-    digits, and sigma0 -/+ 1/2 are exact.  Adding the pole terms p_k to a_k
-    rounds by u (|b_k| + 3 |p_k|).  A closed form errs by 2 u (4 - n) of
-    itself: its own roundings, and those of q = (sigma0 - 3/2) / x amplified
-    by |n - 1|."""
+    digits, and sigma0 -/+ 1/2 and sigma0 - 3/2 are exact.  Adding the pole
+    term p to a_0 rounds by u (|b_0| + 3 |p|).  With q = 1 - 1/x rounded
+    once, a closed form q^m / x^2 errs by (|m| + 3) u of itself, to first
+    order: the |m| copies of q's rounding, and those of the power, x^2 and
+    the division.  The negative entries' bounds take twice that, the pole's
+    row sums -q^(n-1) / x^2 take (n + 6) u, and the sums carry their adding."""
     if n_max > 1000:
         raise PrecisionUnachievableError("the line family's error bounds cover n_max <= 1000")
 
@@ -265,21 +274,23 @@ def coeffs_line(sigma0, n_min: int, n_max: int, ctx: PrecisionCtx) -> CoeffTable
                 raise ValueError("sigma0 = 1 excluded: t -> zeta(1+it) is not square-integrable")
             x = mp.fsub(s0, 0.5, exact=True)
             a, terr = taylor_minus_pole(mp.fadd(s0, 0.5, exact=True), max(n_max, 0), ctx)
-            if s0 > 1:
-                p = [(-1) ** k / x ** (k + 1) for k in range(len(a))]
-                b = [ak + pk for ak, pk in zip(a, p)]
-            else:                        # the pole at 3/2 - sigma0 enters entry 0 only
-                p = [1 / mp.fsub(1.5, s0, exact=True)]
-                b = [a[0] - p[0]] + a[1:]
-            q = (s0 - mpf("1.5")) / x
+            # the pole at 1 (sigma0 > 1) or at 3/2 - sigma0 enters b_0 only
+            p = 1 / x if s0 > 1 else -1 / mp.fsub(1.5, s0, exact=True)
+            b = [a[0] + p] + a[1:]
+            q = mp.fsub(s0, 1.5, exact=True) / x
             vals = [mpf(0) if s0 > 1 else +((-1) ** (n % 2) / x ** 2 * q ** (n - 1))
                     for n in range(n_min, min(n_max, -1) + 1)]
-        u, fp = _unit(w, w), [float(abs(v)) for v in p] + [0.0] * len(b)
-        err = [e + u * (float(abs(bk)) + 3 * pk) for e, bk, pk in zip(_scaled(terr, w), b, fp)]
+            head = [(1, [(1, 0)])] if n_min <= 0 <= n_max else []
+            rows = _binomial_rows(max(n_min, 1), n_max)
+            u, err = _unit(w, w), _scaled(terr, w)
+            err[0] += u * (float(abs(b[0])) + 3 * float(abs(p)))
+            for n, (_, row) in enumerate(rows if s0 > 1 else [], max(n_min, 1)):
+                row.append((1, len(b)))          # the pole's row sum, in closed form
+                b.append(-q ** (n - 1) / x ** 2)
+                err.append((n + 6) * u * float(abs(b[-1])))
         bounds = [-math.inf if s0 > 1 else _log10(v) - w + math.log10(2 * u * (4 - n))
                   for n, v in enumerate(vals, n_min)]
-        head = [(1, [(1, 0)])] if n_min <= 0 <= n_max else []
-        v2, b2 = _sums(head + _binomial_rows(max(n_min, 1), n_max), b, err, w)
+        v2, b2 = _sums(head + rows, b, err, w)
         return vals + v2, bounds + b2, s0
 
     vals, s0 = _proved(build, ctx)

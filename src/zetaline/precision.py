@@ -38,10 +38,8 @@ MAX_WORKING_DIGITS = 100_000
 
 
 class PrecisionUnachievableError(ArithmeticError):
-    """The requested accuracy would exceed the configured precision ceiling;
-    ``digits``, where known, is the precision that would reach it."""
-
-    digits = None
+    """The requested accuracy cannot be delivered: it would exceed the
+    precision ceiling, or an error bound misses the digits asked for."""
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ B_2k/(2k)! cached per precision) in two forms:
   contract, r^k |error of a_k| <= 10^-wp.
 
 ``taylor_minus_pole`` is its one entry point: every reader of Taylor data
-gets the pass on the scale r = 3, at the working precision ``_taylor_wp``
-sets from k_max and the digits.  g is entire, so the centre may sit
+gets the pass on the scale r = 10, at digits + 15 working digits, the
+precision the coefficient sums run at.  g is entire, so the centre may sit
 anywhere on the real axis, s = 1 included.  ``stieltjes`` reads it at
 c = 1, gamma_k = (-1)^k k! a_k, and ``coefficients.coeffs_line`` at
 c = sigma0 + 1/2.  ``zeta_derivative`` and ``quadrature.cross_moment_wow``
@@ -343,6 +343,14 @@ class StieltjesTable:
             return tuple(g * (-1) ** k / mp.factorial(k) for k, g in enumerate(self.gammas))
 
     def to_json(self) -> str:
+        """The table as JSON; refuses at the first gamma_k whose est_error
+        exceeds half a unit in its ``digits``-th significant digit."""
+        with workdps(30):
+            for k, (g, e) in enumerate(zip(self.gammas, self.est_errors)):
+                if not g or e > mpf(10) ** (mp.floor(mp.log10(abs(g))) + 1 - self.digits) / 2:
+                    raise PrecisionUnachievableError(
+                        f"gamma_{k}'s error bound {mp.nstr(e, 3)} exceeds half a unit "
+                        f"in its {self.digits}-th digit")
         payload = {
             "schema_version": 1,
             "digits": self.digits,
@@ -362,33 +370,22 @@ def berndt_bound_holds(gamma_k, k: int) -> bool:
         return abs(gamma_k) / mp.factorial(k) <= 4 / (k * mp.pi ** k)
 
 
-def _taylor_wp(k_max: int, digits: int) -> int:
-    """Working digits for Taylor data through k_max on the scale r = 3.
-
-    digits + max(10, ceil(0.05 k_max) + 10): the guard absorbs the (pi/3)^k
-    loss of a_k ~ pi^-k measured to 10^-wp / 3^k.
-    """
-    wp = digits + max(10, int(math.ceil(0.05 * k_max)) + 10)
-    if wp > 50_000:
-        raise PrecisionUnachievableError(f"Taylor working precision {wp} too large")
-    return wp
-
-
 def taylor_minus_pole(c, k_max: int, ctx: PrecisionCtx):
     """(a, err): a_0..a_{k_max} of g = zeta - 1/(s-1) at the real c, with error bounds.
 
-    One ``_taylor_series`` pass on the scale r = 3 at ``_taylor_wp(k_max,
-    ctx.digits)`` working digits, so 3^k |error of a_k| <= 10^-wp.  g is
-    entire: any real c will do, the pole s = 1 included.
+    One ``_taylor_series`` pass on the scale r = 10 at wp = digits + 15
+    working digits, the digits the binomial sums run at, so
+    10^k |error of a_k| <= 10^-wp.  g is entire: any real c will do, the
+    pole s = 1 included.
     """
-    return _taylor_series(c, 3, k_max, _taylor_wp(k_max, ctx.digits))
+    return _taylor_series(c, 10, k_max, ctx.working(15))
 
 
 @lru_cache(maxsize=32)
 def _stieltjes_cached(k_max: int, digits: int) -> StieltjesTable:
     from . import cache as _cache
 
-    wp = _taylor_wp(k_max, digits)
+    wp = PrecisionCtx(digits).working(15)
     key = f"stieltjes_k{k_max}_d{digits}"
     gammas = _cache.load_values(key, digits)
     errs = _cache.load_values(key + "_err", digits) if gammas is not None else None
@@ -414,11 +411,12 @@ def stieltjes(k_max: int, ctx: PrecisionCtx) -> StieltjesTable:
     """Stieltjes constants gamma_0..gamma_{k_max} from one series pass.
 
     gamma_k = (-1)^k k! a_k, with the a_k of g = zeta - 1/(s-1) at s = 1
-    from ``taylor_minus_pole``, on the scale r = 3, so
-    max_k 3^k |error of a_k| <= 10^-wp; ``est_errors`` holds k! times its
-    per-order bound.  The working precision wp is
-    digits + max(10, ceil(0.05 k_max) + 10), to absorb the (pi/3)^k loss.
-    A cached entry holds the cold table exactly; one that is malformed or
+    from ``taylor_minus_pole``, on the scale r = 10 at wp = digits + 15, so
+    max_k 10^k |error of a_k| <= 10^-wp; ``est_errors`` holds k! times its
+    per-order bound.  That stays within half a unit in gamma_k's
+    ``digits``-th digit only up to some k (gamma_92 is the first to miss
+    at 66 digits, gamma_89 at 120), and ``to_json`` refuses past it.  A
+    cached entry holds the cold table exactly; one that is malformed or
     fails ``StieltjesTable``'s checks counts as stale and is recomputed.
     """
     if k_max > 400:

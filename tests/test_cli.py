@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from mpmath import mpf, workdps
+from mpmath import mp, mpf, workdps
 
 from zetaline import cache, cli
 from zetaline.cli import main
@@ -82,29 +82,51 @@ def test_quad_cross_target_in_either_order(capsys):
 
 
 def test_precision_error_exit_code(capsys):
-    """The error bound, not a fixed reserve, decides: 100 entries at 61 digits
-    pass it; 400 at 15 digits miss half a unit in the 15th by about 10x."""
+    """The error bounds, not a fixed reserve, decide: 100 entries at 61 and
+    66 digits pass them.  A Stieltjes table through k = 400 at 66 digits
+    proves gamma_k to its 66th digit only up to k = 91, so printing it
+    exits 3."""
     assert main(["coeffs", "--nmax", "100", "--digits", "61"]) == 0
     assert main(["coeffs", "--nmax", "100", "--digits", "66"]) == 0
     capsys.readouterr()
-    assert main(["coeffs", "--nmax", "400", "--digits", "15"]) == 3
+    assert main(["stieltjes", "--kmax", "400", "--digits", "66"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "misses half a unit in the 15-th digit" in captured.err
+    assert captured.out == ""
+    assert "gamma_92's error bound" in captured.err and "66-th digit" in captured.err
 
 
-def test_default_digits_rebuild_the_stieltjes_table(capsys):
-    """At 66 digits the bound of ell_400 misses (the Stieltjes table's own
-    error bounds decide there): an explicit --digits 66 is refused, and the
-    default builds the Stieltjes table at the digits the refusal names.
-    Every printed digit of ell_400 agrees with the 120-digit table."""
-    assert main(["coeffs", "--nmax", "400", "--digits", "66"]) == 3
-    code, out = run_cli(["coeffs", "--nmax", "400"], capsys)
+def test_printed_stieltjes_constants_are_right(capsys):
+    """Every gamma_k a table prints is within half a unit in its last digit:
+    sampled against mpmath.stieltjes."""
+    code, out = run_cli(["stieltjes", "--kmax", "60", "--digits", "40"], capsys)
     assert code == 0
+    values = json.loads(out)["values"]
+    with workdps(60):
+        for k in (0, 30, 60):
+            ref = mp.stieltjes(k)
+            half_unit = mpf(10) ** (mp.floor(mp.log10(abs(ref))) - 39) / 2
+            assert abs(mpf(values[k]["gamma"]) - ref) <= half_unit, k
+
+
+@pytest.mark.parametrize("digits", [15, 30, 66])
+def test_n400_tables_pass_their_bound_first_time(digits, capsys, monkeypatch):
+    """On the scale r = 10 the Stieltjes table's bounds carry ell_400 at 15,
+    30 and 66 digits: one table, at the digits asked for, and the printed
+    ell_400 within half a unit of the 120-digit value."""
+    calls, real_stieltjes = [], cli.zeta_mod.stieltjes
+
+    def recording_stieltjes(k_max, ctx):
+        calls.append((k_max, ctx.digits))
+        return real_stieltjes(k_max, ctx)
+
+    monkeypatch.setattr(cli.zeta_mod, "stieltjes", recording_stieltjes)
+    code, out = run_cli(["coeffs", "--nmax", "400", "--digits", str(digits)], capsys)
+    assert code == 0 and calls == [(400, digits)]
     printed = json.loads(out)["values"][-1]["value"]
     with workdps(130):
         ref = mpf("-4.5398373533180939489651487012321700756409967601731240183439099932463000923381"
                   "5601644707118767909928696436792455359655945e-03")
-        assert abs(mpf(printed) - ref) <= mpf("5e-69")   # half a unit in the 66th digit
+        assert abs(mpf(printed) - ref) <= 5 * mpf(10) ** (-3 - digits)  # half a unit in the last digit
 
 
 def test_power_table_reads_one_stieltjes_table(capsys, monkeypatch):

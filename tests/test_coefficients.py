@@ -13,8 +13,10 @@ from zetaline.coefficients import (
     decay_diagnostics,
     _binomial_rows,
     _power_taylor,
+    _proved,
     _sums,
 )
+from zetaline import coefficients
 from zetaline.precision import PrecisionCtx, PrecisionUnachievableError, binom_exact, hreal_to_str
 from zetaline.series import basis_e
 from zetaline.zeta import StieltjesTable, stieltjes
@@ -50,16 +52,59 @@ def test_low_index_values(gammas, crit):
 
 
 def test_table_whose_bound_misses_is_refused(gammas):
-    """A Stieltjes table whose error bounds are 1e-50 proves no 70th digit:
-    the critical family refuses and names the digits it would need.  One
+    """A Stieltjes table whose error bounds are 1e-50 proves no 70th digit,
+    however many digits the sums carry: the critical family refuses.  One
     that claims exact gamma_k, as a seeded cache entry does, still carries
     its rounding and passes at 61 digits."""
     loose = StieltjesTable(gammas.k_max, gammas.gammas, gammas.digits,
                            tuple(mpf("1e-50") for _ in gammas.gammas))
-    with pytest.raises(PrecisionUnachievableError, match="would need about"):
+    with pytest.raises(PrecisionUnachievableError, match="misses half a unit in the 70-th digit"):
         coeffs_critical(20, loose, CTX)
     exact = StieltjesTable(5, gammas.gammas[:6], 61, (mpf(0),) * 6)
     assert coeffs_critical(5, exact, PrecisionCtx(61)).n_max == 5
+
+
+def test_refusals_name_digits_only_from_a_finite_shortfall():
+    """A bound that misses by 10^9.3 builds once more, 13 digits up, then
+    names the digits; an entry that is 0 within its bound names none."""
+    digits = []
+
+    def build(ctx, value):
+        digits.append(ctx.digits)
+        return [value], [-60.0], None
+
+    with pytest.raises(PrecisionUnachievableError, match=r"at 83 digits; about 95 would") as miss:
+        _proved(lambda ctx: build(ctx, mpf(2)), PrecisionCtx(70))
+    assert digits == [70, 83]
+    with pytest.raises(PrecisionUnachievableError, match="0 within its error bound") as zero:
+        _proved(lambda ctx: build(ctx, mpf(0)), PrecisionCtx(70))
+    assert digits == [70, 83, 70]
+    assert "inf" not in str(miss.value) + str(zero.value)
+
+
+@pytest.mark.parametrize("sigma0", ["1.5", "3"])
+def test_line_family_above_one_at_n400_builds_once(sigma0, monkeypatch):
+    """With the pole's row sums in closed form, n = 400 at 90 digits passes
+    its bound from one series pass, and every printed entry is within half
+    a unit in its last digit of the 130-digit table, up to that table's own
+    half unit."""
+    passes, real = [], coefficients.taylor_minus_pole
+
+    def counted(*args):
+        passes.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(coefficients, "taylor_minus_pole", counted)
+    tab = coeffs_line(sigma0, -1, 400, PrecisionCtx(90))
+    assert passes == [400]
+    ref = coeffs_line(sigma0, -1, 400, PrecisionCtx(130))
+    with workdps(150):
+        for n in range(-1, 401):
+            printed, r = mpf(hreal_to_str(tab.value(n), 90)), ref.value(n)
+            if r:
+                assert abs(printed - r) <= _half_unit(r, 90) + _half_unit(r, 130), n
+            else:
+                assert printed == 0, n
 
 
 def test_power_taylor_errors_bound_the_coefficients():
@@ -126,7 +171,7 @@ def test_line_sigma_above_one():
 
 @pytest.mark.parametrize("sigma0", ["0.75", "2.4", "3.5", "6"])
 def test_line_family_against_mpmath_derivatives(sigma0):
-    """The series pass on its one scale, 3, against Taylor data from
+    """The series pass on its one scale, 10, against Taylor data from
     mpmath.zeta's derivatives at c = sigma0 + 1/2:
     b_k = zeta^(k)(c)/k! - (-1)^k/(c-1)^(k+1), whose pole term the line
     family adds back for sigma0 > 1, through the same binomial sums."""

@@ -283,8 +283,8 @@ def test_failed_store_is_skipped_and_leaves_no_file(cold_cache, monkeypatch, cap
 def test_cold_stieltjes_errors_bound_mpmath(cold_cache):
     """Each est_error of a cold stieltjes(100, 66) bounds its true error.
 
-    The 3^-k scale loses digits at high k: gamma_100 is right to about
-    1e-13 relative here, and its est_error says so.
+    The 10^-k scale loses digits at high k: gamma_100 is right to about
+    1e-68 relative here, and its est_error says 2e-63.
     """
     table = stieltjes(100, PrecisionCtx(66))
     for k in (0, 20, 60, 100):
